@@ -351,5 +351,6 @@ def semidegree(f: LaurentPoly, g: GenericDPS) -> int:
     if f.is_zero:
         raise AlgebraError("the semidegree of 0 is undefined")
     scaled = formal_pairs(g).delta_x * substitute(f, g).degree
-    assert scaled.denominator == 1, "semidegree value must be an integer"
+    if scaled.denominator != 1:
+        raise AlgebraError(f"semidegree value {scaled} is not an integer; this is a bug")
     return int(scaled)

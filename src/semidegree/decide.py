@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .keyforms import KeyFormSeq, compute_key_forms
+from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms
 from .puiseux import DPuiseuxPoly, GenericDPS, from_local
 from .semigroups import in_semigroup
 
@@ -56,7 +56,7 @@ def decide_algebraic(g: GenericDPS) -> Verdict:
 
     Refuses inputs whose last key-form value is not positive: there is no
     surface to decide about.  The polynomiality of the last form must agree
-    with polynomiality of all forms, and this equivalence is asserted on
+    with polynomiality of all forms, and this equivalence is checked on
     every run.
     """
     seq = compute_key_forms(g)
@@ -79,7 +79,10 @@ def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
         )
     last_poly = seq.last_form.is_polynomial
     all_poly = all(form.is_polynomial for form in seq.forms)
-    assert last_poly == all_poly, "polynomiality of the last form must match all forms"
+    if last_poly != all_poly:
+        raise KeyFormError(
+            "polynomiality of the last form does not match all forms; this is a bug"
+        )
     if last_poly:
         return Verdict(
             kind=ALGEBRAIC,

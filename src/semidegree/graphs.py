@@ -20,7 +20,7 @@ from .algebra import LaurentPoly, monomial_product
 from .decide import NotACompactificationError
 from .keyforms import KeyFormSeq, essential_key_values, represent
 from .puiseux import FormalPuiseuxPairs
-from .semigroups import in_group, in_semigroup
+from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
 
 MARK_LINE = "L"
 MARK_ESTAR = "Estar"
@@ -208,35 +208,33 @@ def intersection_matrix(graph: DualGraph, exclude_estar: bool = False) -> list[l
     return matrix
 
 
-def _determinant(matrix: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; exact for integer matrices."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            swap = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
-            if swap is None:
-                return 0
-            m[i], m[swap] = m[swap], m[i]
-            sign = -sign
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
-            m[r][i] = 0
-        prev = m[i][i]
-    return sign * m[-1][-1]
-
-
 def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Sign test on leading principal minors: (-1)^k det_k > 0 for all k."""
-    for k in range(1, len(matrix) + 1):
-        minor = _determinant([row[:k] for row in matrix[:k]])
-        if (-1) ** k * minor <= 0:
+    """Sign test on leading principal minors: (-1)^k det_k > 0 for all k.
+
+    Bareiss fraction-free elimination without row swaps makes its k-th pivot
+    the k-th leading principal minor, so one sweep reads every minor in
+    order; a zero pivot is a vanishing minor and ends the sweep.
+    """
+    m = [row[:] for row in matrix]
+    n = len(m)
+    prev = sign = 1
+    for i in range(n):
+        top = m[i]
+        pivot = top[i]
+        sign = -sign
+        if sign * pivot <= 0:
             return False
+        tail = top[i + 1 :]
+        for r in range(i + 1, n):
+            row = m[r]
+            factor = row[i]
+            if factor:
+                row[i + 1 :] = [
+                    (x * pivot - factor * y) // prev for x, y in zip(row[i + 1 :], tail)
+                ]
+            else:  # the sparse graph matrices leave most rows here
+                row[i + 1 :] = [x * pivot // prev for x in row[i + 1 :]]
+        prev = pivot
     return True
 
 
@@ -249,6 +247,13 @@ def _check_condition_args(omegas, pairs: FormalPuiseuxPairs, k: int) -> None:
         raise GraphError(f"condition index {k} out of range 1..{pairs.l}")
     if any(w <= 0 for w in omegas):
         raise GraphError("semigroup conditions need positive essential values")
+    # every table s1 and s2 build for k = 1..l, checked before any is built
+    size = max(apery_size(omegas[: j + 1]) for j in range(1, pairs.l + 1))
+    if size > MAX_APERY_SIZE:
+        raise GraphError(
+            f"essential values too large: a semigroup table would need {size} "
+            f"entries, more than the bound of {MAX_APERY_SIZE}"
+        )
 
 
 def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
@@ -261,14 +266,21 @@ def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
 def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
     """Between omega_{k+1} and p_k * omega_k, does group membership in the
     first k+1 values imply semigroup membership?  Returns the least
-    violating integer when not."""
+    violating integer when not.
+
+    The group is the multiples of d = gcd(omega_0..omega_k).  A group member
+    d*t is outside the semigroup exactly when t lies below the Apéry entry of
+    its class, so the least violator comes from the least t of each class
+    inside the window.
+    """
     _check_condition_args(omegas, pairs, k)
     p_k = pairs.pairs[k - 1][1]
-    generators = list(omegas[: k + 1])
-    for t in range(omegas[k + 1] + 1, p_k * omegas[k]):
-        if in_group(t, [Fraction(w) for w in generators]) and not in_semigroup(t, generators):
-            return False, t
-    return True, None
+    d, table = apery_set(omegas[: k + 1])
+    a = len(table)
+    low, high = omegas[k + 1] // d + 1, p_k * omegas[k] // d
+    firsts = (low + (r - low) % a for r in range(a))  # least t >= low in class r
+    violators = [t for t, least in zip(firsts, table) if t < min(least, high)]
+    return (False, d * min(violators)) if violators else (True, None)
 
 
 @dataclass(frozen=True)
@@ -365,7 +377,10 @@ def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
 
     beta = represent(witness_value, [Fraction(w) for w in omegas[: k + 1]], ps[:k])
-    assert beta[0] < 0, "a semigroup violation must force a negative x-exponent"
+    if beta[0] >= 0:
+        raise GraphError(
+            f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
+        )
     base = _base_witness_forms(pairs, omegas)
 
     forms = list(base[: k + 2])

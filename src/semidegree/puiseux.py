@@ -150,7 +150,8 @@ def star_scale(c, r: int, phi: DPuiseuxPoly) -> DPuiseuxPoly:
     out = []
     for e, coeff in phi._terms.items():
         power = e * r  # e*p is an integer, and p | r, so this is an integer
-        assert power.denominator == 1
+        if power.denominator != 1:
+            raise PuiseuxError(f"scaled exponent {power} is not an integer; this is a bug")
         out.append((e, coeff * scalar ** int(power)))
     return DPuiseuxPoly(out)
 

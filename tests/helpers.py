@@ -100,3 +100,67 @@ def random_normal_pairs(rng):
             pairs.append((q, p))
             break
     return FormalPuiseuxPairs(tuple(pairs))
+
+
+# ---------------------------------------------------------------------------
+# slow exact oracles for the fast classification kernels
+
+
+def dp_in_semigroup(target, generators):
+    """Semigroup membership by the coin-problem DP over 0..target."""
+    for g in generators:
+        if g <= 0:
+            raise ValueError(f"semigroup generators must be positive, got {g}")
+    if target < 0:
+        return False
+    reachable = [False] * (target + 1)
+    reachable[0] = True
+    for g in generators:
+        for v in range(g, target + 1):
+            if reachable[v - g]:
+                reachable[v] = True
+    return reachable[target]
+
+
+def window_s2(omegas, p_k, k):
+    """The second semigroup condition by scanning every integer between
+    omega_{k+1} and p_k * omega_k; (holds, least violator)."""
+    from semidegree.semigroups import in_group
+
+    generators = list(omegas[: k + 1])
+    for t in range(omegas[k + 1] + 1, p_k * omegas[k]):
+        if in_group(t, [Fraction(w) for w in generators]) and not dp_in_semigroup(t, generators):
+            return False, t
+    return True, None
+
+
+def bareiss_determinant(matrix):
+    """Determinant by Bareiss elimination with row swaps."""
+    n = len(matrix)
+    if n == 0:
+        return 1
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+            m[r][i] = 0
+        prev = m[i][i]
+    return sign * m[-1][-1]
+
+
+def minors_negative_definite(matrix):
+    """Negative definiteness from each leading minor computed on its own."""
+    for k in range(1, len(matrix) + 1):
+        minor = bareiss_determinant([row[:k] for row in matrix[:k]])
+        if (-1) ** k * minor <= 0:
+            return False
+    return True

@@ -1,6 +1,11 @@
 import json
+import os
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +155,41 @@ def test_exit_code_witness_unavailable(capsys):
     code, _, err = run_cli(capsys, "witness", "--pairs", "3/7", "--kind", "nonalgebraic")
     assert code == 4
     assert "algebraic-only" in err
+
+
+def test_exit_code_oversized_pairs_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "classify", "--pairs", "500/1001,501499/1003,505009492/1007,505009487/1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert not out
+    assert "essential values too large" in err
+
+
+README_EXAMPLES = [
+    ("decide", "--phi", "x^(2/5)", "--r", "-6/5"),
+    ("semidegree", "--phi", "x^(2/5)", "--r", "-6/5", "--f", "y^5 - x^2"),
+    ("classify", "--pairs", "2/5,-6/1"),
+    ("witness", "--pairs", "2/5,-6/1", "--kind", "nonalgebraic"),
+]
+
+
+@pytest.mark.parametrize("argv", README_EXAMPLES, ids=lambda argv: argv[0])
+def test_optimized_mode_output_is_identical(argv):
+    # the invariant checks must not be asserts, which -O strips
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(*flags):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "semidegree.cli", *argv],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        ).stdout
+
+    assert run("-O") == run()
 
 
 def test_output_is_byte_deterministic(capsys):

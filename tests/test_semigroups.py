@@ -1,0 +1,163 @@
+"""Differential tests of the fast classification kernels against slow oracles."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from semidegree import (
+    FormalPuiseuxPairs,
+    classify,
+    essential_key_values,
+    intersection_matrix,
+    is_negative_definite,
+)
+from semidegree.graphs import GraphError, candidate_graph, s2
+from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
+
+from helpers import (
+    dp_in_semigroup,
+    minors_negative_definite,
+    random_normal_pairs,
+    window_s2,
+)
+
+FAST = settings(max_examples=300, deadline=None, derandomize=True)
+
+generator_lists = st.builds(
+    lambda common, gens: [common * g for g in gens],
+    st.integers(1, 4),
+    st.lists(st.integers(1, 30), min_size=1, max_size=5),
+)
+
+
+@FAST
+@given(generator_lists, st.integers(-30, 400))
+def test_in_semigroup_matches_the_dp(generators, target):
+    assert in_semigroup(target, generators) == dp_in_semigroup(target, generators)
+
+
+@pytest.mark.parametrize(
+    "target, generators, expected",
+    [
+        (9, [4, 6], False),  # gcd 2, odd target
+        (10, [4, 6], True),
+        (2, [4, 6], False),  # even but below the class's least member
+        (7, [1, 9], True),  # a = 1: everything nonnegative
+        (11, [3, 3, 5], True),  # repeated generator
+        (7, [3, 3, 5], False),
+        (-3, [3], False),  # negative targets are never members
+        (0, [], True),  # the empty semigroup is {0}
+        (5, [], False),
+    ],
+)
+def test_in_semigroup_examples(target, generators, expected):
+    assert in_semigroup(target, generators) is expected
+    assert dp_in_semigroup(target, generators) is expected
+
+
+def test_apery_set_of_two_generators():
+    # least members of 5, 7 in each class mod 5: 0, 21, 7, 28, 14
+    assert apery_set([7, 5]) == (1, [0, 21, 7, 28, 14])
+    # 4, 6 give twice the semigroup of 2, 3, whose least odd member is 3
+    assert apery_set([4, 6]) == (2, [0, 3])
+
+
+def test_in_semigroup_rejects_nonpositive_generators():
+    with pytest.raises(ValueError):
+        in_semigroup(5, [3, 0])
+    with pytest.raises(ValueError):
+        in_semigroup(-1, [-2])
+
+
+def test_apery_table_size_is_bounded():
+    with pytest.raises(ValueError, match="exceeds the bound"):
+        in_semigroup(10**18, [MAX_APERY_SIZE + 1, 10**9])
+    # a common factor does not count: the table is built for 2, 3
+    assert in_semigroup(2 * MAX_APERY_SIZE, [MAX_APERY_SIZE])
+    assert in_semigroup(7 * 10**12, [2 * 10**12, 3 * 10**12])
+    assert not in_semigroup(10**12, [2 * 10**12, 3 * 10**12])
+
+
+def test_classify_refuses_oversized_essential_values():
+    pairs = FormalPuiseuxPairs(((500, 1001), (501499, 1003), (505009492, 1007), (505009487, 1)))
+    with pytest.raises(GraphError, match="essential values too large"):
+        classify(pairs)
+
+
+class _Pairs:
+    """Stands in for a pair list: s2 reads only l and p_k."""
+
+    def __init__(self, ps):
+        self.pairs = tuple((0, p) for p in ps)
+        self.l = len(ps)
+
+
+@FAST
+@given(st.data())
+def test_s2_matches_the_window_scan(data):
+    l = data.draw(st.integers(1, 3))
+    common = data.draw(st.integers(1, 3))
+    omegas = data.draw(st.lists(st.integers(1, 40), min_size=l + 2, max_size=l + 2))
+    omegas = tuple(common * w for w in omegas[:-1]) + (omegas[-1],)
+    ps = data.draw(st.lists(st.integers(1, 6), min_size=l, max_size=l))
+    k = data.draw(st.integers(1, l))
+    assert s2(omegas, _Pairs(ps), k) == window_s2(omegas, ps[k - 1], k)
+
+
+def test_s2_matches_the_window_scan_on_pair_lists():
+    rng = random.Random(61)
+    checked = 0
+    while checked < 60:
+        pairs = random_normal_pairs(rng)
+        omegas = essential_key_values(pairs)
+        if pairs.l == 0 or omegas[-1] <= 0:
+            continue
+        for k in range(1, pairs.l + 1):
+            p_k = pairs.pairs[k - 1][1]
+            assert s2(omegas, pairs, k) == window_s2(omegas, p_k, k)
+        checked += 1
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = draw(st.integers(-8, 2))  # zero and positive pivots too
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(st.integers(-2, 2))
+    return m
+
+
+@FAST
+@given(symmetric_matrices())
+def test_one_sweep_definiteness_matches_the_minors(matrix):
+    before = [row[:] for row in matrix]
+    assert is_negative_definite(matrix) == minors_negative_definite(matrix)
+    assert matrix == before
+
+
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        ([], True),
+        ([[0, 1], [1, -1]], False),  # zero first pivot
+        ([[-1, 1], [1, -1]], False),  # zero second minor
+        ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], True),  # A_3 chain
+        ([[-1, 2], [2, -1]], False),  # second minor negative
+    ],
+)
+def test_definiteness_examples(matrix, expected):
+    assert is_negative_definite(matrix) is expected
+    assert minors_negative_definite(matrix) is expected
+
+
+def test_definiteness_matches_the_minors_on_dual_graphs():
+    rng = random.Random(62)
+    for _ in range(40):
+        graph = candidate_graph(random_normal_pairs(rng))
+        for exclude in (False, True):
+            matrix = intersection_matrix(graph, exclude_estar=exclude)
+            assert is_negative_definite(matrix) == minors_negative_definite(matrix)
