@@ -32,8 +32,6 @@ from .keyforms import (
     KeyFormSeq,
     compute_key_forms,
     essential_key_values,
-    essential_values_of,
-    last_value,
     pairs_from_essential_values,
     represent,
     verify_key_properties,
@@ -43,11 +41,8 @@ from .puiseux import (
     DPuiseuxPoly,
     FormalPuiseuxPairs,
     GenericDPS,
-    equiv_r,
     formal_pairs,
     from_local,
-    polydromy_order,
-    star_scale,
     truncate_above,
 )
 
@@ -69,26 +64,21 @@ __all__ = [
     "cousin_decide",
     "decide_algebraic",
     "dps_to_str",
-    "equiv_r",
     "essential_key_values",
-    "essential_values_of",
     "export_dot",
     "formal_pairs",
     "from_local",
     "hj_expansion",
     "intersection_matrix",
     "is_negative_definite",
-    "last_value",
     "laurent_to_str",
     "nonalgebraic_witness",
     "pairs_from_essential_values",
     "parse_dps",
     "parse_laurent",
-    "polydromy_order",
     "represent",
     "resolution_graph",
     "semidegree",
-    "star_scale",
     "substitute",
     "truncate_above",
     "verify_key_properties",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -268,9 +269,12 @@ def run_line(line: str) -> tuple[int, str]:
 def _cmd_batch(args) -> tuple[int, str]:
     with open(args.input, encoding="utf-8") as handle:
         lines = [line.strip() for line in handle if line.strip()]
-    if args.jobs > 1:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are cores or lines
+    workers = min(args.jobs, os.cpu_count() or 1, len(lines))
+    if workers > 1:
         try:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(run_line, lines))
         except OSError:
             results = [run_line(line) for line in lines]

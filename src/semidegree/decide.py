@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms
-from .puiseux import DPuiseuxPoly, GenericDPS, from_local
-from .semigroups import in_semigroup
+from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms, essential_key_values
+from .puiseux import DPuiseuxPoly, GenericDPS, formal_pairs, from_local
 
 ALGEBRAIC = "algebraic"
 NON_ALGEBRAIC = "non_algebraic"
@@ -46,9 +45,15 @@ class Verdict:
         return self.kind == ALGEBRAIC
 
 
+def _last_value(g: GenericDPS) -> int:
+    """The last key-form value, read off the pairs without building a form:
+    it is the last essential value, which every run checks."""
+    return essential_key_values(formal_pairs(g))[-1]
+
+
 def contractible(g: GenericDPS) -> bool:
     """True iff the curve configuration determined by g can be contracted."""
-    return compute_key_forms(g).last_value > 0
+    return _last_value(g) > 0
 
 
 def decide_algebraic(g: GenericDPS) -> Verdict:
@@ -59,8 +64,12 @@ def decide_algebraic(g: GenericDPS) -> Verdict:
     with polynomiality of all forms, and this equivalence is checked on
     every run.
     """
-    seq = compute_key_forms(g)
-    return _verdict_from_sequence(seq)
+    last = _last_value(g)
+    if last <= 0:
+        raise NotACompactificationError(
+            f"no compactification: the last key-form value is {last} <= 0"
+        )
+    return _verdict_from_sequence(compute_key_forms(g))
 
 
 def cousin_decide(psi_local: DPuiseuxPoly, r_local) -> Verdict:
@@ -73,10 +82,6 @@ def cousin_decide(psi_local: DPuiseuxPoly, r_local) -> Verdict:
 
 
 def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
-    if seq.last_value <= 0:
-        raise NotACompactificationError(
-            f"no compactification: the last key-form value is {seq.last_value} <= 0"
-        )
     last_poly = seq.last_form.is_polynomial
     all_poly = all(form.is_polynomial for form in seq.forms)
     if last_poly != all_poly:
@@ -94,19 +99,3 @@ def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
     witness = next(i for i, form in enumerate(seq.forms) if not form.is_polynomial)
     return Verdict(kind=NON_ALGEBRAIC, keyforms=seq, witness_index=witness)
 
-
-def polynomial_prefixes_by_semigroup(seq: KeyFormSeq) -> list[bool]:
-    """For each m, whether multiplier * value lies in the semigroup of the
-    earlier values for every j <= m.
-
-    By the semigroup criterion this equals "forms 0..m+1 are all
-    polynomials", which callers cross-check directly.  Requires positive
-    values, which holds whenever the last value is positive.
-    """
-    out = []
-    ok = True
-    for m in range(seq.n + 1):
-        if ok and m >= 1:
-            ok = in_semigroup(seq.alpha(m) * seq.values[m], list(seq.values[:m]))
-        out.append(ok)
-    return out

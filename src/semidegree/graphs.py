@@ -57,21 +57,6 @@ class DualGraph:
     vertices: tuple[Vertex, ...]
     edges: tuple[tuple[str, str], ...]
 
-    def vertex(self, name: str) -> Vertex:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
-    def weights(self) -> dict[str, int]:
-        return {v.name: v.weight for v in self.vertices}
-
-    def marked(self, mark: str) -> Vertex:
-        found = [v for v in self.vertices if v.mark == mark]
-        if len(found) != 1:
-            raise GraphError(f"expected exactly one vertex marked {mark}")
-        return found[0]
-
 
 def hj_expansion(a: int, b: int) -> list[int]:
     """Continued fraction a/b = c0 - 1/(c1 - 1/(... - 1/ct)) with cj >= 2
@@ -86,16 +71,6 @@ def hj_expansion(a: int, b: int) -> list[int]:
         if remainder == 0:
             return out
         a, b = b, remainder
-
-
-def hj_evaluate(entries: list[int]) -> Fraction:
-    """Value of the continued fraction c0 - 1/(c1 - 1/(...))."""
-    if not entries:
-        raise GraphError("empty continued fraction")
-    value = Fraction(entries[-1])
-    for c in reversed(entries[:-1]):
-        value = c - 1 / value
-    return value
 
 
 def is_normal_form(pairs: FormalPuiseuxPairs) -> bool:

@@ -73,14 +73,6 @@ class KeyFormSeq:
         return tuple(self.values[j] for j in self.essential_indices)
 
 
-def last_value(seq: KeyFormSeq) -> int:
-    return seq.last_value
-
-
-def essential_values_of(seq: KeyFormSeq) -> tuple[int, ...]:
-    return seq.essential_values()
-
-
 def essential_key_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
     """Values of the essential forms, from the pairs alone.
 
@@ -161,7 +153,11 @@ def _xi_degree(poly) -> int:
 
 
 def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq:
-    """Run the cancellation algorithm on a generic descending series."""
+    """Run the cancellation algorithm on a generic descending series.
+
+    Expansions live in x^(1/delta_x), so each leading exponent is already
+    the integer value of its form.
+    """
     pairs = formal_pairs(g)
     ps = [p for _, p in pairs.pairs]
     delta_x = pairs.delta_x
@@ -171,15 +167,15 @@ def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq
 
     x = LaurentPoly.x()
     forms: list[LaurentPoly] = [x, LaurentPoly.y()]
-    expansions: list[XiSeries] = [XiSeries.monomial(Fraction(1), 1), series_of(g)]
-    # essential bookkeeping: indices, forms, expansions, and x-degrees
+    expansions: list[XiSeries] = [XiSeries([((delta_x, 0), 1)], delta_x), series_of(g)]
+    # essential bookkeeping: indices, forms, expansions, and values
     ess_indices = [0]
     ess_forms = [x]
     ess_expansions = [expansions[0]]
-    ess_degrees = [Fraction(1)]
+    ess_values = [delta_x]
     lattice = 1  # p_0 * ... * p_k for the essentials found so far
 
-    degrees = [Fraction(1)]
+    values = [delta_x]
     steps = 0
     while True:
         steps += 1
@@ -191,8 +187,8 @@ def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq
         expansion = expansions[s]
         if expansion.is_zero:
             raise KeyFormError("expansion vanished; this is a bug")
-        w = expansion.degree
-        degrees.append(w)
+        w = expansion.value
+        values.append(w)
         lead = expansion.leading_coefficient
 
         if _xi_degree(lead) >= 1:
@@ -201,52 +197,40 @@ def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq
 
         constant = lead[0]
         k = len(ess_indices) - 1
-        if (w * lattice).denominator == 1:
+        if w * lattice % delta_x == 0:
             # cancel within the current lattice
-            beta = represent(w, ess_degrees, ps[:k])
-            target_degree = w
+            beta = represent(w, ess_values, ps[:k])
             power = 1
         else:
             # leading degree needs the next denominator: new essential form
             if k >= len(ps):
                 raise KeyFormError("degree outside the full lattice; this is a bug")
             p_next = ps[k]
-            if (w * lattice * p_next).denominator != 1:
+            if w * lattice * p_next % delta_x != 0:
                 raise KeyFormError("degree skipped a lattice level; this is a bug")
-            beta = represent(p_next * w, ess_degrees, ps[:k])
-            target_degree = p_next * w
+            beta = represent(p_next * w, ess_values, ps[:k])
             power = p_next
 
         monomial = monomial_product(ess_forms, beta)
-        mono_expansion = XiSeries.monomial(Fraction(1), 0)
-        for ess_exp, b in zip(ess_expansions, beta):
-            if b < 0:
-                mono_expansion = mono_expansion.scaled_shift(Fraction(1), b)
-            else:
-                mono_expansion = mono_expansion * ess_exp ** b
+        mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x)
+        for ess_exp, b in zip(ess_expansions[1:], beta[1:]):
+            mono_expansion = mono_expansion * ess_exp ** b
         mono_lead = mono_expansion.leading_coefficient
-        if mono_expansion.degree != target_degree or _xi_degree(mono_lead) != 0:
+        if mono_expansion.value != power * w or _xi_degree(mono_lead) != 0:
             raise KeyFormError("cancelling monomial has the wrong shape; this is a bug")
 
         scalar = constant ** power / mono_lead[0]
         if power == 1:
             forms.append(forms[s] - monomial.scale(scalar))
-            expansions.append(expansion - mono_expansion.scaled_shift(scalar, 0))
+            expansions.append(expansion - mono_expansion.scale(scalar))
         else:
             ess_indices.append(s)
             ess_forms.append(forms[s])
             ess_expansions.append(expansion)
-            ess_degrees.append(w)
+            ess_values.append(w)
             lattice *= power
             forms.append(forms[s] ** power - monomial.scale(scalar))
-            expansions.append(expansion ** power - mono_expansion.scaled_shift(scalar, 0))
-
-    values = []
-    for w in degrees:
-        v = delta_x * w
-        if v.denominator != 1:
-            raise KeyFormError("value is not an integer; this is a bug")
-        values.append(int(v))
+            expansions.append(expansion ** power - mono_expansion.scale(scalar))
 
     multipliers = _multipliers_from_values(values)
     seq = KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(ess_indices))

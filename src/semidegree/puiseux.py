@@ -95,15 +95,6 @@ class DPuiseuxPoly:
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: DPuiseuxPoly) -> DPuiseuxPoly:
-        return DPuiseuxPoly(list(self._terms.items()) + list(other._terms.items()))
-
-    def __neg__(self) -> DPuiseuxPoly:
-        return DPuiseuxPoly((e, -c) for e, c in self._terms.items())
-
-    def __sub__(self, other: DPuiseuxPoly) -> DPuiseuxPoly:
-        return self + (-other)
-
     def __repr__(self) -> str:
         from .parsing import dps_to_str
 
@@ -114,46 +105,6 @@ def truncate_above(phi: DPuiseuxPoly, r) -> DPuiseuxPoly:
     """Keep exactly the terms of ``phi`` with exponent strictly greater than r."""
     bound = _as_fraction(r)
     return DPuiseuxPoly((e, c) for e, c in phi._terms.items() if e > bound)
-
-
-def equiv_r(phi: DPuiseuxPoly, psi: DPuiseuxPoly, r) -> bool:
-    """True iff ``phi`` and ``psi`` agree in all terms of exponent above r."""
-    return truncate_above(phi, r) == truncate_above(psi, r)
-
-
-def polydromy_order(phi: DPuiseuxPoly) -> int:
-    """Least positive p with every exponent of ``phi`` in (1/p)Z.
-
-    The zero polynomial has no exponents and is rejected.
-    """
-    if phi.is_zero:
-        raise PuiseuxError("polydromy order of the zero polynomial is undefined")
-    result = 1
-    for e in phi._terms:
-        result = result * e.denominator // math.gcd(result, e.denominator)
-    return result
-
-
-def star_scale(c, r: int, phi: DPuiseuxPoly) -> DPuiseuxPoly:
-    """Scale each coefficient of x**(q/p) by c**(q*r/p), p the polydromy order.
-
-    ``r`` must be a multiple of the polydromy order of ``phi`` so that every
-    exponent of ``c`` is an integer and the result stays rational.  The zero
-    polynomial is fixed by every scaling.
-    """
-    if phi.is_zero:
-        return phi
-    scalar = _as_fraction(c)
-    p = polydromy_order(phi)
-    if r <= 0 or r % p != 0:
-        raise PuiseuxError(f"scaling order {r} is not a positive multiple of the polydromy order {p}")
-    out = []
-    for e, coeff in phi._terms.items():
-        power = e * r  # e*p is an integer, and p | r, so this is an integer
-        if power.denominator != 1:
-            raise PuiseuxError(f"scaled exponent {power} is not an integer; this is a bug")
-        out.append((e, coeff * scalar ** int(power)))
-    return DPuiseuxPoly(out)
 
 
 @dataclass(frozen=True)
@@ -265,15 +216,3 @@ def from_local(psi_local: DPuiseuxPoly, r_local) -> GenericDPS:
             raise PuiseuxError(f"local series must have positive exponents, got {e}")
     swapped = DPuiseuxPoly((1 - e, c) for e, c in psi_local.items())
     return GenericDPS(truncate_above(swapped, 1 - r), 1 - r)
-
-
-def strip_polynomial_part(g: GenericDPS) -> GenericDPS:
-    """Remove the terms of g.phi with integer exponent >= 1.
-
-    This realizes the polynomial coordinate change y -> y - h(x) that such
-    head terms correspond to; it is the only coordinate move offered here.
-    """
-    kept = DPuiseuxPoly(
-        (e, c) for e, c in g.phi.items() if not (e.denominator == 1 and e >= 1)
-    )
-    return GenericDPS(kept, g.r)

@@ -164,3 +164,147 @@ def minors_negative_definite(matrix):
         if (-1) ** k * minor <= 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# test-only routes kept out of the package
+
+
+def polynomial_prefixes_by_semigroup(seq):
+    """For each m, whether multiplier * value lies in the semigroup of the
+    earlier values for every j <= m.
+
+    By the semigroup criterion this equals "forms 0..m+1 are all
+    polynomials", which callers cross-check directly.  Requires positive
+    values, which holds whenever the last value is positive.
+    """
+    from semidegree.semigroups import in_semigroup
+
+    out = []
+    ok = True
+    for m in range(seq.n + 1):
+        if ok and m >= 1:
+            ok = in_semigroup(seq.alpha(m) * seq.values[m], list(seq.values[:m]))
+        out.append(ok)
+    return out
+
+
+def hj_evaluate(entries):
+    """Value of the continued fraction c0 - 1/(c1 - 1/(...))."""
+    from semidegree.graphs import GraphError
+
+    if not entries:
+        raise GraphError("empty continued fraction")
+    value = Fraction(entries[-1])
+    for c in reversed(entries[:-1]):
+        value = c - 1 / value
+    return value
+
+
+def strip_polynomial_part(g):
+    """Remove the terms of g.phi with integer exponent >= 1, the coordinate
+    change y -> y - h(x) that such head terms correspond to."""
+    kept = DPuiseuxPoly(
+        (e, c) for e, c in g.phi.items() if not (e.denominator == 1 and e >= 1)
+    )
+    return GenericDPS(kept, g.r)
+
+
+def equiv_r(phi, psi, r):
+    """True iff ``phi`` and ``psi`` agree in all terms of exponent above r."""
+    from semidegree import truncate_above
+
+    return truncate_above(phi, r) == truncate_above(psi, r)
+
+
+def polydromy_order(phi):
+    """Least positive p with every exponent of ``phi`` in (1/p)Z; the zero
+    polynomial is rejected."""
+    import math
+
+    from semidegree.puiseux import PuiseuxError
+
+    if phi.is_zero:
+        raise PuiseuxError("polydromy order of the zero polynomial is undefined")
+    result = 1
+    for e in phi.exponents():
+        result = result * e.denominator // math.gcd(result, e.denominator)
+    return result
+
+
+def star_scale(c, r, phi):
+    """Scale each coefficient of x**(q/p) by c**(q*r/p), p the polydromy order.
+
+    ``r`` must be a positive multiple of the polydromy order so that every
+    power of ``c`` is an integer.  The zero polynomial is fixed.
+    """
+    from semidegree.puiseux import PuiseuxError
+
+    if phi.is_zero:
+        return phi
+    p = polydromy_order(phi)
+    if r <= 0 or r % p != 0:
+        raise PuiseuxError(f"scaling order {r} is not a positive multiple of the polydromy order {p}")
+    return DPuiseuxPoly((e, coeff * Fraction(c) ** int(e * r)) for e, coeff in phi.items())
+
+
+# ---------------------------------------------------------------------------
+# oracle for the sparse core: expansions with Fraction x-exponents and dense
+# xi-polynomial coefficients, as the package computed them before its
+# expansions moved to integer exponents in x^(1/delta_x)
+
+
+def _xp_trim(coeffs):
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _xp_add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _xp_trim(out)
+
+
+def _xp_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _xp_trim(out)
+
+
+def _fraction_series_add(*series):
+    out = {}
+    for s in series:
+        for e, p in s.items():
+            merged = _xp_add(out.get(e, ()), p)
+            if merged:
+                out[e] = merged
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _fraction_series_mul(s, t):
+    return _fraction_series_add(
+        *({e1 + e2: _xp_mul(p1, p2)} for e1, p1 in s.items() for e2, p2 in t.items())
+    )
+
+
+def oracle_substitute(f, g):
+    """f(x, g) as a dict {Fraction x-exponent: dense xi-tuple}."""
+    base = _fraction_series_add({e: (c,) for e, c in g.phi.items()}, {g.r: (Fraction(0), Fraction(1))})
+    powers = [{Fraction(0): (Fraction(1),)}]
+    while len(powers) <= f.y_degree:
+        powers.append(_fraction_series_mul(powers[-1], base))
+    out = {}
+    for (a, b), c in f.items():
+        shifted = {e + a: tuple(v * c for v in p) for e, p in powers[b].items()}
+        out = _fraction_series_add(out, shifted)
+    return out

@@ -32,10 +32,14 @@ from semidegree import (
     verify_key_properties,
 )
 from semidegree.cli import main as cli_main
-from semidegree.decide import polynomial_prefixes_by_semigroup
 from semidegree.graphs import ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY, candidate_graph
 
-from helpers import random_contractible, random_laurent, random_normal_pairs
+from helpers import (
+    polynomial_prefixes_by_semigroup,
+    random_contractible,
+    random_laurent,
+    random_normal_pairs,
+)
 
 BIG_PHI_TEXT = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
 

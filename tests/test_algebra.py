@@ -1,9 +1,13 @@
+import operator
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidegree import (
+    DPuiseuxPoly,
     GenericDPS,
     LaurentPoly,
     formal_pairs,
@@ -12,9 +16,23 @@ from semidegree import (
     semidegree,
     substitute,
 )
-from semidegree.algebra import AlgebraError
+from semidegree.algebra import AlgebraError, series_of
 
-from helpers import random_generic, random_laurent
+from helpers import oracle_substitute, random_generic, random_laurent
+
+FAST = settings(max_examples=100, deadline=None, derandomize=True)
+
+coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=3).filter(bool)
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-3, 4), st.integers(0, 3)), coefficients, max_size=4
+).map(lambda terms: LaurentPoly(terms.items()))
+generic_series = st.builds(
+    lambda phi, drop: GenericDPS(phi, (F(3) if phi.is_zero else phi.order) - drop),
+    st.dictionaries(
+        st.fractions(min_value=-6, max_value=6, max_denominator=4), coefficients, max_size=3
+    ).map(lambda terms: DPuiseuxPoly(terms.items())),
+    st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4),
+)
 
 D1 = GenericDPS(parse_dps("x^(2/5)"), F(-6, 5))
 
@@ -128,3 +146,34 @@ def test_x_shift_gives_laurent_directions():
 def test_laurent_rejects_negative_y():
     with pytest.raises(AlgebraError):
         LaurentPoly([((0, -1), F(1))])
+
+
+@FAST
+@given(generic_series, laurent_polys.filter(lambda f: not f.is_zero))
+def test_substitute_matches_the_fraction_keyed_oracle(g, f):
+    expected = oracle_substitute(f, g)
+    assert dict(substitute(f, g).items()) == expected
+    assert semidegree(f, g) == formal_pairs(g).delta_x * max(expected)
+
+
+def test_expansions_over_different_denominators_do_not_mix():
+    halves = series_of(GenericDPS(parse_dps("x^(1/2)"), F(-1)))
+    thirds = series_of(GenericDPS(parse_dps("x^(1/3)"), F(-1)))
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(AlgebraError):
+            op(halves, thirds)
+        with pytest.raises(AlgebraError):
+            op(LaurentPoly.y(), halves)
+    assert halves != thirds
+
+
+@FAST
+@given(laurent_polys, laurent_polys, st.integers(0, 2), generic_series)
+def test_no_zero_coefficient_is_ever_stored(f, h, n, g):
+    values = [f + h, f - h, f - f, f + (-f), f * h, (f - h) ** n, f.scale(0), f.x_shift(-2)]
+    if not (f.is_zero or h.is_zero):
+        s, t = substitute(f, g), substitute(h, g)
+        values += [s + t, s - t, s - s, s * t, (s - t) ** n, s.scale(0), s.x_shift(-1)]
+    for value in values:
+        assert all(c != 0 for c in value._terms.values())
+    assert (f + h) * (f - h) == f * f - h * h

@@ -237,3 +237,38 @@ def test_batch_mode_parallel(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 6
     assert all(json.loads(line)["kind"] == "both" for line in lines)
+
+
+def test_batch_workers_are_clamped_to_cores_and_lines(tmp_path, capsys, monkeypatch):
+    import semidegree.cli as cli
+
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    batch = tmp_path / "requests.txt"
+    for lines, expected in ((3, [3]), (10, [4]), (1, []), (0, [])):
+        requested.clear()
+        batch.write_text('classify --pairs "2/5,-6/1"\n' * lines)
+        code, out, _ = run_cli(capsys, "batch", "--input", str(batch), "--jobs", "100000")
+        assert code == 0
+        assert len(out.splitlines()) == lines
+        assert requested == expected
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    requested.clear()
+    batch.write_text('classify --pairs "2/5,-6/1"\n' * 3)
+    assert run_cli(capsys, "batch", "--input", str(batch), "--jobs", "8")[0] == 0
+    assert requested == []

@@ -14,9 +14,8 @@ from semidegree import (
     parse_dps,
     parse_laurent,
 )
-from semidegree.decide import polynomial_prefixes_by_semigroup
 
-from helpers import random_contractible
+from helpers import polynomial_prefixes_by_semigroup, random_contractible, random_generic
 
 D1 = GenericDPS(parse_dps("x^(2/5)"), F(-6, 5))
 D2 = GenericDPS(parse_dps("x^(2/5) + x^-1"), F(-6, 5))
@@ -27,6 +26,23 @@ def test_contractible_examples():
     assert contractible(D2)
     assert contractible(GenericDPS(DPuiseuxPoly.zero(), F(3, 7)))
     assert not contractible(GenericDPS(DPuiseuxPoly.zero(), F(-3, 7)))
+
+
+def test_closed_form_gate_matches_the_full_run():
+    rng = random.Random(34)
+    signs = set()
+    for _ in range(150):
+        g = random_generic(rng)
+        last = compute_key_forms(g).last_value
+        signs.add(last > 0)
+        assert contractible(g) == (last > 0)
+        if last <= 0:
+            with pytest.raises(NotACompactificationError) as info:
+                decide_algebraic(g)
+            assert str(info.value) == f"no compactification: the last key-form value is {last} <= 0"
+        else:
+            assert decide_algebraic(g).keyforms.last_value == last
+    assert signs == {True, False}
 
 
 def test_decide_algebraic_branch():

@@ -27,12 +27,11 @@ from semidegree.graphs import (
     NormalFormError,
     WitnessError,
     candidate_graph,
-    hj_evaluate,
     s1,
     s2,
 )
 
-from helpers import random_normal_pairs
+from helpers import hj_evaluate, random_normal_pairs
 
 BRANCH_PAIRS = FormalPuiseuxPairs(((2, 5), (-6, 1)))
 
@@ -218,7 +217,7 @@ def test_resolution_graph_interior_weights_match_the_minimal_resolution():
     # dropping L, the remaining weights with E_2 bumped by the L-contraction
     # reproduce the minimal resolution shape: -2,-2,-2,-3 core and -2 chain
     graph = resolution_graph(BRANCH_PAIRS)
-    weights = graph.weights()
+    weights = {v.name: v.weight for v in graph.vertices}
     assert weights["B1T1"] + 1 == -2  # absorbing the -1 line
     assert [weights[f"S{i}"] for i in range(1, 8)] == [-2] * 7
     assert weights["B1V1"] == -3

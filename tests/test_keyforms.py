@@ -12,9 +12,7 @@ from semidegree import (
     LaurentPoly,
     compute_key_forms,
     essential_key_values,
-    essential_values_of,
     formal_pairs,
-    last_value,
     pairs_from_essential_values,
     parse_dps,
     parse_laurent,
@@ -168,8 +166,8 @@ def test_verify_trivial_sequence():
 
 def test_accessors():
     seq = compute_key_forms(D2)
-    assert last_value(seq) == 2
-    assert essential_values_of(seq) == (5, 2, 2)
+    assert seq.last_value == 2
+    assert seq.essential_values() == (5, 2, 2)
     assert seq.alpha(1) == 5
 
 

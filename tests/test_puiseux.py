@@ -7,17 +7,14 @@ from semidegree import (
     DPuiseuxPoly,
     FormalPuiseuxPairs,
     GenericDPS,
-    equiv_r,
     formal_pairs,
     from_local,
     parse_dps,
-    polydromy_order,
-    star_scale,
     truncate_above,
 )
-from semidegree.puiseux import PuiseuxError, strip_polynomial_part
+from semidegree.puiseux import PuiseuxError
 
-from helpers import random_dps
+from helpers import equiv_r, polydromy_order, random_dps, star_scale, strip_polynomial_part
 
 BIG_PHI = parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)")
 
