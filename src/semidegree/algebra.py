@@ -16,6 +16,7 @@ the ring operations written once.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -26,6 +27,12 @@ XiPoly = tuple[Fraction, ...]  # dense in the indeterminate, last entry nonzero
 
 class AlgebraError(ValueError):
     pass
+
+
+def _numerators(terms: dict[tuple[int, int], Fraction]) -> tuple[list, int]:
+    """The terms as (key, integer numerator) over their least common denominator."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()], den
 
 
 class _Sparse:
@@ -96,12 +103,18 @@ class _Sparse:
 
     def __mul__(self, other):
         self._check(other)
-        out: dict[tuple[int, int], Fraction] = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
+        # integer numerators over one denominator per operand, so the
+        # products and sums are integer operations and each result
+        # coefficient is reduced once
+        left, d1 = _numerators(self._terms)
+        right, d2 = _numerators(other._terms)
+        out: dict[tuple[int, int], int] = {}
+        for (a1, b1), n1 in left:
+            for (a2, b2), n2 in right:
                 key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._like({key: c for key, c in out.items() if c})
+                out[key] = out.get(key, 0) + n1 * n2
+        den = d1 * d2
+        return self._like({key: Fraction(n, den) for key, n in out.items() if n})
 
     def __pow__(self, n: int):
         if n < 0:

@@ -218,6 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
 _HANDLERS = {
     "keyforms": _cmd_keyforms,
     "semidegree": _cmd_semidegree,
@@ -253,7 +255,7 @@ def run_line(line: str) -> tuple[int, str]:
         argv = shlex.split(line)
         if argv and argv[0] == "batch":
             raise ParseError("batch lines may not nest", 0)
-        args = _build_parser().parse_args(_merge_flag_values(argv))
+        args = _PARSER.parse_args(_merge_flag_values(argv))
         result = _HANDLERS[args.command](args)
     except SystemExit:
         return EXIT_INVALID, json.dumps({"error": "bad arguments", "exit_code": str(EXIT_INVALID)})
@@ -287,7 +289,7 @@ def _cmd_batch(args) -> tuple[int, str]:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser().parse_args(_merge_flag_values(list(argv)))
+    args = _PARSER.parse_args(_merge_flag_values(list(argv)))
     if args.command == "batch":
         code, out = _cmd_batch(args)
         sys.stdout.write(out)

@@ -14,11 +14,11 @@ non-trivial answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import compress
+from operator import lt
 
-from .algebra import LaurentPoly, monomial_product
 from .decide import NotACompactificationError
-from .keyforms import KeyFormSeq, essential_key_values, represent
+from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent
 from .puiseux import FormalPuiseuxPairs
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
 
@@ -153,14 +153,20 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     return DualGraph(tuple(vertices), tuple(edges))
 
 
-def resolution_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
-    """The augmented marked dual graph of the minimal resolution; errors when
-    the pair list does not correspond to a compactification."""
+def _compactification_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
+    """The essential values; errors unless the last one is positive."""
     omegas = essential_key_values(pairs)
     if omegas[-1] <= 0:
         raise NotACompactificationError(
             f"no compactification: last essential value {omegas[-1]} <= 0"
         )
+    return omegas
+
+
+def resolution_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
+    """The augmented marked dual graph of the minimal resolution; errors when
+    the pair list does not correspond to a compactification."""
+    _compactification_values(pairs)
     return candidate_graph(pairs)
 
 
@@ -246,16 +252,19 @@ def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
     The group is the multiples of d = gcd(omega_0..omega_k).  A group member
     d*t is outside the semigroup exactly when t lies below the Apéry entry of
     its class, so the least violator comes from the least t of each class
-    inside the window.
+    inside the window.  Those all lie below low + a, so the least violator
+    is the first t from low on that lies below its class's entry.
     """
     _check_condition_args(omegas, pairs, k)
     p_k = pairs.pairs[k - 1][1]
     d, table = apery_set(omegas[: k + 1])
     a = len(table)
     low, high = omegas[k + 1] // d + 1, p_k * omegas[k] // d
-    firsts = (low + (r - low) % a for r in range(a))  # least t >= low in class r
-    violators = [t for t, least in zip(firsts, table) if t < min(least, high)]
-    return (False, d * min(violators)) if violators else (True, None)
+    window = range(low, min(high, low + a))
+    shift = low % a
+    entries = table[shift:] + table[:shift]  # entry i is the class of low + i
+    least = next(compress(window, map(lt, window, entries)), None)
+    return (True, None) if least is None else (False, d * least)
 
 
 @dataclass(frozen=True)
@@ -302,45 +311,21 @@ def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
 # witness key-form sequences
 
 
-def _base_witness_forms(pairs: FormalPuiseuxPairs, omegas) -> list[LaurentPoly]:
-    """x, y, then each next form is the previous one raised to its p and
-    reduced by the canonical monomial of the same value."""
-    ps = [p for _, p in pairs.pairs]
-    forms = [LaurentPoly.x(), LaurentPoly.y()]
-    for k in range(1, pairs.l + 1):
-        beta = represent(ps[k - 1] * omegas[k], [Fraction(w) for w in omegas[:k]], ps[: k - 1])
-        forms.append(forms[k] ** ps[k - 1] - monomial_product(forms[:k], beta))
-    return forms
-
-
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
-    omegas = essential_key_values(pairs)
-    if omegas[-1] <= 0:
-        raise NotACompactificationError(
-            f"no compactification: last essential value {omegas[-1]} <= 0"
-        )
+    omegas = _compactification_values(pairs)
     for k in range(1, pairs.l + 1):
         if not s1(omegas, pairs, k):
             raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={k}")
-    forms = _base_witness_forms(pairs, omegas)
-    ps = tuple(p for _, p in pairs.pairs)
-    return KeyFormSeq(tuple(forms), omegas, ps, tuple(range(pairs.l + 2)))
+    return key_forms_with_values(omegas)
 
 
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence with a non-polynomial form realizing the graph."""
-    omegas = essential_key_values(pairs)
-    if omegas[-1] <= 0:
-        raise NotACompactificationError(
-            f"no compactification: last essential value {omegas[-1]} <= 0"
-        )
-    ps = [p for _, p in pairs.pairs]
-    s1_fail = [k for k in range(1, pairs.l + 1) if not s1(omegas, pairs, k)]
-    if s1_fail:
+    omegas = _compactification_values(pairs)
+    if any(not s1(omegas, pairs, k) for k in range(1, pairs.l + 1)):
         # the base sequence itself is non-polynomial from the failure onward
-        forms = _base_witness_forms(pairs, omegas)
-        return KeyFormSeq(tuple(forms), omegas, tuple(ps), tuple(range(pairs.l + 2)))
+        return key_forms_with_values(omegas)
 
     k = witness_value = None
     for candidate in range(1, pairs.l + 1):
@@ -351,27 +336,13 @@ def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     if k is None:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
 
-    beta = represent(witness_value, [Fraction(w) for w in omegas[: k + 1]], ps[:k])
+    beta = represent(witness_value, omegas[: k + 1])
     if beta[0] >= 0:
         raise GraphError(
             f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
         )
-    base = _base_witness_forms(pairs, omegas)
-
-    forms = list(base[: k + 2])
-    forms.append(base[k + 1] - monomial_product(base[: k + 1], beta))
-    for i in range(k + 3, pairs.l + 3):
-        p_i = ps[i - 3]
-        beta_i = represent(
-            p_i * omegas[i - 2], [Fraction(w) for w in omegas[: i - 2]], ps[: i - 3]
-        )
-        exponents = beta_i[: k + 1] + [0] + beta_i[k + 1 :]
-        forms.append(forms[i - 1] ** p_i - monomial_product(forms[: i - 1], exponents))
-
-    values = tuple(omegas[: k + 1]) + (witness_value,) + tuple(omegas[k + 1 :])
-    multipliers = tuple(ps[:k]) + (1,) + tuple(ps[k:])
-    essential = tuple(range(k + 1)) + tuple(range(k + 2, pairs.l + 3))
-    return KeyFormSeq(tuple(forms), values, multipliers, essential)
+    # the violation enters right after omega_k as a value with multiplier 1
+    return key_forms_with_values(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 
 
 # ---------------------------------------------------------------------------

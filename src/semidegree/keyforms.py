@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LaurentPoly, XiSeries, monomial_product, semidegree, series_of
@@ -117,35 +116,53 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
     return FormalPuiseuxPairs(tuple(zip(qs, ps)))
 
 
-def represent(target, values: Sequence[Fraction], bounds: Sequence[int]) -> list[int]:
+def represent(target, values: Sequence[int]) -> list[int]:
     """The unique combination sum(beta_i * values[i]) == target with
-    0 <= beta_i < bounds[i - 1] for i >= 1 and beta_0 an arbitrary integer.
+    0 <= beta_i < alpha_i for i >= 1 and beta_0 an arbitrary integer, where
+    alpha_i is the least multiplier taking values[i] into the group of the
+    lower values.
 
-    Solved from the top down: at each position the residue is the single
-    one putting the remainder into the group spanned by the lower values.
-    Uniqueness holds because each bound is the least multiplier taking its
-    value into that group.
+    With d_i the gcd of the first i values, alpha_i = d_i / d_{i+1}, and
+    values[i] / d_{i+1} is a unit modulo alpha_i.  From the top down, the
+    remainder r must be a multiple of d_{i+1}, and the one residue putting
+    r - beta_i * values[i] into the multiples of d_i is
+    beta_i = (r / d_{i+1}) * inverse(values[i] / d_{i+1}) mod alpha_i.
     """
-    if len(bounds) != len(values) - 1:
-        raise KeyFormError("need one bound per value beyond the first")
-    remaining = Fraction(target)
+    gcds = [0]
+    for v in values:
+        gcds.append(math.gcd(gcds[-1], v))
+    remaining = target
     beta = [0] * len(values)
     for i in range(len(values) - 1, 0, -1):
-        lower = values[:i]
-        found = None
-        for residue in range(bounds[i - 1]):
-            if in_group(remaining - residue * values[i], lower):
-                found = residue
-                break
-        if found is None:
+        d = gcds[i + 1]
+        if remaining % d:
             raise KeyFormError(f"{target} is not representable in the given values")
-        beta[i] = found
-        remaining -= found * values[i]
-    quotient = remaining / values[0]
-    if quotient.denominator != 1:
+        alpha = gcds[i] // d
+        beta[i] = remaining // d * pow(values[i] // d, -1, alpha) % alpha
+        remaining -= beta[i] * values[i]
+    if remaining % values[0]:
         raise KeyFormError(f"{target} is not representable in the given values")
-    beta[0] = int(quotient)
+    beta[0] = remaining // values[0]
     return beta
+
+
+def key_forms_with_values(values: Sequence[int]) -> KeyFormSeq:
+    """The key forms a value sequence determines, from x and y onward.
+
+    Each next form is the previous one raised to its multiplier alpha_j,
+    minus the monomial in the earlier forms with the exponents
+    :func:`represent` gives for alpha_j * values[j].  The essential indices
+    are 0, every j with alpha_j > 1, and the last.
+    """
+    multipliers = _multipliers_from_values(values)
+    last = len(values) - 1
+    forms = [LaurentPoly.x(), LaurentPoly.y()]
+    for j in range(1, last):
+        alpha = multipliers[j - 1]
+        beta = represent(alpha * values[j], values[:j])
+        forms.append(forms[j] ** alpha - monomial_product(forms[:j], beta))
+    essential = [0] + [j for j in range(1, last) if multipliers[j - 1] > 1] + [last]
+    return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(essential))
 
 
 def _xi_degree(poly) -> int:
@@ -199,7 +216,7 @@ def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq
         k = len(ess_indices) - 1
         if w * lattice % delta_x == 0:
             # cancel within the current lattice
-            beta = represent(w, ess_values, ps[:k])
+            beta = represent(w, ess_values)
             power = 1
         else:
             # leading degree needs the next denominator: new essential form
@@ -208,7 +225,7 @@ def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq
             p_next = ps[k]
             if w * lattice * p_next % delta_x != 0:
                 raise KeyFormError("degree skipped a lattice level; this is a bug")
-            beta = represent(p_next * w, ess_values, ps[:k])
+            beta = represent(p_next * w, ess_values)
             power = p_next
 
         monomial = monomial_product(ess_forms, beta)
@@ -326,11 +343,7 @@ def verify_key_properties(seq: KeyFormSeq, g: GenericDPS | None = None) -> Verif
             problems.append(f"step {j}: no monomial was subtracted")
             continue
         try:
-            beta = represent(
-                seq.alpha(j) * values[j],
-                [Fraction(v) for v in values[:j]],
-                list(seq.multipliers[: j - 1]),
-            )
+            beta = represent(seq.alpha(j) * values[j], values[:j])
         except KeyFormError as exc:
             problems.append(f"step {j}: {exc}")
             continue

@@ -56,10 +56,6 @@ class DPuiseuxPoly:
     def zero(cls) -> DPuiseuxPoly:
         return cls()
 
-    @classmethod
-    def monomial(cls, coeff, exp) -> DPuiseuxPoly:
-        return cls([(exp, coeff)])
-
     def items(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Terms as (exponent, coefficient), highest exponent first."""
         return iter(sorted(self._terms.items(), reverse=True))

@@ -1,52 +1,32 @@
-"""Membership tests for subgroups and numerical semigroups of the rationals.
+"""Membership tests for subgroups and numerical semigroups of the integers.
 
-The group generated by finitely many rationals is cyclic, so group
-membership reduces to a gcd divisibility check.  Semigroup membership (only
-nonnegative combinations allowed) is read off an Apéry set: after dividing
-the generators by their gcd, the least member in each residue class modulo
-the smallest one, ``a``.  The round-robin algorithm of Böcker and Lipták
-builds it in O(len(generators) * a) time and O(a) memory, independent of
-the target.  The generators must be positive integers, which every caller
-in this package guarantees before asking.
+The group generated by finitely many integers is the multiples of their
+gcd, so group membership is one divisibility check.  Semigroup membership
+(only nonnegative combinations allowed) is read off an Apéry set: after
+dividing the generators by their gcd, the least member in each residue
+class modulo the smallest one, ``a``.  Generators are added in order: one
+that reaches new classes fills them with shifted copies of the classes
+reached before, and the round-robin walk of Böcker and Lipták runs only
+when a multiple of it lowers an entry already there (never on essential
+values that satisfy the first semigroup condition).  That is O(a) memory
+and O(len(generators) * a) time independent of the target, and about 2a
+list operations when no walk runs.  The generators must be positive
+integers, which every caller in this package guarantees before asking.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 # Largest Apéry table a membership test may allocate.
 MAX_APERY_SIZE = 10**6
 
 
-def rational_gcd(values: Sequence[Fraction]) -> Fraction:
-    """Positive generator of the group sum(Z * v for v in values); 0 if trivial.
-
-    Over the common denominator L the group is spanned by integers, so it is
-    gcd(numerators)/L.
-    """
-    fracs = [Fraction(v) for v in values if v != 0]
-    if not fracs:
-        return Fraction(0)
-    common = 1
-    for f in fracs:
-        common = common * f.denominator // math.gcd(common, f.denominator)
-    g = 0
-    for f in fracs:
-        g = math.gcd(g, abs(f.numerator) * (common // f.denominator))
-    return Fraction(g, common)
-
-
-def in_group(target, generators: Sequence[Fraction]) -> bool:
+def in_group(target, generators: Sequence[int]) -> bool:
     """True iff target is an integer combination of the generators."""
-    t = Fraction(target)
-    if t == 0:
-        return True
-    g = rational_gcd(generators)
-    if g == 0:
-        return False
-    return (t / g).denominator == 1
+    g = math.gcd(*generators)
+    return target % g == 0 if g else target == 0
 
 
 def apery_size(generators: Sequence[int]) -> int:
@@ -73,27 +53,42 @@ def apery_set(generators: Sequence[int]) -> tuple[int, list[int]]:
     if a > MAX_APERY_SIZE:
         raise ValueError(f"semigroup table of {a} entries exceeds the bound of {MAX_APERY_SIZE}")
     d = math.gcd(*generators)
-    table: list[int | None] = [None] * a
+    # unreached classes read as infinity until a generator reaches them
+    table: list[float] = [math.inf] * a
     table[0] = 0
-    for g in {g // d for g in generators}:
-        e = math.gcd(a, g)
-        if e == a:
-            continue
-        # adding g walks each residue cycle r, r+g, r+2g, ... (mod a); start
-        # each walk at the cycle's least entry, whose value g cannot improve
-        for r in range(e):
-            best = min((n for n in table[r::e] if n is not None), default=None)
-            if best is None:
-                continue
-            for _ in range(a // e - 1):
-                best += g
-                slot = best % a
-                current = table[slot]
-                if current is not None and current < best:
-                    best = current
-                else:
-                    table[slot] = best
+    reached = a  # the classes reached so far are the multiples of this
+    for g in dict.fromkeys(g // d for g in generators):
+        step = math.gcd(reached, g)
+        m = reached // step  # m * g is the least multiple of g in a reached class
+        if table[m * g % a] > m * g:
+            _round_robin(table, m * g, reached)
+        if m > 1:
+            # every new class is c + j*g with c reached and 0 < j < m, and its
+            # least member is table[c] + j*g: one rotated copy per j
+            base = table[::reached]
+            for j in range(1, m):
+                q, offset = divmod(j * g % a, reached)
+                table[offset::reached] = map((j * g).__add__, base[-q:] + base[:-q])
+            reached = step
     return d, table
+
+
+def _round_robin(table: list, g: int, reached: int) -> None:
+    """Add g, whose class is reached, to the table over the reached classes:
+    walk each residue cycle r, r+g, r+2g, ... (mod a) through them from its
+    least entry, whose value g cannot improve."""
+    a = len(table)
+    e = math.gcd(a, g)
+    for r in range(0, e, reached):
+        best = min(table[r::e])
+        for _ in range(a // e - 1):
+            best += g
+            slot = best % a
+            current = table[slot]
+            if current < best:
+                best = current
+            else:
+                table[slot] = best
 
 
 def in_semigroup(target: int, generators: Sequence[int]) -> bool:

@@ -66,8 +66,11 @@ def coprime_pairs(rng, count, min_q=2, max_p=12):
     return out
 
 
-def random_normal_pairs(rng):
-    """Random pair list in normal form; the last value may have either sign."""
+def random_normal_pairs(rng, max_drop=15):
+    """Random pair list in normal form; the last value may have either sign.
+
+    Each later q is q_prev * p minus 1..max_drop-1; large drops make the
+    first semigroup condition fail more often."""
     import math
 
     from semidegree import FormalPuiseuxPairs
@@ -89,13 +92,13 @@ def random_normal_pairs(rng):
     for _ in range(l - 1):
         while True:
             p = rng.randrange(2, 4)
-            q = pairs[-1][0] * p - rng.randrange(1, 15)
+            q = pairs[-1][0] * p - rng.randrange(1, max_drop)
             if math.gcd(abs(q), p) == 1:
                 pairs.append((q, p))
                 break
     while True:
         p = rng.randrange(1, 4)
-        q = pairs[-1][0] * p - rng.randrange(1, 15)
+        q = pairs[-1][0] * p - rng.randrange(1, max_drop)
         if math.gcd(abs(q), p) == 1:
             pairs.append((q, p))
             break
@@ -122,6 +125,29 @@ def dp_in_semigroup(target, generators):
     return reachable[target]
 
 
+def dp_apery_set(generators):
+    """(d, table) as apery_set returns it, each entry found by the DP: the
+    least member over d in its class modulo a, the smallest generator over
+    d.  No entry exceeds (a - 1) * max(generators) / d, as a walk of at most
+    a - 1 generators reaches every class."""
+    import math
+
+    d = math.gcd(*generators)
+    units = [g // d for g in generators]
+    a = min(units)
+    bound = (a - 1) * max(units)
+    reachable = [True] + [False] * bound
+    for g in units:
+        for v in range(g, bound + 1):
+            if reachable[v - g]:
+                reachable[v] = True
+    table = [None] * a
+    for v in range(bound, -1, -1):
+        if reachable[v]:
+            table[v % a] = v
+    return d, table
+
+
 def window_s2(omegas, p_k, k):
     """The second semigroup condition by scanning every integer between
     omega_{k+1} and p_k * omega_k; (holds, least violator)."""
@@ -129,7 +155,7 @@ def window_s2(omegas, p_k, k):
 
     generators = list(omegas[: k + 1])
     for t in range(omegas[k + 1] + 1, p_k * omegas[k]):
-        if in_group(t, [Fraction(w) for w in generators]) and not dp_in_semigroup(t, generators):
+        if in_group(t, generators) and not dp_in_semigroup(t, generators):
             return False, t
     return True, None
 
@@ -164,6 +190,116 @@ def minors_negative_definite(matrix):
         if (-1) ** k * minor <= 0:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# slow oracles for the closed-form representation and the witnesses
+
+
+def _rational_in_group(target, generators):
+    """Membership in the group the rationals generate: over a common
+    denominator L it is spanned by gcd(numerators) / L."""
+    import math
+
+    t = Fraction(target)
+    if t == 0:
+        return True
+    fracs = [Fraction(v) for v in generators if v != 0]
+    if not fracs:
+        return False
+    common = 1
+    for f in fracs:
+        common = common * f.denominator // math.gcd(common, f.denominator)
+    g = 0
+    for f in fracs:
+        g = math.gcd(g, abs(f.numerator) * (common // f.denominator))
+    return (t / Fraction(g, common)).denominator == 1
+
+
+def search_multipliers(values):
+    """alpha_i for i >= 1: the least positive a with a * values[i] in the
+    group of the lower values, by trying a = 1, 2, ...  values[0] != 0."""
+    out = []
+    for i in range(1, len(values)):
+        a = 1
+        while not _rational_in_group(a * values[i], values[:i]):
+            a += 1
+        out.append(a)
+    return out
+
+
+def search_represent(target, values, bounds):
+    """sum(beta_i * values[i]) == target with 0 <= beta_i < bounds[i - 1],
+    found from the top down by trying each residue in turn."""
+    from semidegree.keyforms import KeyFormError
+
+    remaining = Fraction(target)
+    beta = [0] * len(values)
+    for i in range(len(values) - 1, 0, -1):
+        found = None
+        for residue in range(bounds[i - 1]):
+            if _rational_in_group(remaining - residue * values[i], values[:i]):
+                found = residue
+                break
+        if found is None:
+            raise KeyFormError(f"{target} is not representable in the given values")
+        beta[i] = found
+        remaining -= found * values[i]
+    quotient = remaining / values[0]
+    if quotient.denominator != 1:
+        raise KeyFormError(f"{target} is not representable in the given values")
+    beta[0] = int(quotient)
+    return beta
+
+
+def loop_witness(pairs, kind):
+    """The algebraic or non-algebraic witness, built by hand-indexed loops
+    over the pairs: x, y, then each essential form raised to its p and
+    reduced by the canonical monomial; the non-algebraic one splices the
+    least second-condition violation in after omega_k."""
+    from semidegree import KeyFormSeq, LaurentPoly, NotACompactificationError
+    from semidegree.algebra import monomial_product
+    from semidegree.graphs import GraphError, WitnessError, s1, s2
+    from semidegree.keyforms import essential_key_values
+
+    omegas = essential_key_values(pairs)
+    if omegas[-1] <= 0:
+        raise NotACompactificationError(
+            f"no compactification: last essential value {omegas[-1]} <= 0"
+        )
+    ps = [p for _, p in pairs.pairs]
+    l = pairs.l
+    s1_fail = [k for k in range(1, l + 1) if not s1(omegas, pairs, k)]
+    if kind == "algebraic" and s1_fail:
+        raise WitnessError(
+            f"no algebraic witness: first semigroup condition fails at k={s1_fail[0]}"
+        )
+    base = [LaurentPoly.x(), LaurentPoly.y()]
+    for k in range(1, l + 1):
+        beta = search_represent(ps[k - 1] * omegas[k], omegas[:k], ps[: k - 1])
+        base.append(base[k] ** ps[k - 1] - monomial_product(base[:k], beta))
+    if kind == "algebraic" or s1_fail:
+        return KeyFormSeq(tuple(base), omegas, tuple(ps), tuple(range(l + 2)))
+
+    violations = [(k, s2(omegas, pairs, k)[1]) for k in range(1, l + 1)]
+    violations = [(k, t) for k, t in violations if t is not None]
+    if not violations:
+        raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
+    k, t = violations[0]
+    beta = search_represent(t, omegas[: k + 1], ps[:k])
+    if beta[0] >= 0:
+        raise GraphError(f"semigroup violation {t} has x-exponent {beta[0]} >= 0; this is a bug")
+    forms = base[: k + 2]
+    forms.append(base[k + 1] - monomial_product(base[: k + 1], beta))
+    for i in range(k + 3, l + 3):
+        p_i = ps[i - 3]
+        beta_i = search_represent(p_i * omegas[i - 2], omegas[: i - 2], ps[: i - 3])
+        exponents = beta_i[: k + 1] + [0] + beta_i[k + 1 :]
+        forms.append(forms[i - 1] ** p_i - monomial_product(forms[: i - 1], exponents))
+    values = omegas[: k + 1] + (t,) + omegas[k + 1 :]
+    multipliers = tuple(ps[:k]) + (1,) + tuple(ps[k:])
+    essential = tuple(range(k + 1)) + tuple(range(k + 2, l + 3))
+    return KeyFormSeq(tuple(forms), values, multipliers, essential)
 
 
 # ---------------------------------------------------------------------------

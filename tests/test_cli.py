@@ -272,3 +272,15 @@ def test_batch_workers_are_clamped_to_cores_and_lines(tmp_path, capsys, monkeypa
     batch.write_text('classify --pairs "2/5,-6/1"\n' * 3)
     assert run_cli(capsys, "batch", "--input", str(batch), "--jobs", "8")[0] == 0
     assert requested == []
+
+
+def test_batch_lines_reuse_one_parser(monkeypatch):
+    import semidegree.cli as cli
+
+    def refuse():
+        raise AssertionError("the parser is built once, at import")
+
+    monkeypatch.setattr(cli, "_build_parser", refuse)
+    for line in ('classify --pairs "2/5,-6/1"', 'witness --pairs "2/5,-6/1" --kind algebraic'):
+        code, text = cli.run_line(line)
+        assert code == 0, text

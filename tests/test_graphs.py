@@ -31,7 +31,7 @@ from semidegree.graphs import (
     s2,
 )
 
-from helpers import hj_evaluate, random_normal_pairs
+from helpers import hj_evaluate, loop_witness, random_normal_pairs
 
 BRANCH_PAIRS = FormalPuiseuxPairs(((2, 5), (-6, 1)))
 
@@ -278,6 +278,31 @@ def test_witness_round_trip_regenerates_the_graph():
         recovered = pairs_from_essential_values(seq.essential_values())
         assert recovered.pairs == BRANCH_PAIRS.pairs
         assert resolution_graph(recovered) == resolution_graph(BRANCH_PAIRS)
+
+
+def _witness_outcome(build, *args):
+    try:
+        return build(*args)
+    except (GraphError, NotACompactificationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "kind, build", [("algebraic", algebraic_witness), ("nonalgebraic", nonalgebraic_witness)]
+)
+def test_witnesses_match_the_loop_construction(kind, build):
+    # drops up to 39 make the first condition fail now and then
+    rng = random.Random(63)
+    seen = set()
+    for _ in range(1000):
+        pairs = random_normal_pairs(rng, max_drop=40)
+        outcome = _witness_outcome(build, pairs)
+        assert outcome == _witness_outcome(loop_witness, pairs, kind)
+        if isinstance(outcome, tuple):
+            seen.add(outcome[0])
+        else:
+            seen.add(1 in outcome.multipliers[:-1])  # True: an s2 violation was spliced in
+    assert seen == {NotACompactificationError, WitnessError, False, kind == "nonalgebraic"}
 
 
 def test_export_dot_is_deterministic_and_wellformed():

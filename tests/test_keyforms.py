@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semidegree import (
     DPuiseuxPoly,
@@ -21,10 +23,17 @@ from semidegree import (
     truncate_above,
     verify_key_properties,
 )
-from semidegree.keyforms import KeyFormError
+from semidegree.keyforms import KeyFormError, key_forms_with_values
 from semidegree.semigroups import in_group
 
-from helpers import random_contractible, random_generic
+from helpers import (
+    random_contractible,
+    random_generic,
+    search_multipliers,
+    search_represent,
+)
+
+FAST = settings(max_examples=300, deadline=None, derandomize=True)
 
 D1 = GenericDPS(parse_dps("x^(2/5)"), F(-6, 5))
 D2 = GenericDPS(parse_dps("x^(2/5) + x^-1"), F(-6, 5))
@@ -55,32 +64,63 @@ def test_essential_values_two_pair_closed_form():
 
 
 def test_represent_single_generator():
-    assert represent(2, [F(1)], []) == [2]
+    assert represent(2, [1]) == [2]
 
 
 def test_represent_with_negative_head():
-    assert represent(3, [F(5), F(2)], [5]) == [-1, 4]
+    assert represent(3, [5, 2]) == [-1, 4]
 
 
 def test_represent_zero_target():
-    assert represent(0, [F(5), F(2)], [5]) == [0, 0]
+    assert represent(0, [5, 2]) == [0, 0]
 
 
 def test_represent_unrepresentable():
     with pytest.raises(KeyFormError):
-        represent(F(1, 2), [F(1), F(2)], [3])
+        represent(F(1, 2), [1, 2])
 
 
 def test_represent_matches_brute_force():
     rng = random.Random(22)
-    values = [F(6), F(10), F(7)]
-    bounds = [3, 2]
+    values = [6, 10, 7]
     for _ in range(40):
         beta0 = rng.randrange(-4, 5)
         beta1 = rng.randrange(0, 3)
         beta2 = rng.randrange(0, 2)
         target = beta0 * 6 + beta1 * 10 + beta2 * 7
-        assert represent(target, values, bounds) == [beta0, beta1, beta2]
+        assert represent(target, values) == [beta0, beta1, beta2]
+
+
+def _represent_outcome(route, *args):
+    try:
+        return route(*args)
+    except KeyFormError as exc:
+        return str(exc)
+
+
+@FAST
+@given(st.data())
+def test_represent_matches_the_residue_search(data):
+    # a common factor leaves targets outside the group; later values may be
+    # zero or negative, and a target with denominator 2 is never representable
+    common = data.draw(st.integers(1, 4))
+    head = data.draw(st.integers(1, 30))
+    rest = data.draw(st.lists(st.integers(-20, 20), max_size=4))
+    values = [common * v for v in [head] + rest]
+    target = F(data.draw(st.integers(-300, 300)), data.draw(st.sampled_from([1, 1, 1, 2])))
+    expected = _represent_outcome(search_represent, target, values, search_multipliers(values))
+    assert _represent_outcome(represent, target, values) == expected
+
+
+@FAST
+@given(st.integers(0, 2**32))
+def test_forms_from_values_reproduce_a_computed_sequence(seed):
+    seq = compute_key_forms(random_generic(random.Random(seed)))
+    rebuilt = key_forms_with_values(seq.values)
+    assert rebuilt.values == seq.values
+    assert rebuilt.multipliers == seq.multipliers
+    assert rebuilt.essential_indices == seq.essential_indices
+    assert verify_key_properties(rebuilt).ok
 
 
 def test_key_forms_of_the_algebraic_branch():
@@ -210,7 +250,7 @@ def test_non_essential_values_lie_in_the_earlier_group():
         seq = compute_key_forms(g)
         ess = seq.essential_indices
         for pos in range(len(ess) - 1):
-            group = [F(seq.values[j]) for j in ess[: pos + 1]]
+            group = [seq.values[j] for j in ess[: pos + 1]]
             for j in range(ess[pos] + 1, ess[pos + 1]):
                 assert in_group(seq.values[j], group)
 

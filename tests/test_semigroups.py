@@ -17,6 +17,7 @@ from semidegree.graphs import GraphError, candidate_graph, s2
 from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
 
 from helpers import (
+    dp_apery_set,
     dp_in_semigroup,
     minors_negative_definite,
     random_normal_pairs,
@@ -55,6 +56,12 @@ def test_in_semigroup_matches_the_dp(generators, target):
 def test_in_semigroup_examples(target, generators, expected):
     assert in_semigroup(target, generators) is expected
     assert dp_in_semigroup(target, generators) is expected
+
+
+@FAST
+@given(generator_lists)
+def test_apery_set_matches_the_dp(generators):
+    assert apery_set(generators) == dp_apery_set(generators)
 
 
 def test_apery_set_of_two_generators():
