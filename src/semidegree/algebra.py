@@ -119,12 +119,19 @@ class _Sparse:
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative powers are not defined; use x_shift for 1/x")
-        result = self._like({(0, 0): Fraction(1)})
+        if n == 0:
+            return self._like({(0, 0): Fraction(1)})
+        # binary powering from the lowest set bit, so the unit is never a factor
         base = self
+        while not n & 1:
+            base = base * base
+            n >>= 1
+        result = base
+        n >>= 1
         while n:
+            base = base * base
             if n & 1:
                 result = result * base
-            base = base * base if n > 1 else base
             n >>= 1
         return result
 
@@ -275,7 +282,7 @@ def monomial_product(forms: list[LaurentPoly], exponents: list[int]) -> LaurentP
             if i != 0 or form != LaurentPoly.x():
                 raise AlgebraError("negative exponent on a non-x factor")
             result = result.x_shift(e)
-        else:
+        elif e:
             result = result * form ** e
     return result
 

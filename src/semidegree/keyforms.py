@@ -2,19 +2,20 @@
 
 The key forms of a semidegree with positive value on x are a finite
 sequence g_0 = x, g_1 = y, ..., g_{n+1} in Q[x, 1/x, y] that pins the
-semidegree down completely.  :func:`compute_key_forms` builds them from the
+semidegree down completely.  :func:`compute_key_forms` finds them from the
 generic descending Puiseux series by repeatedly cancelling the leading term
 of the current form's expansion:
 
-* while the leading coefficient of the expansion is a constant, the leading
-  term equals a monomial in the earlier *essential* forms (with exponents
-  reduced below the multipliers), and subtracting a suitable scalar multiple
-  of that monomial produces the next form;
-* when the leading x-degree leaves the lattice spanned so far, the current
-  form is first raised to the next denominator before subtracting (this is
-  where a new essential form is born);
+* while the leading coefficient of the expansion is a constant, the form is
+  raised to the least power taking its value into the group of the earlier
+  essential values (a power above 1 makes it essential), and a scalar
+  multiple of a monomial in those essential forms cancels the leading term;
 * the process stops as soon as the generic indeterminate reaches the
   leading coefficient.
+
+The loop keeps only expansions and records each value and scalar;
+:func:`key_forms_with_values`, which also builds the witnesses, turns them
+into forms.
 
 The values of the essential forms depend only on the formal Puiseux pairs
 and satisfy an explicit recursion (:func:`essential_key_values`), which the
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LaurentPoly, XiSeries, monomial_product, semidegree, series_of
@@ -146,111 +148,78 @@ def represent(target, values: Sequence[int]) -> list[int]:
     return beta
 
 
-def key_forms_with_values(values: Sequence[int]) -> KeyFormSeq:
+def key_forms_with_values(
+    values: Sequence[int], scalars: Sequence[Fraction] | None = None
+) -> KeyFormSeq:
     """The key forms a value sequence determines, from x and y onward.
 
-    Each next form is the previous one raised to its multiplier alpha_j,
-    minus the monomial in the earlier forms with the exponents
-    :func:`represent` gives for alpha_j * values[j].  The essential indices
-    are 0, every j with alpha_j > 1, and the last.
+    Form j+1 is form j raised to its multiplier alpha_j, minus the monomial
+    in the earlier forms with the exponents :func:`represent` gives for
+    alpha_j * values[j], that monomial scaled by ``scalars[j - 1]`` when
+    scalars are given.  The essential indices are 0, every j with
+    alpha_j > 1, and the last.
     """
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
     for j in range(1, last):
         alpha = multipliers[j - 1]
-        beta = represent(alpha * values[j], values[:j])
-        forms.append(forms[j] ** alpha - monomial_product(forms[:j], beta))
+        monomial = monomial_product(forms[:j], represent(alpha * values[j], values[:j]))
+        if scalars is not None:
+            monomial = monomial.scale(scalars[j - 1])
+        forms.append(forms[j] ** alpha - monomial)
     essential = [0] + [j for j in range(1, last) if multipliers[j - 1] > 1] + [last]
     return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(essential))
 
 
-def _xi_degree(poly) -> int:
-    return len(poly) - 1
-
-
-def compute_key_forms(g: GenericDPS, max_steps: int | None = None) -> KeyFormSeq:
+def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
     """Run the cancellation algorithm on a generic descending series.
 
-    Expansions live in x^(1/delta_x), so each leading exponent is already
-    the integer value of its form.
+    Expansions live in x^(1/delta_x), so each leading exponent w is already
+    the integer value of its form.  With d the gcd of the essential values,
+    each step raises the expansion to power = d / gcd(d, w) and subtracts
+    the scaled essential monomial that cancels its top; the forms follow
+    from the values and scalars.
     """
     pairs = formal_pairs(g)
-    ps = [p for _, p in pairs.pairs]
     delta_x = pairs.delta_x
+    max_steps = 10 * (len(g.phi) + sum(p for _, p in pairs.pairs))
 
-    if max_steps is None:
-        max_steps = 10 * (len(g.phi) + sum(ps))
-
-    x = LaurentPoly.x()
-    forms: list[LaurentPoly] = [x, LaurentPoly.y()]
-    expansions: list[XiSeries] = [XiSeries([((delta_x, 0), 1)], delta_x), series_of(g)]
-    # essential bookkeeping: indices, forms, expansions, and values
-    ess_indices = [0]
-    ess_forms = [x]
-    ess_expansions = [expansions[0]]
+    expansion = series_of(g)
+    ess_expansions: list[XiSeries] = []  # of the essential forms after x
     ess_values = [delta_x]
-    lattice = 1  # p_0 * ... * p_k for the essentials found so far
-
     values = [delta_x]
-    steps = 0
-    while True:
-        steps += 1
-        if steps > max_steps:
-            raise KeyFormError(
-                "cancellation did not terminate within the step cap; this is a bug"
-            )
-        s = len(forms) - 1
-        expansion = expansions[s]
+    scalars: list[Fraction] = []
+    for _ in range(max_steps):
         if expansion.is_zero:
             raise KeyFormError("expansion vanished; this is a bug")
         w = expansion.value
         values.append(w)
         lead = expansion.leading_coefficient
-
-        if _xi_degree(lead) >= 1:
-            ess_indices.append(s)
+        if len(lead) > 1:  # the generic indeterminate reached the top
             break
 
-        constant = lead[0]
-        k = len(ess_indices) - 1
-        if w * lattice % delta_x == 0:
-            # cancel within the current lattice
-            beta = represent(w, ess_values)
-            power = 1
-        else:
-            # leading degree needs the next denominator: new essential form
-            if k >= len(ps):
-                raise KeyFormError("degree outside the full lattice; this is a bug")
-            p_next = ps[k]
-            if w * lattice * p_next % delta_x != 0:
-                raise KeyFormError("degree skipped a lattice level; this is a bug")
-            beta = represent(p_next * w, ess_values)
-            power = p_next
-
-        monomial = monomial_product(ess_forms, beta)
+        d = math.gcd(*ess_values)
+        power = d // math.gcd(d, w)
+        beta = represent(power * w, ess_values)
         mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x)
-        for ess_exp, b in zip(ess_expansions[1:], beta[1:]):
-            mono_expansion = mono_expansion * ess_exp ** b
+        for ess_expansion, b in zip(ess_expansions, beta[1:]):
+            if b:
+                mono_expansion = mono_expansion * ess_expansion ** b
         mono_lead = mono_expansion.leading_coefficient
-        if mono_expansion.value != power * w or _xi_degree(mono_lead) != 0:
+        if mono_expansion.value != power * w or len(mono_lead) != 1:
             raise KeyFormError("cancelling monomial has the wrong shape; this is a bug")
 
-        scalar = constant ** power / mono_lead[0]
-        if power == 1:
-            forms.append(forms[s] - monomial.scale(scalar))
-            expansions.append(expansion - mono_expansion.scale(scalar))
-        else:
-            ess_indices.append(s)
-            ess_forms.append(forms[s])
+        scalar = lead[0] ** power / mono_lead[0]
+        scalars.append(scalar)
+        if power > 1:
             ess_expansions.append(expansion)
             ess_values.append(w)
-            lattice *= power
-            forms.append(forms[s] ** power - monomial.scale(scalar))
-            expansions.append(expansion ** power - mono_expansion.scale(scalar))
+        expansion = expansion ** power - mono_expansion.scale(scalar)
+    else:
+        raise KeyFormError("cancellation did not terminate within the step cap; this is a bug")
 
-    multipliers = _multipliers_from_values(values)
-    seq = KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(ess_indices))
+    seq = key_forms_with_values(values, scalars)
     _check_run(seq, pairs)
     return seq
 
@@ -277,9 +246,6 @@ def _check_run(seq: KeyFormSeq, pairs: FormalPuiseuxPairs) -> None:
     for k, j in enumerate(seq.essential_indices[1:], start=1):
         if seq.alpha(j) != ps[k - 1]:
             raise KeyFormError("essential multiplier mismatch; this is a bug")
-    for j in range(1, seq.n + 2):
-        if j not in seq.essential_indices and seq.alpha(j) != 1:
-            raise KeyFormError("non-essential index with multiplier > 1; this is a bug")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -176,24 +177,31 @@ class GenericDPS:
 
         return f"GenericDPS({dps_to_str(self.phi)!r}, {str(self.r)!r})"
 
+    @cached_property
+    def formal_pairs(self) -> FormalPuiseuxPairs:
+        """Scan the exponents of phi from the top and append the generic pair.
+
+        Walking downward, an exponent that already lies in (1/(p_1...p_k))Z
+        is absorbed; the first one that does not starts the next pair.
+        Finally r itself is expressed over the accumulated denominator as the
+        generic pair.  Not a field, so equality and hashing ignore it.
+        """
+        pairs: list[tuple[int, int]] = []
+        denom = 1
+        for e in self.phi.exponents():
+            scaled = e * denom
+            if scaled.denominator > 1:
+                pairs.append((scaled.numerator, scaled.denominator))
+                denom *= scaled.denominator
+        scaled = self.r * denom
+        pairs.append((scaled.numerator, scaled.denominator))
+        return FormalPuiseuxPairs(tuple(pairs))
+
 
 def formal_pairs(g: GenericDPS) -> FormalPuiseuxPairs:
-    """Scan the exponents of g.phi from the top and append the generic pair.
-
-    Walking downward, an exponent that already lies in (1/(p_1...p_k))Z is
-    absorbed; the first one that does not starts the next pair.  Finally r
-    itself is expressed over the accumulated denominator as the generic pair.
-    """
-    pairs: list[tuple[int, int]] = []
-    denom = 1
-    for e in g.phi.exponents():
-        scaled = e * denom
-        if scaled.denominator > 1:
-            pairs.append((scaled.numerator, scaled.denominator))
-            denom *= scaled.denominator
-    scaled = g.r * denom
-    pairs.append((scaled.numerator, scaled.denominator))
-    return FormalPuiseuxPairs(tuple(pairs))
+    """The formal Puiseux pairs of g, scanned once per series
+    (:attr:`GenericDPS.formal_pairs`)."""
+    return g.formal_pairs
 
 
 def from_local(psi_local: DPuiseuxPoly, r_local) -> GenericDPS:

@@ -16,7 +16,7 @@ from semidegree import (
     semidegree,
     substitute,
 )
-from semidegree.algebra import AlgebraError, series_of
+from semidegree.algebra import AlgebraError, XiSeries, series_of
 
 from helpers import oracle_substitute, random_generic, random_laurent
 
@@ -131,6 +131,7 @@ def test_ring_ops():
     assert y * y == parse_laurent("y^2")
     assert (y - x ** 3) - x ** 2 == parse_laurent("y - x^3 - x^2")
     assert (y - x) ** 0 == LaurentPoly.one()
+    assert (y - x) ** 1 == y - x
 
 
 def test_pow_rejects_negative():
@@ -171,9 +172,28 @@ def test_expansions_over_different_denominators_do_not_mix():
 @given(laurent_polys, laurent_polys, st.integers(0, 2), generic_series)
 def test_no_zero_coefficient_is_ever_stored(f, h, n, g):
     values = [f + h, f - h, f - f, f + (-f), f * h, (f - h) ** n, f.scale(0), f.x_shift(-2)]
+    values += [(f - h) ** 0, (f - h) ** 1]
+    assert (f - h) ** 0 == LaurentPoly.one() and (f - h) ** 1 == f - h
     if not (f.is_zero or h.is_zero):
         s, t = substitute(f, g), substitute(h, g)
         values += [s + t, s - t, s - s, s * t, (s - t) ** n, s.scale(0), s.x_shift(-1)]
+        values += [(s - t) ** 0, (s - t) ** 1]
+        assert (s - t) ** 0 == XiSeries([((0, 0), 1)], s.den) and (s - t) ** 1 == s - t
     for value in values:
         assert all(c != 0 for c in value._terms.values())
     assert (f + h) * (f - h) == f * f - h * h
+
+
+@FAST
+@given(laurent_polys, generic_series)
+def test_pow_matches_repeated_products(f, g):
+    powers = [LaurentPoly.one()]
+    for k in range(1, 6):
+        powers.append(powers[-1] * f)
+        assert f ** k == powers[k]
+    if not f.is_zero:
+        s = substitute(f, g)
+        product = XiSeries([((0, 0), 1)], s.den)
+        for k in range(1, 4):
+            product = product * s
+            assert s ** k == product

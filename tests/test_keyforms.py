@@ -27,6 +27,7 @@ from semidegree.keyforms import KeyFormError, key_forms_with_values
 from semidegree.semigroups import in_group
 
 from helpers import (
+    loop_key_forms,
     random_contractible,
     random_generic,
     search_multipliers,
@@ -121,6 +122,42 @@ def test_forms_from_values_reproduce_a_computed_sequence(seed):
     assert rebuilt.multipliers == seq.multipliers
     assert rebuilt.essential_indices == seq.essential_indices
     assert verify_key_properties(rebuilt).ok
+
+
+def _key_form_outcome(route, g):
+    try:
+        seq = route(g)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return seq.forms, seq.values, seq.multipliers, seq.essential_indices
+
+
+@FAST
+@given(st.integers(0, 2**32), st.integers(0, 5), st.booleans())
+def test_cancellation_matches_the_form_building_loop(seed, max_terms, contractible):
+    draw = random_contractible if contractible else random_generic
+    g = draw(random.Random(seed), max_terms=max_terms)
+    assert _key_form_outcome(compute_key_forms, g) == _key_form_outcome(loop_key_forms, g)
+
+
+def _dyadic_chain(depth):
+    """x^(5/2) + x^(9/4) + ... (depth terms) with r one below the last exponent."""
+    exponents = [3 - sum(F(1, 2**i) for i in range(1, k + 1)) for k in range(1, depth + 1)]
+    return GenericDPS(DPuiseuxPoly((e, 1) for e in exponents), exponents[-1] - 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        D1,
+        D2,
+        GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3)),
+        GenericDPS(DPuiseuxPoly.zero(), F(3, 7)),
+    ]
+    + [_dyadic_chain(depth) for depth in range(1, 5)],
+)
+def test_cancellation_matches_the_form_building_loop_on_examples(g):
+    assert _key_form_outcome(compute_key_forms, g) == _key_form_outcome(loop_key_forms, g)
 
 
 def test_key_forms_of_the_algebraic_branch():

@@ -92,6 +92,15 @@ def test_formal_pairs_weighted_degree():
     assert formal_pairs(g).delta_x == 5
 
 
+def test_formal_pairs_are_scanned_once_per_series():
+    g = GenericDPS(BIG_PHI, F(-8, 3))
+    fresh = GenericDPS(BIG_PHI, F(-8, 3))
+    before = (repr(g), hash(g))
+    assert formal_pairs(g) is formal_pairs(g)
+    assert g == fresh and (repr(g), hash(g)) == before == (repr(fresh), hash(fresh))
+    assert formal_pairs(fresh) == formal_pairs(g)
+
+
 def test_formal_pairs_round_trip_exponents():
     rng = random.Random(4)
     for _ in range(40):
