@@ -12,21 +12,47 @@ the ring operations written once.
   series' Puiseux denominators, so the expansion is a Laurent polynomial in
   X = x^(1/delta_x) and the generic indeterminate xi, keyed by
   (X-exponent, xi-exponent).  Its top X-exponent is the semidegree value.
+
+Only the top of an expansion is ever read, so an expansion may carry an
+absolute precision floor: an O(X^floor) term.  Every stored term lies
+strictly above the floor and is exact; ``floor is None`` means the
+expansion is exact.  A ring of expansions may also carry a band E, set by
+:func:`series_of`: a product then keeps only the terms above
+max(topA + topB - E, floorA + topB, floorB + topA), sums take the larger
+floor, and reading the top at or below the floor raises
+:class:`PrecisionLost`.  :func:`certified` runs a computation with the band
+doubled on every such loss; once the band covers a product's span nothing
+is dropped and the floor stays None, so the retried result is exact
+whatever the first band was.  No floats and no tolerances are involved:
+kept terms are exact, dropped ones are never read.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
-from .puiseux import GenericDPS, _as_fraction, formal_pairs
+from .puiseux import FormalPuiseuxPairs, GenericDPS, _as_fraction, essential_key_values, formal_pairs
 
 XiPoly = tuple[Fraction, ...]  # dense in the indeterminate, last entry nonzero
 
 
 class AlgebraError(ValueError):
     pass
+
+
+class PrecisionLost(Exception):
+    """A read reached an expansion's precision floor.
+
+    Not a ValueError: it never means bad input.  :func:`certified` catches
+    it and retries with a wider band.
+    """
+
+
+def _larger(*floors: int | None) -> int | None:
+    """The largest floor; None (exact) counts as below every integer."""
+    return max((f for f in floors if f is not None), default=None)
 
 
 def _numerators(terms: dict[tuple[int, int], Fraction]) -> tuple[list, int]:
@@ -41,9 +67,12 @@ class _Sparse:
     The second exponent is never negative.  Results are built by
     :meth:`_like`, which a subclass carrying more state than the map
     extends; two operands combine only when their :meth:`_ring` agrees.
+    ``floor`` is the precision floor on the first exponent, None (exact)
+    unless a subclass tracks one.
     """
 
     __slots__ = ("_terms",)
+    floor: int | None = None
 
     def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]] = ()):
         acc: dict[tuple[int, int], Fraction] = {}
@@ -56,8 +85,9 @@ class _Sparse:
             acc[key] = acc.get(key, 0) + _as_fraction(coeff)
         self._terms = {key: c for key, c in acc.items() if c}
 
-    def _like(self, terms: dict[tuple[int, int], Fraction]):
-        """An element of the same ring with these terms, none of them zero."""
+    def _like(self, terms: dict[tuple[int, int], Fraction], floor: int | None = None):
+        """An element of the same ring with these terms, none of them zero
+        and all above ``floor``."""
         out = object.__new__(type(self))
         out._terms = terms
         return out
@@ -71,7 +101,8 @@ class _Sparse:
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        """True iff the element is known to be exactly zero."""
+        return not self._terms and self.floor is None
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -79,10 +110,10 @@ class _Sparse:
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Sparse):
             return NotImplemented
-        return self._ring() == other._ring() and self._terms == other._terms
+        return (self._ring(), self.floor, self._terms) == (other._ring(), other.floor, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self._ring(), frozenset(self._terms.items())))
+        return hash((self._ring(), self.floor, frozenset(self._terms.items())))
 
     def __add__(self, other):
         self._check(other)
@@ -93,10 +124,13 @@ class _Sparse:
                 out[key] = total
             else:
                 del out[key]
-        return self._like(out)
+        floor = _larger(self.floor, other.floor)
+        if floor is not None:
+            out = {key: c for key, c in out.items() if key[0] > floor}
+        return self._like(out, floor)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self._terms.items()})
+        return self._like({key: -c for key, c in self._terms.items()}, self.floor)
 
     def __sub__(self, other):
         return self + (-other)
@@ -137,11 +171,12 @@ class _Sparse:
 
     def scale(self, coeff):
         c = _as_fraction(coeff)
-        return self._like({key: v * c for key, v in self._terms.items()} if c else {})
+        return self._like({key: v * c for key, v in self._terms.items()} if c else {}, self.floor)
 
     def x_shift(self, k: int):
         """Multiply by the monomial whose first exponent is k; k may be negative."""
-        return self._like({(a + k, b): c for (a, b), c in self._terms.items()})
+        floor = None if self.floor is None else self.floor + k
+        return self._like({(a + k, b): c for (a, b), c in self._terms.items()}, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -158,27 +193,83 @@ class XiSeries(_Sparse):
     Keys are (X-exponent, xi-exponent).  The public view is in x-exponents:
     :attr:`degree` and the exponents :meth:`items` yields are fractions, and
     coefficients are dense xi-tuples.  :attr:`value` is the top X-exponent,
-    den times the degree.
+    den times the degree.  ``band`` (None: exact products) and ``den`` are
+    ring state; ``floor`` is the expansion's own precision floor.
     """
 
-    __slots__ = ("den",)
+    __slots__ = ("den", "band", "floor")
 
-    def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]], den: int):
+    def __init__(
+        self, terms: Iterable[tuple[tuple[int, int], Fraction]], den: int, band: int | None = None
+    ):
         super().__init__(terms)
         self.den = den
+        self.band = band
+        self.floor = None
 
-    def _like(self, terms):
+    def _like(self, terms, floor=None):
         out = super()._like(terms)
         out.den = self.den
+        out.band = self.band
+        out.floor = floor
         return out
 
     def _ring(self) -> str:
-        return f"expansions in x^(1/{self.den})"
+        ring = f"expansions in x^(1/{self.den})"
+        return ring if self.band is None else f"{ring} kept to {self.band} below each top"
+
+    def _span(self) -> tuple[int, int]:
+        """Top and bottom stored X-exponents; both the floor when none is stored."""
+        if not self._terms:
+            return self.floor, self.floor
+        return max(self._terms)[0], min(self._terms)[0]
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.is_zero or other.is_zero:
+            return self._like({})
+        (top1, low1), (top2, low2) = self._span(), other._span()
+        band_cut = None
+        if self.band is not None and top1 + top2 - self.band >= low1 + low2:
+            band_cut = top1 + top2 - self.band
+        floor = _larger(
+            band_cut,
+            None if self.floor is None else self.floor + top2,
+            None if other.floor is None else other.floor + top1,
+        )
+        cut = low1 + low2 - 1 if floor is None else floor
+        # both operands highest first, so each row stops at the cut
+        left, d1 = _numerators(self._terms)
+        right, d2 = _numerators(other._terms)
+        left.sort(reverse=True)
+        right.sort(reverse=True)
+        out: dict[tuple[int, int], int] = {}
+        for (a1, b1), n1 in left:
+            stop = cut - a1
+            if top2 <= stop:
+                break
+            for (a2, b2), n2 in right:
+                if a2 <= stop:
+                    break
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0) + n1 * n2
+        den = d1 * d2
+        return self._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
+
+    def above(self, floor: int) -> XiSeries:
+        """The same expansion, known only above X^floor if that is higher
+        than its own floor."""
+        floor = _larger(self.floor, floor)
+        return self._like({key: c for key, c in self._terms.items() if key[0] > floor}, floor)
 
     @property
     def value(self) -> int | None:
-        """Top X-exponent, or None for the zero expansion."""
-        return max(a for a, _ in self._terms) if self._terms else None
+        """Top X-exponent, or None for the zero expansion; raises
+        :class:`PrecisionLost` when no term is known above the floor."""
+        top = max(self._terms)[0] if self._terms else None
+        if self.floor is not None and (top is None or top <= self.floor):
+            raise PrecisionLost(f"no term is known above X^{self.floor}")
+        return top
 
     @property
     def degree(self) -> Fraction | None:
@@ -186,11 +277,13 @@ class XiSeries(_Sparse):
         return None if top is None else Fraction(top, self.den)
 
     def _coefficient_at(self, top: int) -> XiPoly:
+        if self.floor is not None and top <= self.floor:
+            raise PrecisionLost(f"X^{top} lies at or below the floor X^{self.floor}")
         return _dense({b: c for (a, b), c in self._terms.items() if a == top})
 
     @property
     def leading_coefficient(self) -> XiPoly:
-        if not self._terms:
+        if self.is_zero:
             raise AlgebraError("the zero expansion has no leading coefficient")
         return self._coefficient_at(self.value)
 
@@ -199,7 +292,7 @@ class XiSeries(_Sparse):
         return self._coefficient_at(scaled.numerator) if scaled.denominator == 1 else ()
 
     def items(self) -> Iterator[tuple[Fraction, XiPoly]]:
-        """(x-exponent, dense xi-coefficient), highest exponent first."""
+        """(x-exponent, dense xi-coefficient) above the floor, highest exponent first."""
         parts: dict[int, dict[int, Fraction]] = {}
         for (a, b), c in self._terms.items():
             parts.setdefault(a, {})[b] = c
@@ -291,35 +384,104 @@ def monomial_product(forms: list[LaurentPoly], exponents: list[int]) -> LaurentP
 # substitution and semidegree
 
 
-def series_of(g: GenericDPS) -> XiSeries:
-    """The expansion of g itself: the series part plus the generic term."""
+def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
+    """The expansion of g itself: the series part plus the generic term, in
+    the ring of expansions whose products keep ``band`` below their top
+    (None: exact)."""
+    if band is not None and band < 1:
+        raise AlgebraError(f"the band must be a positive integer, got {band}")
     den = formal_pairs(g).delta_x
     terms = [((e, 0), c) for e, c in g.phi.items()] + [((g.r, 1), Fraction(1))]
     off = [e for (e, _), _ in terms if (e * den).denominator != 1]
     if off:
         raise AlgebraError(f"exponent {off[0]} is not in (1/{den})Z; this is a bug")
-    return XiSeries((((e * den, b), c) for (e, b), c in terms), den)
+    return XiSeries((((e * den, b), c) for (e, b), c in terms), den, band)
+
+
+def _first_band(pairs: FormalPuiseuxPairs) -> int:
+    """Twice the drop from the highest power the cancellation raises,
+    max p_k * omega_k, to the last value omega_last; at least 1."""
+    omegas = essential_key_values(pairs)
+    ps = [p for _, p in pairs.pairs]
+    top = max((p * w for p, w in zip(ps, omegas[1:-1])), default=omegas[-1])
+    return max(1, 2 * (top - omegas[-1]))
+
+
+_T = TypeVar("_T")
+
+
+def certified(g: GenericDPS, run: Callable[[XiSeries], _T]) -> _T:
+    """run(expansion of g) in a ring with a band, starting at
+    :func:`_first_band` and doubled on every :class:`PrecisionLost`."""
+    band = _first_band(formal_pairs(g))
+    while True:
+        try:
+            return run(series_of(g, band))
+        except PrecisionLost:
+            band *= 2
+
+
+def _power_row(power: XiSeries) -> tuple[XiSeries, list, int]:
+    """A power with its terms as integer numerators, highest first, and
+    their denominator."""
+    row, den = _numerators(power._terms)
+    return power, sorted(row, reverse=True), den
+
+
+def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiSeries:
+    """f(x, base), each term of f a shifted multiple of one power of base,
+    cut at the largest floor.  ``powers`` maps y-degrees to the
+    :func:`_power_row` of that power of base, 0 at least; a missing power
+    is built from the next one below it."""
+    if f.is_zero:
+        raise AlgebraError("substitution into the zero polynomial has no degree")
+    degrees = sorted({b for _, b in f._terms})
+    for b in degrees:
+        if b not in powers:
+            below = max(k for k in powers if k < b)
+            powers[b] = _power_row(powers[below][0] * base ** (b - below))
+    shift = base.den
+    floor = _larger(
+        *(a * shift + powers[b][0].floor for a, b in f._terms if powers[b][0].floor is not None)
+    )
+    den = math.lcm(*(powers[b][2] for b in degrees))
+    left, d_f = _numerators(f._terms)
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), n in left:
+        _, row, d = powers[b]
+        n *= den // d
+        a *= shift
+        stop = row[-1][0][0] - 1 if floor is None else floor - a
+        for (e, k), v in row:
+            if e <= stop:
+                break
+            key = (a + e, k)
+            out[key] = out.get(key, 0) + n * v
+    den *= d_f
+    return base._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
 
 
 def substitute(f: LaurentPoly, g: GenericDPS) -> XiSeries:
     """Exact expansion of f(x, y) with the generic series substituted for y."""
-    if f.is_zero:
-        raise AlgebraError("substitution into the zero polynomial has no degree")
     base = series_of(g)
-    powers = [base ** 0]
-    while len(powers) <= f.y_degree:
-        powers.append(powers[-1] * base)
-    terms = (
-        ((a * base.den + e, k), c * v)
-        for (a, b), c in f._terms.items()
-        for (e, k), v in powers[b]._terms.items()
-    )
-    return XiSeries(terms, base.den)
+    return _substitute(f, base, {0: _power_row(base ** 0)})
+
+
+def semidegrees(fs: Iterable[LaurentPoly], g: GenericDPS) -> list[int]:
+    """The semidegree of each nonzero f, read from certified truncated
+    expansions that share one table of powers of g."""
+    fs = list(fs)
+    if any(f.is_zero for f in fs):
+        raise AlgebraError("the semidegree of 0 is undefined")
+
+    def run(base: XiSeries) -> list[int]:
+        powers = {0: _power_row(base ** 0)}
+        return [_substitute(f, base, powers).value for f in fs]
+
+    return certified(g, run)
 
 
 def semidegree(f: LaurentPoly, g: GenericDPS) -> int:
     """Value of the semidegree defined by g on a nonzero f: the top exponent
     of its expansion in x^(1/delta_x)."""
-    if f.is_zero:
-        raise AlgebraError("the semidegree of 0 is undefined")
-    return substitute(f, g).value
+    return semidegrees([f], g)[0]

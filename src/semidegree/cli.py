@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 parse or validation error; 3 the input does not
 define a compactification; 4 an operation precondition failed (for example
-the requested witness kind is unavailable).  All numbers inside JSON
-payloads are decimal strings, never floats.
+the requested witness kind is unavailable); 5 an internal error (any other
+exception, a bug), which in ``batch`` fails its own line only.  All numbers
+inside JSON payloads are decimal strings, never floats.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NOT_COMPACTIFICATION = 3
 EXIT_PRECONDITION = 4
+EXIT_INTERNAL = 5
 
 
 def _exit_code(error: Exception) -> int:
@@ -44,7 +46,13 @@ def _exit_code(error: Exception) -> int:
         return EXIT_PRECONDITION
     if isinstance(error, (ParseError, PuiseuxError, AlgebraError, GraphError, ValueError)):
         return EXIT_INVALID
-    raise error
+    return EXIT_INTERNAL
+
+
+def _error_text(error: Exception) -> str:
+    if _exit_code(error) == EXIT_INTERNAL:
+        return f"internal error: {type(error).__name__}: {error}"
+    return str(error)
 
 
 def _parse_rational(text: str):
@@ -261,7 +269,7 @@ def run_line(line: str) -> tuple[int, str]:
         return EXIT_INVALID, json.dumps({"error": "bad arguments", "exit_code": str(EXIT_INVALID)})
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(exc)
-        return code, json.dumps({"error": str(exc), "exit_code": str(code)})
+        return code, json.dumps({"error": _error_text(exc), "exit_code": str(code)})
     if isinstance(result, str):
         result = {"error": "dot output is not available in batch mode", "exit_code": str(EXIT_INVALID)}
         return EXIT_INVALID, json.dumps(result)
@@ -297,9 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         result = _HANDLERS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
-        code = _exit_code(exc)
-        print(str(exc), file=sys.stderr)
-        return code
+        print(_error_text(exc), file=sys.stderr)
+        return _exit_code(exc)
     if isinstance(result, str):
         sys.stdout.write(result)
     else:

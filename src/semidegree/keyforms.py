@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import LaurentPoly, XiSeries, monomial_product, semidegree, series_of
-from .puiseux import FormalPuiseuxPairs, GenericDPS, formal_pairs
+from .algebra import LaurentPoly, XiSeries, certified, monomial_product, semidegrees
+from .puiseux import FormalPuiseuxPairs, GenericDPS, essential_key_values, formal_pairs
 from .semigroups import in_group
 
 
@@ -72,24 +72,6 @@ class KeyFormSeq:
 
     def essential_values(self) -> tuple[int, ...]:
         return tuple(self.values[j] for j in self.essential_indices)
-
-
-def essential_key_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
-    """Values of the essential forms, from the pairs alone.
-
-    With p_0 = q_0 = 1: the zeroth value is the full denominator product,
-    and each later one is p_{k-1} * previous + (q_k - q_{k-1} p_k) * (tail
-    denominator product).
-    """
-    ps = [1] + [p for _, p in pairs.pairs]
-    qs = [1] + [q for q, _ in pairs.pairs]
-    tail = [1] * (len(ps) + 1)
-    for i in range(len(ps) - 1, 0, -1):
-        tail[i] = tail[i + 1] * ps[i]
-    omegas = [tail[1]]
-    for k in range(1, len(ps)):
-        omegas.append(ps[k - 1] * omegas[k - 1] + (qs[k] - qs[k - 1] * ps[k]) * tail[k + 1])
-    return tuple(omegas)
 
 
 def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
@@ -179,13 +161,21 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
     the integer value of its form.  With d the gcd of the essential values,
     each step raises the expansion to power = d / gcd(d, w) and subtracts
     the scaled essential monomial that cancels its top; the forms follow
-    from the values and scalars.
+    from the values and scalars.  Only tops are read, so the expansions are
+    truncated under a precision floor and the run is :func:`certified`.
     """
     pairs = formal_pairs(g)
-    delta_x = pairs.delta_x
     max_steps = 10 * (len(g.phi) + sum(p for _, p in pairs.pairs))
+    values, scalars = certified(g, lambda expansion: _cancel(expansion, max_steps))
+    seq = key_forms_with_values(values, scalars)
+    _check_run(seq, pairs)
+    return seq
 
-    expansion = series_of(g)
+
+def _cancel(expansion: XiSeries, max_steps: int) -> tuple[list[int], list[Fraction]]:
+    """The cancellation loop from the expansion of y: each value, and the
+    scalar of each cancelling monomial."""
+    delta_x = expansion.den
     ess_expansions: list[XiSeries] = []  # of the essential forms after x
     ess_values = [delta_x]
     values = [delta_x]
@@ -197,14 +187,21 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
         values.append(w)
         lead = expansion.leading_coefficient
         if len(lead) > 1:  # the generic indeterminate reached the top
-            break
+            return values, scalars
 
         d = math.gcd(*ess_values)
         power = d // math.gcd(d, w)
         beta = represent(power * w, ess_values)
-        mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x)
+        raised = expansion ** power
+        # the difference is known only above the floor of the raised
+        # expansion, so each factor of the monomial is needed only to that
+        # depth below its top
+        depth = None if raised.floor is None else power * w - raised.floor
+        mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, expansion.band)
         for ess_expansion, b in zip(ess_expansions, beta[1:]):
             if b:
+                if depth is not None:
+                    ess_expansion = ess_expansion.above(ess_expansion.value - depth)
                 mono_expansion = mono_expansion * ess_expansion ** b
         mono_lead = mono_expansion.leading_coefficient
         if mono_expansion.value != power * w or len(mono_lead) != 1:
@@ -215,13 +212,8 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
         if power > 1:
             ess_expansions.append(expansion)
             ess_values.append(w)
-        expansion = expansion ** power - mono_expansion.scale(scalar)
-    else:
-        raise KeyFormError("cancellation did not terminate within the step cap; this is a bug")
-
-    seq = key_forms_with_values(values, scalars)
-    _check_run(seq, pairs)
-    return seq
+        expansion = raised - mono_expansion.scale(scalar)
+    raise KeyFormError("cancellation did not terminate within the step cap; this is a bug")
 
 
 def _multipliers_from_values(values: Sequence[int]) -> list[int]:
@@ -264,7 +256,8 @@ def verify_key_properties(seq: KeyFormSeq, g: GenericDPS | None = None) -> Verif
     that each consecutive pair differs by a scalar multiple of a monomial in
     the earlier forms with reduced exponents and matching value.  With a
     generic series supplied, each recorded value is also recomputed through
-    an independent substitution.  The minimality property quantifying over
+    an independent substitution (:func:`~semidegree.algebra.semidegrees`,
+    certified truncated expansions).  The minimality property quantifying over
     all preimages is certified by these checks together rather than tested
     directly.
     """
@@ -278,8 +271,7 @@ def verify_key_properties(seq: KeyFormSeq, g: GenericDPS | None = None) -> Verif
         problems.append("form 1 is not y")
 
     if g is not None:
-        for j, form in enumerate(forms):
-            actual = semidegree(form, g)
+        for j, actual in enumerate(semidegrees(forms, g)):
             if actual != values[j]:
                 problems.append(f"value {j}: recorded {values[j]}, substitution gives {actual}")
 

@@ -529,3 +529,41 @@ def oracle_substitute(f, g):
         shifted = {e + a: tuple(v * c for v in p) for e, p in powers[b].items()}
         out = _fraction_series_add(out, shifted)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Abhyankar-Moh approximate roots, an oracle for key forms that needs no
+# expansion and no generic indeterminate
+
+
+def _y_quotient(f, g):
+    """Quotient of f by g, monic in y, in Q[x, 1/x][y]."""
+    from semidegree import LaurentPoly
+
+    quotient, rest, e = LaurentPoly.zero(), f, g.y_degree
+    while not rest.is_zero and rest.y_degree >= e:
+        k = rest.y_degree
+        head = LaurentPoly(((a, k - e), c) for (a, b), c in rest.items() if b == k)
+        quotient = quotient + head
+        rest = rest - head * g
+    return quotient
+
+
+def approximate_root(f, d):
+    """The d-th approximate root of f, monic in y with d dividing its
+    y-degree n, by Tschirnhausen's iteration: from g = y^(n/d), replace g by
+    g + a/d, with a the coefficient of g^(d-1) in the g-adic expansion of f,
+    until a vanishes.  The degree of a drops at every step, so there are at
+    most n/d + 1 of them."""
+    from semidegree import LaurentPoly
+
+    n = f.y_degree
+    if not f.is_monic_in_y() or n % d:
+        raise ValueError(f"need a monic polynomial with y-degree divisible by {d}")
+    g = LaurentPoly.y() ** (n // d)
+    for _ in range(n // d + 1):
+        a = _y_quotient(f, g ** (d - 1)) - g
+        if a.is_zero:
+            return g
+        g = g + a.scale(Fraction(1, d))
+    raise AssertionError("Tschirnhausen's iteration did not stop")

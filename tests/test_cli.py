@@ -284,3 +284,48 @@ def test_batch_lines_reuse_one_parser(monkeypatch):
     for line in ('classify --pairs "2/5,-6/1"', 'witness --pairs "2/5,-6/1" --kind algebraic'):
         code, text = cli.run_line(line)
         assert code == 0, text
+
+
+def test_keyforms_with_a_huge_denominator_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "keyforms", "--phi", "x^(1/1000000007)", "--r", "-1")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["key_forms"] == ["x", "y", "y^1000000007 - x"]
+    assert payload["values"] == ["1000000007", "1", "-1"]
+    assert payload["multipliers"] == ["1000000007", "1"]
+
+
+def test_semidegree_of_a_high_power_is_quick(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "semidegree", "--phi", "x^(1/2)+x^(1/3)", "--r", "-7/6", "--f", "y^3000"
+    )
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert json.loads(out)["value"] == "9000"
+
+
+def test_an_internal_error_fails_its_own_batch_line_only(tmp_path, capsys, monkeypatch):
+    import semidegree.cli as cli
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "graph", broken)
+    batch = tmp_path / "requests.txt"
+    batch.write_text(
+        'classify --pairs "2/5,-6/1"\n'
+        'graph --pairs "2/5,-6/1"\n'
+        'decide --phi "x^(2/5)" --r "-6/5"\n'
+    )
+    code, out, _ = run_cli(capsys, "batch", "--input", str(batch))
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert code == cli.EXIT_INTERNAL == 5
+    assert lines[0]["kind"] == "both" and lines[2]["kind"] == "algebraic"
+    assert lines[1] == {"error": "internal error: RuntimeError: boom", "exit_code": "5"}
+
+    code, out, err = run_cli(capsys, "graph", "--pairs", "2/5,-6/1")
+    assert code == 5 and out == ""
+    assert err.strip() == "internal error: RuntimeError: boom"

@@ -1,0 +1,263 @@
+"""Certified-precision expansions: truncated products under a tracked floor,
+and the retry that makes every result exact."""
+
+import functools
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import semidegree.algebra as algebra
+from semidegree import (
+    DPuiseuxPoly,
+    GenericDPS,
+    LaurentPoly,
+    compute_key_forms,
+    formal_pairs,
+    parse_dps,
+    semidegree,
+    substitute,
+    verify_key_properties,
+)
+from semidegree.algebra import AlgebraError, PrecisionLost, series_of
+
+from helpers import approximate_root, loop_key_forms, oracle_substitute, random_generic, random_laurent
+
+FAST = settings(max_examples=60, deadline=None, derandomize=True)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def dyadic_chain(depth):
+    """x^(5/2) + x^(9/4) + ... + x^(3 - 1/2 - ... - 1/2^depth), r one below."""
+    terms, e = [], F(3)
+    for k in range(1, depth + 1):
+        e -= F(1, 2**k)
+        terms.append((e, F(1)))
+    return GenericDPS(DPuiseuxPoly(terms), e - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_dyadic(depth):
+    return loop_key_forms(dyadic_chain(depth))
+
+
+def oracle_value(f, g):
+    return formal_pairs(g).delta_x * max(oracle_substitute(f, g))
+
+
+@pytest.fixture
+def bands(monkeypatch):
+    """The bands each certified run tried, in order."""
+    tried = []
+
+    def recording(g, band=None):
+        tried.append(band)
+        return series_of(g, band)
+
+    monkeypatch.setattr(algebra, "series_of", recording)
+    return tried
+
+
+# ---------------------------------------------------------------------------
+# the certified engine against the exact oracles
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_key_forms_match_the_exact_loop_on_dyadic_chains(depth):
+    assert compute_key_forms(dyadic_chain(depth)) == exact_dyadic(depth)
+
+
+@FAST
+@given(seeds)
+def test_key_forms_match_the_exact_loop_on_seeded_series(seed):
+    g = random_generic(random.Random(seed), max_terms=5)
+    assert compute_key_forms(g) == loop_key_forms(g)
+
+
+@FAST
+@given(seeds)
+def test_semidegree_matches_the_oracle_on_seeded_series(seed):
+    rng = random.Random(seed)
+    g = random_generic(rng, max_terms=5)
+    f = random_laurent(rng, max_terms=5)
+    assert semidegree(f, g) == oracle_value(f, g)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_semidegree_matches_the_oracle_on_dyadic_essential_forms(depth):
+    g = dyadic_chain(depth)
+    seq = exact_dyadic(depth)
+    for j in seq.essential_indices:
+        assert semidegree(seq.forms[j], g) == oracle_value(seq.forms[j], g) == seq.values[j]
+
+
+def test_semidegree_gives_the_exact_values_at_dyadic_depth_5():
+    g = dyadic_chain(5)
+    seq = exact_dyadic(5)
+    assert algebra.semidegrees(seq.forms, g) == list(seq.values)
+
+
+def test_verifier_passes_at_dyadic_depth_5():
+    g = dyadic_chain(5)
+    assert verify_key_properties(compute_key_forms(g), g).ok
+
+
+# ---------------------------------------------------------------------------
+# the retry
+
+
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_band_one_retries_to_the_exact_key_forms(monkeypatch, bands, depth):
+    monkeypatch.setattr(algebra, "_first_band", lambda pairs: 1)
+    assert compute_key_forms(dyadic_chain(depth)) == exact_dyadic(depth)
+    assert bands[0] == 1 and len(bands) > 1
+    assert bands == [2**k for k in range(len(bands))]
+
+
+@FAST
+@given(seeds)
+def test_band_one_retries_to_the_exact_answers(seed):
+    rng = random.Random(seed)
+    g = random_generic(rng, max_terms=5)
+    f = random_laurent(rng, max_terms=5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_first_band", lambda pairs: 1)
+        assert compute_key_forms(g) == loop_key_forms(g)
+        assert semidegree(f, g) == oracle_value(f, g)
+
+
+def test_first_band_comes_from_the_pairs(bands):
+    # pairs (5,2),(9,2),(17,2),(33,2),(65,2),(33,1): the highest power the
+    # loop raises is 2 * 1195 and the last value is 2358
+    g = dyadic_chain(5)
+    compute_key_forms(g)
+    assert bands[0] == 2 * (2 * 1195 - 2358)
+
+
+def test_a_band_covering_every_product_is_the_exact_engine():
+    g = dyadic_chain(3)
+    wide = series_of(g, 10**6)
+    for s in (wide ** 7, wide ** 3 * wide - wide.scale(2)):
+        assert s.floor is None
+    assert dict((wide ** 7).items()) == dict((series_of(g) ** 7).items())
+
+
+# ---------------------------------------------------------------------------
+# the floor
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool)
+generic_series = st.builds(
+    lambda phi, drop: GenericDPS(phi, (F(3) if phi.is_zero else phi.order) - drop),
+    st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=3), coefficients, max_size=4
+    ).map(lambda terms: DPuiseuxPoly(terms.items())),
+    st.fractions(min_value=F(1, 3), max_value=4, max_denominator=3),
+)
+laurent_polys = st.dictionaries(
+    st.tuples(st.integers(-2, 3), st.integers(0, 4)), coefficients, min_size=1, max_size=4
+).map(lambda terms: LaurentPoly(terms.items()))
+
+
+def _expressions(base, f, h, c, n):
+    """The same ring expressions in any ring of expansions of one series."""
+    s = algebra._substitute(f, base, {0: algebra._power_row(base ** 0)})
+    t = algebra._substitute(h, base, {0: algebra._power_row(base ** 0)})
+    return [s * t, s ** n, s - t, s + t, -s, s.scale(c), s.x_shift(-2), (s - t) * (s + t) ** 2]
+
+
+@FAST
+@given(generic_series, laurent_polys, laurent_polys, coefficients, st.integers(0, 4), st.integers(1, 12))
+def test_no_term_at_or_below_the_floor_and_every_kept_term_exact(g, f, h, c, n, band):
+    exact = _expressions(series_of(g), f, h, c, n)
+    truncated = _expressions(series_of(g, band), f, h, c, n)
+    for e, t in zip(exact, truncated):
+        assert e.floor is None
+        if t.floor is None:
+            assert t._terms == e._terms
+            continue
+        assert all(a > t.floor for a, _ in t._terms)
+        assert t._terms == {key: v for key, v in e._terms.items() if key[0] > t.floor}
+        if t._terms:
+            assert t.value == e.value
+        else:
+            with pytest.raises(PrecisionLost):
+                t.value
+
+
+def test_product_cut_is_the_largest_of_band_and_floors():
+    g = GenericDPS(parse_dps("x^3 + x^2 + x + 1"), F(-5))  # X-exponents 3, 2, 1, 0 and xi at -5
+    base = series_of(g, 2)
+    square = base * base
+    assert square.floor == 6 - 2 and set(a for a, _ in square._terms) == {6, 5}
+    cube = square * base
+    # the square's floor times the base's top bounds the cube: 4 + 3
+    assert cube.floor == 7
+    assert set(a for a, _ in cube._terms) == {9, 8}
+
+
+def test_reading_at_the_floor_raises_precision_lost():
+    g = GenericDPS(parse_dps("x^3 + x^2"), F(-5))
+    s = series_of(g, 1) ** 2
+    gone = s - s
+    assert not gone.is_zero and len(gone) == 0
+    with pytest.raises(PrecisionLost):
+        gone.value
+    with pytest.raises(PrecisionLost):
+        gone.leading_coefficient
+    with pytest.raises(PrecisionLost):
+        s.coefficient(F(s.floor, s.den))
+    assert not issubclass(PrecisionLost, ValueError)
+
+
+def test_exact_zero_is_still_zero():
+    base = series_of(GenericDPS(parse_dps("x"), F(-1)), 3)
+    zero = base - base
+    assert zero.is_zero and zero.value is None
+    with pytest.raises(AlgebraError):
+        zero.leading_coefficient
+    assert (zero * base).is_zero
+
+
+def test_bands_do_not_mix_and_are_positive():
+    g = GenericDPS(parse_dps("x^(1/2)"), F(-1))
+    with pytest.raises(AlgebraError):
+        series_of(g, 4) * series_of(g)
+    with pytest.raises(AlgebraError):
+        series_of(g, 0)
+
+
+def test_public_substitute_stays_exact():
+    g = dyadic_chain(2)
+    f = LaurentPoly.y() ** 6
+    assert substitute(f, g).floor is None
+    assert dict(substitute(f, g).items()) == oracle_substitute(f, g)
+
+
+# ---------------------------------------------------------------------------
+# above dyadic depth 5: Abhyankar-Moh approximate roots
+
+
+def test_approximate_roots_of_the_last_form_at_dyadic_depth_6():
+    g = dyadic_chain(6)
+    seq = compute_key_forms(g)
+    last = seq.last_form
+    inner = list(seq.essential_indices[1:-1])
+    roots = [approximate_root(last, last.y_degree // seq.forms[j].y_degree) for j in inner]
+    differences = [root - seq.forms[j] for root, j in zip(roots, inner)]
+    nonzero = [d for d in differences if not d.is_zero]
+    values = algebra.semidegrees(roots + nonzero + [last], g)
+    assert values[: len(inner)] == [seq.values[j] for j in inner]
+    lower = iter(values[len(inner) : -1])
+    for j, d in zip(inner, differences):
+        assert d.is_zero or next(lower) < seq.values[j]
+    assert values[-1] == seq.last_value
+    assert len(nonzero) >= 1  # some root differs from its key form
+
+
+def test_approximate_root_of_a_power_is_its_base():
+    f = LaurentPoly([((0, 2), F(1)), ((3, 0), F(-1))])  # y^2 - x^3
+    assert approximate_root(f ** 3, 3) == f
+    assert approximate_root(f, 1) == f
