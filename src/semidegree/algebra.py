@@ -61,18 +61,38 @@ def _numerators(terms: dict[tuple[int, int], Fraction]) -> tuple[list, int]:
     return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()], den
 
 
+def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
+    """Add to ``out`` the products of two rows of (key, integer numerator),
+    each sorted highest first, whose first exponent lies above ``cut``; so
+    each inner row stops at the cut."""
+    if not right:
+        return
+    top2 = right[0][0][0]
+    for (a1, b1), n1 in left:
+        stop = cut - a1
+        if top2 <= stop:
+            break
+        for (a2, b2), n2 in right:
+            if a2 <= stop:
+                break
+            key = (a1 + a2, b1 + b2)
+            out[key] = out.get(key, 0) + n1 * n2
+
+
 class _Sparse:
     """Sparse map (int, int) -> nonzero Fraction with exact ring arithmetic.
 
     The second exponent is never negative.  Results are built by
     :meth:`_like`, which a subclass carrying more state than the map
     extends; two operands combine only when their :meth:`_ring` agrees.
-    ``floor`` is the precision floor on the first exponent, None (exact)
-    unless a subclass tracks one.
+    ``floor`` is the precision floor on the first exponent and ``band`` the
+    depth below its top that a product keeps, both None (exact) unless a
+    subclass tracks them.
     """
 
     __slots__ = ("_terms",)
     floor: int | None = None
+    band: int | None = None
 
     def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]] = ()):
         acc: dict[tuple[int, int], Fraction] = {}
@@ -137,18 +157,29 @@ class _Sparse:
 
     def __mul__(self, other):
         self._check(other)
+        if self.is_zero or other.is_zero:
+            return self._like({})
         # integer numerators over one denominator per operand, so the
         # products and sums are integer operations and each result
         # coefficient is reduced once
         left, d1 = _numerators(self._terms)
         right, d2 = _numerators(other._terms)
+        left.sort(reverse=True)
+        right.sort(reverse=True)
+        top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
+        top2, low2 = (right[0][0][0], right[-1][0][0]) if right else (other.floor, other.floor)
+        cuts = []
+        if self.band is not None and top1 + top2 - self.band >= low1 + low2:
+            cuts.append(top1 + top2 - self.band)
+        if self.floor is not None:
+            cuts.append(self.floor + top2)
+        if other.floor is not None:
+            cuts.append(other.floor + top1)
+        floor = max(cuts, default=None)
         out: dict[tuple[int, int], int] = {}
-        for (a1, b1), n1 in left:
-            for (a2, b2), n2 in right:
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + n1 * n2
+        _add_products(left, right, low1 + low2 - 1 if floor is None else floor, out)
         den = d1 * d2
-        return self._like({key: Fraction(n, den) for key, n in out.items() if n})
+        return self._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -217,44 +248,6 @@ class XiSeries(_Sparse):
     def _ring(self) -> str:
         ring = f"expansions in x^(1/{self.den})"
         return ring if self.band is None else f"{ring} kept to {self.band} below each top"
-
-    def _span(self) -> tuple[int, int]:
-        """Top and bottom stored X-exponents; both the floor when none is stored."""
-        if not self._terms:
-            return self.floor, self.floor
-        return max(self._terms)[0], min(self._terms)[0]
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.is_zero or other.is_zero:
-            return self._like({})
-        (top1, low1), (top2, low2) = self._span(), other._span()
-        band_cut = None
-        if self.band is not None and top1 + top2 - self.band >= low1 + low2:
-            band_cut = top1 + top2 - self.band
-        floor = _larger(
-            band_cut,
-            None if self.floor is None else self.floor + top2,
-            None if other.floor is None else other.floor + top1,
-        )
-        cut = low1 + low2 - 1 if floor is None else floor
-        # both operands highest first, so each row stops at the cut
-        left, d1 = _numerators(self._terms)
-        right, d2 = _numerators(other._terms)
-        left.sort(reverse=True)
-        right.sort(reverse=True)
-        out: dict[tuple[int, int], int] = {}
-        for (a1, b1), n1 in left:
-            stop = cut - a1
-            if top2 <= stop:
-                break
-            for (a2, b2), n2 in right:
-                if a2 <= stop:
-                    break
-                key = (a1 + a2, b1 + b2)
-                out[key] = out.get(key, 0) + n1 * n2
-        den = d1 * d2
-        return self._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
 
     def above(self, floor: int) -> XiSeries:
         """The same expansion, known only above X^floor if that is higher
@@ -429,35 +422,34 @@ def _power_row(power: XiSeries) -> tuple[XiSeries, list, int]:
 
 
 def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiSeries:
-    """f(x, base), each term of f a shifted multiple of one power of base,
-    cut at the largest floor.  ``powers`` maps y-degrees to the
-    :func:`_power_row` of that power of base, 0 at least; a missing power
-    is built from the next one below it."""
+    """f(x, base): for each y-degree b of f, its coefficient of y^b times
+    base**b, summed into one map of numerators and cut at the largest
+    floor.  ``powers`` maps y-degrees to the :func:`_power_row` of that
+    power of base, 0 at least; a missing power is built from the next one
+    below it."""
     if f.is_zero:
         raise AlgebraError("substitution into the zero polynomial has no degree")
-    degrees = sorted({b for _, b in f._terms})
-    for b in degrees:
+    parts: dict[int, dict[tuple[int, int], Fraction]] = {}
+    for (a, b), c in f._terms.items():
+        parts.setdefault(b, {})[(a * base.den, 0)] = c
+    for b in sorted(parts):
         if b not in powers:
             below = max(k for k in powers if k < b)
             powers[b] = _power_row(powers[below][0] * base ** (b - below))
-    shift = base.den
+    # each part is exact, so its product with a power is cut as in
+    # __mul__ at the power's floor plus the part's top
     floor = _larger(
-        *(a * shift + powers[b][0].floor for a, b in f._terms if powers[b][0].floor is not None)
+        *(max(part)[0] + powers[b][0].floor for b, part in parts.items() if powers[b][0].floor is not None)
     )
-    den = math.lcm(*(powers[b][2] for b in degrees))
-    left, d_f = _numerators(f._terms)
+    lefts = {b: _numerators(part) for b, part in parts.items()}
+    den = math.lcm(*(powers[b][2] * d for b, (_, d) in lefts.items()))
     out: dict[tuple[int, int], int] = {}
-    for (a, b), n in left:
-        _, row, d = powers[b]
-        n *= den // d
-        a *= shift
-        stop = row[-1][0][0] - 1 if floor is None else floor - a
-        for (e, k), v in row:
-            if e <= stop:
-                break
-            key = (a + e, k)
-            out[key] = out.get(key, 0) + n * v
-    den *= d_f
+    for b, (left, d) in lefts.items():
+        _, row, d_power = powers[b]
+        scale = den // (d * d_power)
+        left = sorted(((key, n * scale) for key, n in left), reverse=True)
+        cut = left[-1][0][0] + row[-1][0][0] - 1 if floor is None else floor
+        _add_products(left, row, cut, out)
     return base._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
 
 

