@@ -192,6 +192,28 @@ def minors_negative_definite(matrix):
     return True
 
 
+def sweep_negative_definite(matrix):
+    """Negative definiteness by one dense Bareiss sweep without row swaps:
+    its k-th pivot is the k-th leading principal minor, so the sweep reads
+    (-1)^k det_k > 0 for every k in order, and a zero pivot ends it."""
+    m = [row[:] for row in matrix]
+    n = len(m)
+    prev = sign = 1
+    for i in range(n):
+        top = m[i]
+        pivot = top[i]
+        sign = -sign
+        if sign * pivot <= 0:
+            return False
+        tail = top[i + 1 :]
+        for r in range(i + 1, n):
+            row = m[r]
+            factor = row[i]
+            row[i + 1 :] = [(x * pivot - factor * y) // prev for x, y in zip(row[i + 1 :], tail)]
+        prev = pivot
+    return True
+
+
 # ---------------------------------------------------------------------------
 # slow oracles for the closed-form representation and the witnesses
 
@@ -567,3 +589,26 @@ def approximate_root(f, d):
             return g
         g = g + a.scale(Fraction(1, d))
     raise AssertionError("Tschirnhausen's iteration did not stop")
+
+
+def check_approximate_roots(g):
+    """Check the key forms of g against the approximate roots of its last
+    form: the root at the y-degree of each inner essential form has that
+    form's value and differs from it by a strictly lower value, and the last
+    form has the last value, all by the certified substitution.  Returns the
+    number of inner essential forms and of roots that differ from them."""
+    from semidegree import algebra, compute_key_forms
+
+    seq = compute_key_forms(g)
+    last = seq.last_form
+    inner = seq.essential_indices[1:-1]
+    roots = [approximate_root(last, last.y_degree // seq.forms[j].y_degree) for j in inner]
+    differences = [root - seq.forms[j] for root, j in zip(roots, inner)]
+    nonzero = [d for d in differences if not d.is_zero]
+    values = algebra.semidegrees(roots + nonzero + [last], g)
+    assert values[: len(inner)] == [seq.values[j] for j in inner], (g, values)
+    lower = iter(values[len(inner) : -1])
+    for j, d in zip(inner, differences):
+        assert d.is_zero or next(lower) < seq.values[j], (g, j)
+    assert values[-1] == seq.last_value, (g, values[-1])
+    return len(inner), len(nonzero)

@@ -35,8 +35,10 @@ from semidegree.cli import main as cli_main
 from semidegree.graphs import ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY, candidate_graph
 
 from helpers import (
+    check_approximate_roots,
     polynomial_prefixes_by_semigroup,
     random_contractible,
+    random_generic,
     random_laurent,
     random_normal_pairs,
 )
@@ -288,3 +290,18 @@ def test_criterion_8_witness_round_trips(capsys):
     assert checked >= 16
     with capsys.disabled():
         _passed(f"criterion 8: witness sequences verified and regenerated on {checked} graphs")
+
+
+def test_criterion_9_approximate_roots(capsys):
+    rng = random.Random(901)
+    inner = differ = 0
+    for draw_series in [random_contractible, random_generic] * 50:
+        forms, differing = check_approximate_roots(draw_series(rng, max_terms=5))
+        inner += forms
+        differ += differing
+    assert differ >= 10 and inner - differ >= 10
+    with capsys.disabled():
+        _passed(
+            "criterion 9: approximate roots of the last key form match %d inner essential "
+            "forms on 100 random inputs (%d differ by a lower value)" % (inner, differ)
+        )

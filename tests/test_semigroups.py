@@ -21,6 +21,7 @@ from helpers import (
     dp_in_semigroup,
     minors_negative_definite,
     random_normal_pairs,
+    sweep_negative_definite,
     window_s2,
 )
 
@@ -129,20 +130,25 @@ def test_s2_matches_the_window_scan_on_pair_lists():
 
 @st.composite
 def symmetric_matrices(draw):
-    n = draw(st.integers(0, 6))
+    """Symmetric integer matrices over a random graph: forests, cycles and
+    dense blocks, with zero and positive pivots too."""
+    n = draw(st.integers(0, 8))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.random()
     m = [[0] * n for _ in range(n)]
     for i in range(n):
-        m[i][i] = draw(st.integers(-8, 2))  # zero and positive pivots too
+        m[i][i] = rng.randrange(-8, 3)
         for j in range(i + 1, n):
-            m[i][j] = m[j][i] = draw(st.integers(-2, 2))
+            if rng.random() < density:
+                m[i][j] = m[j][i] = rng.choice((-2, -1, 1, 2))
     return m
 
 
 @FAST
 @given(symmetric_matrices())
-def test_one_sweep_definiteness_matches_the_minors(matrix):
+def test_elimination_matches_both_oracles(matrix):
     before = [row[:] for row in matrix]
-    assert is_negative_definite(matrix) == minors_negative_definite(matrix)
+    assert is_negative_definite(matrix) == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
     assert matrix == before
 
 
@@ -154,11 +160,75 @@ def test_one_sweep_definiteness_matches_the_minors(matrix):
         ([[-1, 1], [1, -1]], False),  # zero second minor
         ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], True),  # A_3 chain
         ([[-1, 2], [2, -1]], False),  # second minor negative
+        ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], False),  # -2 triangle: singular
+        ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], True),  # -3 triangle
     ],
 )
 def test_definiteness_examples(matrix, expected):
     assert is_negative_definite(matrix) is expected
     assert minors_negative_definite(matrix) is expected
+    assert sweep_negative_definite(matrix) is expected
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[-1, 5], [0, -1]], "not symmetric"),  # -x^2 + 5xy - y^2 is indefinite
+        ([[-1, 0, 0]], "not square"),
+        ([[-1], [0]], "not square"),
+    ],
+)
+def test_definiteness_rejects_malformed_matrices(matrix, message):
+    with pytest.raises(GraphError, match=message):
+        is_negative_definite(matrix)
+
+
+def _weighted_graph(weights, edges):
+    m = [[0] * len(weights) for _ in weights]
+    for i, w in enumerate(weights):
+        m[i][i] = w
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 100, 400])
+def test_definiteness_of_long_a_n_chains(n):
+    # det of the -2 path is (-1)^n (n + 1): every leading minor has the right sign
+    assert is_negative_definite(_weighted_graph([-2] * n, [(i, i + 1) for i in range(n - 1)]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 12, 300])
+def test_definiteness_of_stars(k):
+    # after its k leaves of -2 the centre's pivot is -w + k/2
+    for w in {1, 2, (k + 1) // 2, k // 2 + 1, k // 2 + 2}:
+        star = _weighted_graph([-w] + [-2] * k, [(0, i) for i in range(1, k + 1)])
+        assert is_negative_definite(star) == (2 * w > k)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 50, 300])
+def test_definiteness_of_cycles(n):
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    assert not is_negative_definite(_weighted_graph([-2] * n, edges))  # all-ones kernel
+    assert is_negative_definite(_weighted_graph([-3] * n, edges))
+
+
+def _ladder_pairs(l):
+    """3/5, then q -> 2q-1 over 2, then q-1 over 1."""
+    pairs = [(3, 5)]
+    for _ in range(l - 1):
+        pairs.append((2 * pairs[-1][0] - 1, 2))
+    pairs.append((pairs[-1][0] - 1, 1))
+    return FormalPuiseuxPairs(tuple(pairs))
+
+
+@pytest.mark.parametrize("l", range(1, 13))
+def test_definiteness_matches_both_oracles_on_the_pair_ladder(l):
+    graph = candidate_graph(_ladder_pairs(l))
+    for exclude in (False, True):
+        matrix = intersection_matrix(graph, exclude_estar=exclude)
+        assert is_negative_definite(matrix) == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
+        assert is_negative_definite(matrix) == exclude
 
 
 def test_definiteness_matches_the_minors_on_dual_graphs():
@@ -167,4 +237,4 @@ def test_definiteness_matches_the_minors_on_dual_graphs():
         graph = candidate_graph(random_normal_pairs(rng))
         for exclude in (False, True):
             matrix = intersection_matrix(graph, exclude_estar=exclude)
-            assert is_negative_definite(matrix) == minors_negative_definite(matrix)
+            assert is_negative_definite(matrix) == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
