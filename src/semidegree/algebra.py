@@ -2,7 +2,8 @@
 
 One sparse core holds both kinds of object this package computes with: a
 map from pairs of integer exponents to nonzero rational coefficients, with
-the ring operations written once.
+the ring operations written once on integer numerators over one positive
+denominator; a coefficient becomes a Fraction only where it is read.
 
 * :class:`LaurentPoly` is an element of Q[x, 1/x, y], keyed by
   (x-exponent, y-exponent).
@@ -55,12 +56,6 @@ def _larger(*floors: int | None) -> int | None:
     return max((f for f in floors if f is not None), default=None)
 
 
-def _numerators(terms: dict[tuple[int, int], Fraction]) -> tuple[list, int]:
-    """The terms as (key, integer numerator) over their least common denominator."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return [(key, c.numerator * (den // c.denominator)) for key, c in terms.items()], den
-
-
 def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
     """Add to ``out`` the products of two rows of (key, integer numerator),
     each sorted highest first, whose first exponent lies above ``cut``; so
@@ -80,17 +75,19 @@ def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], 
 
 
 class _Sparse:
-    """Sparse map (int, int) -> nonzero Fraction with exact ring arithmetic.
+    """Sparse map (int, int) -> nonzero rational with exact ring arithmetic.
 
-    The second exponent is never negative.  Results are built by
-    :meth:`_like`, which a subclass carrying more state than the map
-    extends; two operands combine only when their :meth:`_ring` agrees.
+    ``_terms`` maps each key to a nonzero int numerator over the one
+    positive denominator ``_den``, in lowest terms.  The second exponent is
+    never negative.  Results are built by :meth:`_like`, the one place that
+    drops zeros and reduces, which a subclass carrying more state than the
+    map extends; two operands combine only when their :meth:`_ring` agrees.
     ``floor`` is the precision floor on the first exponent and ``band`` the
     depth below its top that a product keeps, both None (exact) unless a
     subclass tracks them.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
     floor: int | None = None
     band: int | None = None
 
@@ -103,13 +100,18 @@ class _Sparse:
                 raise AlgebraError(f"negative exponent {b} of y or xi")
             key = (int(a), int(b))
             acc[key] = acc.get(key, 0) + _as_fraction(coeff)
-        self._terms = {key: c for key, c in acc.items() if c}
+        # over the least common denominator the numerators are in lowest terms
+        self._den = math.lcm(*(c.denominator for c in acc.values()))
+        self._terms = {key: c.numerator * (self._den // c.denominator) for key, c in acc.items() if c}
 
-    def _like(self, terms: dict[tuple[int, int], Fraction], floor: int | None = None):
-        """An element of the same ring with these terms, none of them zero
-        and all above ``floor``."""
+    def _like(self, terms: dict[tuple[int, int], int], den: int, floor: int | None = None):
+        """An element of the same ring with these numerators over the
+        positive ``den``, all above ``floor``: zeros dropped, reduced to
+        lowest terms."""
+        g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
-        out._terms = terms
+        out._terms = {key: n // g for key, n in terms.items() if n}
+        out._den = den // g
         return out
 
     def _ring(self) -> str:
@@ -130,27 +132,26 @@ class _Sparse:
     def __eq__(self, other) -> bool:
         if not isinstance(other, _Sparse):
             return NotImplemented
-        return (self._ring(), self.floor, self._terms) == (other._ring(), other.floor, other._terms)
+        mine = (self._ring(), self.floor, self._den, self._terms)
+        return mine == (other._ring(), other.floor, other._den, other._terms)
 
     def __hash__(self) -> int:
-        return hash((self._ring(), self.floor, frozenset(self._terms.items())))
+        return hash((self._ring(), self.floor, self._den, frozenset(self._terms.items())))
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            total = out.get(key, 0) + c
-            if total:
-                out[key] = total
-            else:
-                del out[key]
+        den = math.lcm(self._den, other._den)
+        s, t = den // self._den, den // other._den
+        out = {key: n * s for key, n in self._terms.items()}
+        for key, n in other._terms.items():
+            out[key] = out.get(key, 0) + n * t
         floor = _larger(self.floor, other.floor)
         if floor is not None:
-            out = {key: c for key, c in out.items() if key[0] > floor}
-        return self._like(out, floor)
+            out = {key: n for key, n in out.items() if key[0] > floor}
+        return self._like(out, den, floor)
 
     def __neg__(self):
-        return self._like({key: -c for key, c in self._terms.items()}, self.floor)
+        return self._like({key: -n for key, n in self._terms.items()}, self._den, self.floor)
 
     def __sub__(self, other):
         return self + (-other)
@@ -158,14 +159,9 @@ class _Sparse:
     def __mul__(self, other):
         self._check(other)
         if self.is_zero or other.is_zero:
-            return self._like({})
-        # integer numerators over one denominator per operand, so the
-        # products and sums are integer operations and each result
-        # coefficient is reduced once
-        left, d1 = _numerators(self._terms)
-        right, d2 = _numerators(other._terms)
-        left.sort(reverse=True)
-        right.sort(reverse=True)
+            return self._like({}, 1)
+        left = sorted(self._terms.items(), reverse=True)
+        right = sorted(other._terms.items(), reverse=True)
         top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
         top2, low2 = (right[0][0][0], right[-1][0][0]) if right else (other.floor, other.floor)
         cuts = []
@@ -178,14 +174,13 @@ class _Sparse:
         floor = max(cuts, default=None)
         out: dict[tuple[int, int], int] = {}
         _add_products(left, right, low1 + low2 - 1 if floor is None else floor, out)
-        den = d1 * d2
-        return self._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
+        return self._like(out, self._den * other._den, floor)
 
     def __pow__(self, n: int):
         if n < 0:
             raise AlgebraError("negative powers are not defined; use x_shift for 1/x")
         if n == 0:
-            return self._like({(0, 0): Fraction(1)})
+            return self._like({(0, 0): 1}, 1)
         # binary powering from the lowest set bit, so the unit is never a factor
         base = self
         while not n & 1:
@@ -202,12 +197,13 @@ class _Sparse:
 
     def scale(self, coeff):
         c = _as_fraction(coeff)
-        return self._like({key: v * c for key, v in self._terms.items()} if c else {}, self.floor)
+        terms = {key: n * c.numerator for key, n in self._terms.items()}
+        return self._like(terms, self._den * c.denominator, self.floor)
 
     def x_shift(self, k: int):
         """Multiply by the monomial whose first exponent is k; k may be negative."""
         floor = None if self.floor is None else self.floor + k
-        return self._like({(a + k, b): c for (a, b), c in self._terms.items()}, floor)
+        return self._like({(a + k, b): n for (a, b), n in self._terms.items()}, self._den, floor)
 
 
 # ---------------------------------------------------------------------------
@@ -238,8 +234,8 @@ class XiSeries(_Sparse):
         self.band = band
         self.floor = None
 
-    def _like(self, terms, floor=None):
-        out = super()._like(terms)
+    def _like(self, terms, den, floor=None):
+        out = super()._like(terms, den)
         out.den = self.den
         out.band = self.band
         out.floor = floor
@@ -253,7 +249,7 @@ class XiSeries(_Sparse):
         """The same expansion, known only above X^floor if that is higher
         than its own floor."""
         floor = _larger(self.floor, floor)
-        return self._like({key: c for key, c in self._terms.items() if key[0] > floor}, floor)
+        return self._like({key: n for key, n in self._terms.items() if key[0] > floor}, self._den, floor)
 
     @property
     def value(self) -> int | None:
@@ -272,7 +268,7 @@ class XiSeries(_Sparse):
     def _coefficient_at(self, top: int) -> XiPoly:
         if self.floor is not None and top <= self.floor:
             raise PrecisionLost(f"X^{top} lies at or below the floor X^{self.floor}")
-        return _dense({b: c for (a, b), c in self._terms.items() if a == top})
+        return _dense({b: Fraction(n, self._den) for (a, b), n in self._terms.items() if a == top})
 
     @property
     def leading_coefficient(self) -> XiPoly:
@@ -287,8 +283,8 @@ class XiSeries(_Sparse):
     def items(self) -> Iterator[tuple[Fraction, XiPoly]]:
         """(x-exponent, dense xi-coefficient) above the floor, highest exponent first."""
         parts: dict[int, dict[int, Fraction]] = {}
-        for (a, b), c in self._terms.items():
-            parts.setdefault(a, {})[b] = c
+        for (a, b), n in self._terms.items():
+            parts.setdefault(a, {})[b] = Fraction(n, self._den)
         return iter([(Fraction(a, self.den), _dense(parts[a])) for a in sorted(parts, reverse=True)])
 
 
@@ -319,10 +315,11 @@ class LaurentPoly(_Sparse):
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms ordered by y-exponent then x-exponent, both descending."""
-        return iter(sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0]), reverse=True))
+        terms = sorted(self._terms.items(), key=lambda t: (t[0][1], t[0][0]), reverse=True)
+        return iter([(key, Fraction(n, self._den)) for key, n in terms])
 
     def coefficient(self, x_exp: int, y_exp: int) -> Fraction:
-        return self._terms.get((x_exp, y_exp), Fraction(0))
+        return Fraction(self._terms.get((x_exp, y_exp), 0), self._den)
 
     @property
     def is_polynomial(self) -> bool:
@@ -340,15 +337,15 @@ class LaurentPoly(_Sparse):
         if self.is_zero:
             return False
         d = self.y_degree
-        top = [(a, c) for (a, b), c in self._terms.items() if b == d]
-        return top == [(0, Fraction(1))]
+        top = [(a, n) for (a, b), n in self._terms.items() if b == d]
+        return top == [(0, self._den)]
 
     def leading_term(self) -> tuple[tuple[int, int], Fraction]:
         """Largest term in (y-exponent, x-exponent) order."""
         if not self._terms:
             raise AlgebraError("the zero polynomial has no leading term")
         key = max(self._terms, key=lambda t: (t[1], t[0]))
-        return key, self._terms[key]
+        return key, Fraction(self._terms[key], self._den)
 
     def __repr__(self) -> str:
         from .parsing import laurent_to_str
@@ -414,11 +411,9 @@ def certified(g: GenericDPS, run: Callable[[XiSeries], _T]) -> _T:
             band *= 2
 
 
-def _power_row(power: XiSeries) -> tuple[XiSeries, list, int]:
-    """A power with its terms as integer numerators, highest first, and
-    their denominator."""
-    row, den = _numerators(power._terms)
-    return power, sorted(row, reverse=True), den
+def _power_row(power: XiSeries) -> tuple[XiSeries, list]:
+    """A power with its terms as (key, integer numerator), highest first."""
+    return power, sorted(power._terms.items(), reverse=True)
 
 
 def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiSeries:
@@ -429,9 +424,9 @@ def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiS
     below it."""
     if f.is_zero:
         raise AlgebraError("substitution into the zero polynomial has no degree")
-    parts: dict[int, dict[tuple[int, int], Fraction]] = {}
-    for (a, b), c in f._terms.items():
-        parts.setdefault(b, {})[(a * base.den, 0)] = c
+    parts: dict[int, list] = {}
+    for (a, b), n in f._terms.items():
+        parts.setdefault(b, []).append(((a * base.den, 0), n))
     for b in sorted(parts):
         if b not in powers:
             below = max(k for k in powers if k < b)
@@ -439,18 +434,18 @@ def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiS
     # each part is exact, so its product with a power is cut as in
     # __mul__ at the power's floor plus the part's top
     floor = _larger(
-        *(max(part)[0] + powers[b][0].floor for b, part in parts.items() if powers[b][0].floor is not None)
+        *(max(part)[0][0] + powers[b][0].floor for b, part in parts.items() if powers[b][0].floor is not None)
     )
-    lefts = {b: _numerators(part) for b, part in parts.items()}
-    den = math.lcm(*(powers[b][2] * d for b, (_, d) in lefts.items()))
+    # every part is over f's denominator; scale it to the powers' common one
+    den = math.lcm(*(powers[b][0]._den for b in parts))
     out: dict[tuple[int, int], int] = {}
-    for b, (left, d) in lefts.items():
-        _, row, d_power = powers[b]
-        scale = den // (d * d_power)
-        left = sorted(((key, n * scale) for key, n in left), reverse=True)
+    for b, part in parts.items():
+        power, row = powers[b]
+        scale = den // power._den
+        left = sorted(((key, n * scale) for key, n in part), reverse=True)
         cut = left[-1][0][0] + row[-1][0][0] - 1 if floor is None else floor
         _add_products(left, row, cut, out)
-    return base._like({key: Fraction(n, den) for key, n in out.items() if n}, floor)
+    return base._like(out, f._den * den, floor)
 
 
 def substitute(f: LaurentPoly, g: GenericDPS) -> XiSeries:

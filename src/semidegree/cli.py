@@ -3,8 +3,9 @@
 Exit codes: 0 success; 2 parse or validation error; 3 the input does not
 define a compactification; 4 an operation precondition failed (for example
 the requested witness kind is unavailable); 5 an internal error (any other
-exception, a bug), which in ``batch`` fails its own line only.  All numbers
-inside JSON payloads are decimal strings, never floats.
+exception, a bug), which in ``batch`` fails its own line only; a ``batch``
+input file that cannot be read is exit 2.  All numbers inside JSON payloads
+are decimal strings, never floats.
 """
 
 from __future__ import annotations
@@ -277,8 +278,12 @@ def run_line(line: str) -> tuple[int, str]:
 
 
 def _cmd_batch(args) -> tuple[int, str]:
-    with open(args.input, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+    try:
+        with open(args.input, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValueError(f"cannot read {args.input}: {reason}") from None
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are cores or lines
     workers = min(args.jobs, os.cpu_count() or 1, len(lines))
@@ -298,11 +303,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _PARSER.parse_args(_merge_flag_values(list(argv)))
-    if args.command == "batch":
-        code, out = _cmd_batch(args)
-        sys.stdout.write(out)
-        return code
     try:
+        if args.command == "batch":
+            code, out = _cmd_batch(args)
+            sys.stdout.write(out)
+            return code
         result = _HANDLERS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
         print(_error_text(exc), file=sys.stderr)

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction as F
@@ -180,8 +181,21 @@ def test_no_zero_coefficient_is_ever_stored(f, h, n, g):
         values += [(s - t) ** 0, (s - t) ** 1]
         assert (s - t) ** 0 == XiSeries([((0, 0), 1)], s.den) and (s - t) ** 1 == s - t
     for value in values:
-        assert all(c != 0 for c in value._terms.values())
+        assert all(type(n) is int and n != 0 for n in value._terms.values())
+        assert value._den > 0 and math.gcd(value._den, *value._terms.values()) == 1
     assert (f + h) * (f - h) == f * f - h * h
+
+
+@FAST
+@given(laurent_polys, laurent_polys, coefficients, generic_series)
+def test_equal_values_built_along_different_paths_are_equal_and_hash_alike(f, h, c, g):
+    pairs = [(f.scale(F(1, 3)).scale(3), f), (f + h - h, f), (f.scale(c) * h.scale(1 / c), f * h)]
+    if not (f.is_zero or h.is_zero):
+        s, t = substitute(f, g), substitute(h, g)
+        pairs += [((s * t).scale(c), s.scale(c) * t), (s.scale(c) * t.scale(1 / c), s * t)]
+        pairs += [(s + t - t, s), (s.scale(c).scale(1 / c), s)]
+    for left, right in pairs:
+        assert left == right and hash(left) == hash(right)
 
 
 @FAST

@@ -329,3 +329,21 @@ def test_an_internal_error_fails_its_own_batch_line_only(tmp_path, capsys, monke
     code, out, err = run_cli(capsys, "graph", "--pairs", "2/5,-6/1")
     assert code == 5 and out == ""
     assert err.strip() == "internal error: RuntimeError: boom"
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'classify --pairs "2/5,-6/1"\n\xff\n'), "can't decode byte 0xff"),
+    ],
+    ids=["missing", "directory", "not-utf-8"],
+)
+def test_an_unreadable_batch_input_exits_2(tmp_path, capsys, make, reason):
+    path = tmp_path / "requests.txt"
+    make(path)
+    code, out, err = run_cli(capsys, "batch", "--input", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"cannot read {path}: ") and reason in err
+    assert len(err.splitlines()) == 1

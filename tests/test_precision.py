@@ -184,10 +184,10 @@ def test_no_term_at_or_below_the_floor_and_every_kept_term_exact(g, f, h, c, n, 
     for e, t in zip(exact, truncated):
         assert e.floor is None
         if t.floor is None:
-            assert t._terms == e._terms
+            assert list(t.items()) == list(e.items())
             continue
         assert all(a > t.floor for a, _ in t._terms)
-        assert t._terms == {key: v for key, v in e._terms.items() if key[0] > t.floor}
+        assert list(t.items()) == [(x, c) for x, c in e.items() if x * e.den > t.floor]
         if t._terms:
             assert t.value == e.value
         else:
