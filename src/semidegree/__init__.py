@@ -41,6 +41,7 @@ from .puiseux import (
     DPuiseuxPoly,
     FormalPuiseuxPairs,
     GenericDPS,
+    InternalError,
     formal_pairs,
     from_local,
     truncate_above,
@@ -52,6 +53,7 @@ __all__ = [
     "FormalPuiseuxPairs",
     "GenericDPS",
     "GraphClass",
+    "InternalError",
     "KeyFormSeq",
     "LaurentPoly",
     "NotACompactificationError",

@@ -34,7 +34,14 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from .puiseux import FormalPuiseuxPairs, GenericDPS, _as_fraction, essential_key_values, formal_pairs
+from .puiseux import (
+    FormalPuiseuxPairs,
+    GenericDPS,
+    InternalError,
+    _as_fraction,
+    essential_key_values,
+    formal_pairs,
+)
 
 XiPoly = tuple[Fraction, ...]  # dense in the indeterminate, last entry nonzero
 
@@ -302,16 +309,26 @@ class LaurentPoly(_Sparse):
         return cls()
 
     @classmethod
+    def term(cls, x_exp: int, y_exp: int, coeff: int | Fraction = 1) -> LaurentPoly:
+        """coeff * x^x_exp * y^y_exp, straight from the numerator and
+        denominator of the int or Fraction coeff."""
+        if y_exp < 0:
+            raise AlgebraError(f"negative exponent {y_exp} of y or xi")
+        if not isinstance(coeff, (int, Fraction)):
+            coeff = _as_fraction(coeff)
+        return object.__new__(cls)._like({(x_exp, y_exp): coeff.numerator}, coeff.denominator)
+
+    @classmethod
     def one(cls) -> LaurentPoly:
-        return cls([((0, 0), Fraction(1))])
+        return cls.term(0, 0)
 
     @classmethod
     def x(cls) -> LaurentPoly:
-        return cls([((1, 0), Fraction(1))])
+        return cls.term(1, 0)
 
     @classmethod
     def y(cls) -> LaurentPoly:
-        return cls([((0, 1), Fraction(1))])
+        return cls.term(0, 1)
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms ordered by y-exponent then x-exponent, both descending."""
@@ -384,7 +401,7 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
     terms = [((e, 0), c) for e, c in g.phi.items()] + [((g.r, 1), Fraction(1))]
     off = [e for (e, _), _ in terms if (e * den).denominator != 1]
     if off:
-        raise AlgebraError(f"exponent {off[0]} is not in (1/{den})Z; this is a bug")
+        raise InternalError(f"exponent {off[0]} is not in (1/{den})Z; this is a bug")
     return XiSeries((((e * den, b), c) for (e, b), c in terms), den, band)
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 2 parse or validation error; 3 the input does not
 define a compactification; 4 an operation precondition failed (for example
-the requested witness kind is unavailable); 5 an internal error (any other
-exception, a bug), which in ``batch`` fails its own line only; a ``batch``
+the requested witness kind is unavailable); 5 an internal error (a failed
+consistency check, :class:`~semidegree.puiseux.InternalError`, or any other
+exception: a bug), which in ``batch`` fails its own line only; a ``batch``
 input file that cannot be read is exit 2.  All numbers inside JSON payloads
 are decimal strings, never floats.
 """

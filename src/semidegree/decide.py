@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms, essential_key_values
-from .puiseux import DPuiseuxPoly, GenericDPS, formal_pairs, from_local
+from .keyforms import KeyFormSeq, compute_key_forms, essential_key_values
+from .puiseux import DPuiseuxPoly, GenericDPS, InternalError, formal_pairs, from_local
 
 ALGEBRAIC = "algebraic"
 NON_ALGEBRAIC = "non_algebraic"
@@ -85,7 +85,7 @@ def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
     last_poly = seq.last_form.is_polynomial
     all_poly = all(form.is_polynomial for form in seq.forms)
     if last_poly != all_poly:
-        raise KeyFormError(
+        raise InternalError(
             "polynomiality of the last form does not match all forms; this is a bug"
         )
     if last_poly:

@@ -23,7 +23,7 @@ from operator import lt
 
 from .decide import NotACompactificationError
 from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent
-from .puiseux import FormalPuiseuxPairs
+from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
 
 MARK_LINE = "L"
@@ -377,7 +377,7 @@ def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
 
     beta = represent(witness_value, omegas[: k + 1])
     if beta[0] >= 0:
-        raise GraphError(
+        raise InternalError(
             f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
         )
     # the violation enters right after omega_k as a value with multiplier 1

@@ -17,6 +17,18 @@ The loop keeps only expansions and records each value and scalar;
 :func:`key_forms_with_values`, which also builds the witnesses, turns them
 into forms.
 
+Both halves build the cancelling monomials from one table of powers per
+run.  The monomial of step j is x^beta_0 * prod g_i^beta_i with
+0 <= beta_i < alpha_i, so beta_i vanishes wherever alpha_i = 1, off the
+essential indices: every monomial is x^beta_0 * y^beta_1, one term, times
+powers g_e^b with b < p_e of the few essential forms g_e after y.  The
+builder fills each essential form's row g_e, g_e^2, ..., g_e^{p_e} once,
+one product per entry, and its last entry is the next form's top; the
+loop keeps each power of an essential expansion for the whole run and
+reads it cut to the current step's depth.  :func:`monomial_product`,
+which powers every factor afresh, is left to the verifier, so that stays
+an independent route.
+
 The values of the essential forms depend only on the formal Puiseux pairs
 and satisfy an explicit recursion (:func:`essential_key_values`), which the
 algorithm cross-checks on every run.
@@ -30,12 +42,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LaurentPoly, XiSeries, certified, monomial_product, semidegrees
-from .puiseux import FormalPuiseuxPairs, GenericDPS, essential_key_values, formal_pairs
+from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, essential_key_values, formal_pairs
 from .semigroups import in_group
 
 
 class KeyFormError(ValueError):
-    """A precondition failed or an internal consistency check fired."""
+    """A precondition failed: the input determines no such key forms."""
 
 
 @dataclass(frozen=True)
@@ -136,22 +148,77 @@ def key_forms_with_values(
     """The key forms a value sequence determines, from x and y onward.
 
     Form j+1 is form j raised to its multiplier alpha_j, minus the monomial
-    in the earlier forms with the exponents :func:`represent` gives for
+    in the earlier forms with the exponents beta :func:`represent` gives for
     alpha_j * values[j], that monomial scaled by ``scalars[j - 1]`` when
     scalars are given.  The essential indices are 0, every j with
     alpha_j > 1, and the last.
+
+    Since beta_i < alpha_i, beta vanishes off the essential indices, so the
+    monomial is the one term x^beta_0 * y^beta_1 times one power g_e^b of
+    each essential form g_e after y with b = beta_e > 0.  Those powers come
+    from one row per essential form, g_e^0..g_e^{alpha_e}, filled by one
+    product per entry when g_e is built; its last entry is the top of the
+    next form, and the top y^alpha_1 of form 2 is one term too.  So the
+    whole sequence takes sum_e (alpha_e - 1) products for the rows and one
+    per factor g_e^b, and none for the powers of x and y.
     """
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
+    rows: dict[int, list[LaurentPoly]] = {}  # essential j >= 2: g_j^0..g_j^alpha_j
     for j in range(1, last):
         alpha = multipliers[j - 1]
-        monomial = monomial_product(forms[:j], represent(alpha * values[j], values[:j]))
-        if scalars is not None:
-            monomial = monomial.scale(scalars[j - 1])
-        forms.append(forms[j] ** alpha - monomial)
+        if j == 1:
+            top = LaurentPoly.term(0, alpha)
+        elif alpha > 1:
+            row = rows[j] = [LaurentPoly.one(), forms[j]]
+            while len(row) <= alpha:
+                row.append(row[-1] * forms[j])
+            top = row[alpha]
+        else:
+            top = forms[j]
+        beta = represent(alpha * values[j], values[:j])
+        y_exp = beta[1] if j > 1 else 0
+        head = LaurentPoly.term(beta[0], y_exp, 1 if scalars is None else scalars[j - 1])
+        monomial = math.prod((rows[e][b] for e, b in enumerate(beta[2:], start=2) if b), start=head)
+        forms.append(top - monomial)
     essential = [0] + [j for j in range(1, last) if multipliers[j - 1] > 1] + [last]
     return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(essential))
+
+
+def step_bound(g: GenericDPS, pairs: FormalPuiseuxPairs) -> int:
+    """The most cancellations :func:`compute_key_forms` can make on g.
+
+    With omega_0..omega_{l+1} the essential values, p_k the pair
+    denominators and d_k = gcd(omega_0..omega_k), the bound is
+
+        (value(y) - omega_1) // omega_0 + 1
+          + sum_{k=1..l} ((p_k * omega_k - omega_{k+1}) // d_k + 1),
+
+    value(y) = delta_x times the top exponent of phi (r when phi is 0).
+    Every step drops the value (values[j+1] < alpha_j * values[j], and
+    alpha_j = 1 off the essential forms), and a non-essential value lies in
+    the group of the essential values before it.  So level 0 reads
+    value(y), then only multiples of omega_0 down to omega_1: unless
+    value(y) is omega_1 itself, it reads at most
+    floor((value(y) - omega_1) / omega_0) + 1 multiples of omega_0 in
+    (omega_1, value(y)], then omega_1.  Level k >= 1 starts below
+    p_k * omega_k, the top that the raised k-th essential form cancels, and
+    reads at most floor((p_k * omega_k - omega_{k+1}) / d_k) multiples of
+    d_k in (omega_{k+1}, p_k * omega_k), then omega_{k+1}.  The reads thus
+    number at most the bound plus one, and the last read, which finds the
+    generic indeterminate, cancels nothing.  The level terms are not
+    integers in general, hence the floor divisions.
+    """
+    omegas = essential_key_values(pairs)
+    ps = [p for _, p in pairs.pairs]
+    top = g.r if g.phi.is_zero else g.phi.degree
+    bound = int(top * pairs.delta_x - omegas[1]) // omegas[0] + 1
+    d = omegas[0]
+    for k in range(1, pairs.l + 1):
+        d = math.gcd(d, omegas[k])
+        bound += (ps[k - 1] * omegas[k] - omegas[k + 1]) // d + 1
+    return bound
 
 
 def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
@@ -163,26 +230,48 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
     the scaled essential monomial that cancels its top; the forms follow
     from the values and scalars.  Only tops are read, so the expansions are
     truncated under a precision floor and the run is :func:`certified`.
+    A run needing more than :func:`step_bound` cancellations is a bug.
     """
     pairs = formal_pairs(g)
-    max_steps = 10 * (len(g.phi) + sum(p for _, p in pairs.pairs))
-    values, scalars = certified(g, lambda expansion: _cancel(expansion, max_steps))
+    bound = step_bound(g, pairs)
+    values, scalars = certified(g, lambda expansion: _cancel(expansion, bound))
     seq = key_forms_with_values(values, scalars)
     _check_run(seq, pairs)
     return seq
 
 
-def _cancel(expansion: XiSeries, max_steps: int) -> tuple[list[int], list[Fraction]]:
+def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]:
     """The cancellation loop from the expansion of y: each value, and the
-    scalar of each cancelling monomial."""
+    scalar of each cancelling monomial, after at most ``bound``
+    cancellations.
+
+    The monomial of a step is x^beta_0 times powers ess^b of the expansions
+    of the essential forms after x, and the difference is known only above
+    the floor of the raised expansion, so each power is needed only to that
+    depth below its top.  Each power is kept for the whole run, rebuilt only
+    when a step needs it deeper than it was built or uncut, and every read
+    is cut to the step's depth: a power carrying an earlier, deeper cut
+    into later products would make them needlessly wide.  x^beta_0 is a
+    shift, not a product.
+    """
     delta_x = expansion.den
     ess_expansions: list[XiSeries] = []  # of the essential forms after x
     ess_values = [delta_x]
     values = [delta_x]
     scalars: list[Fraction] = []
-    for _ in range(max_steps):
+    kept: dict[tuple[int, int], tuple[int | None, XiSeries]] = {}  # (i, b): (depth, ess_i ** b)
+
+    def cut_power(i: int, b: int, depth: int | None) -> XiSeries:
+        built = kept.get((i, b))
+        if built is None or built[0] is not None and (depth is None or depth > built[0]):
+            ess = ess_expansions[i]
+            built = kept[i, b] = depth, (ess if depth is None else ess.above(ess.value - depth)) ** b
+        kept_power = built[1]
+        return kept_power if depth is None else kept_power.above(kept_power.value - depth)
+
+    for _ in range(bound + 1):
         if expansion.is_zero:
-            raise KeyFormError("expansion vanished; this is a bug")
+            raise InternalError("expansion vanished; this is a bug")
         w = expansion.value
         values.append(w)
         lead = expansion.leading_coefficient
@@ -193,19 +282,15 @@ def _cancel(expansion: XiSeries, max_steps: int) -> tuple[list[int], list[Fracti
         power = d // math.gcd(d, w)
         beta = represent(power * w, ess_values)
         raised = expansion ** power
-        # the difference is known only above the floor of the raised
-        # expansion, so each factor of the monomial is needed only to that
-        # depth below its top
         depth = None if raised.floor is None else power * w - raised.floor
-        mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, expansion.band)
-        for ess_expansion, b in zip(ess_expansions, beta[1:]):
-            if b:
-                if depth is not None:
-                    ess_expansion = ess_expansion.above(ess_expansion.value - depth)
-                mono_expansion = mono_expansion * ess_expansion ** b
+        factors = [cut_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
+        if factors:
+            mono_expansion = math.prod(factors[1:], start=factors[0]).x_shift(beta[0] * delta_x)
+        else:
+            mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, expansion.band)
         mono_lead = mono_expansion.leading_coefficient
         if mono_expansion.value != power * w or len(mono_lead) != 1:
-            raise KeyFormError("cancelling monomial has the wrong shape; this is a bug")
+            raise InternalError("cancelling monomial has the wrong shape; this is a bug")
 
         scalar = lead[0] ** power / mono_lead[0]
         scalars.append(scalar)
@@ -213,7 +298,7 @@ def _cancel(expansion: XiSeries, max_steps: int) -> tuple[list[int], list[Fracti
             ess_expansions.append(expansion)
             ess_values.append(w)
         expansion = raised - mono_expansion.scale(scalar)
-    raise KeyFormError("cancellation did not terminate within the step cap; this is a bug")
+    raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 
 def _multipliers_from_values(values: Sequence[int]) -> list[int]:
@@ -232,12 +317,12 @@ def _check_run(seq: KeyFormSeq, pairs: FormalPuiseuxPairs) -> None:
     """Internal cross-checks the construction is entitled to."""
     ps = [p for _, p in pairs.pairs]
     if len(seq.essential_indices) != pairs.l + 2:
-        raise KeyFormError("wrong number of essential forms; this is a bug")
+        raise InternalError("wrong number of essential forms; this is a bug")
     if seq.essential_values() != essential_key_values(pairs):
-        raise KeyFormError("essential values disagree with the recursion; this is a bug")
+        raise InternalError("essential values disagree with the recursion; this is a bug")
     for k, j in enumerate(seq.essential_indices[1:], start=1):
         if seq.alpha(j) != ps[k - 1]:
-            raise KeyFormError("essential multiplier mismatch; this is a bug")
+            raise InternalError("essential multiplier mismatch; this is a bug")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,13 @@ class PuiseuxError(ValueError):
     """Raised when an operation's input violates its stated preconditions."""
 
 
+class InternalError(Exception):
+    """An internal consistency check fired: a bug, never bad input.
+
+    Not a ValueError, so no caller mistakes it for a refused input.
+    """
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floats are not allowed; use Fraction or int")

@@ -281,8 +281,9 @@ def loop_witness(pairs, kind):
     least second-condition violation in after omega_k."""
     from semidegree import KeyFormSeq, LaurentPoly, NotACompactificationError
     from semidegree.algebra import monomial_product
-    from semidegree.graphs import GraphError, WitnessError, s1, s2
+    from semidegree.graphs import WitnessError, s1, s2
     from semidegree.keyforms import essential_key_values
+    from semidegree.puiseux import InternalError
 
     omegas = essential_key_values(pairs)
     if omegas[-1] <= 0:
@@ -310,7 +311,7 @@ def loop_witness(pairs, kind):
     k, t = violations[0]
     beta = search_represent(t, omegas[: k + 1], ps[:k])
     if beta[0] >= 0:
-        raise GraphError(f"semigroup violation {t} has x-exponent {beta[0]} >= 0; this is a bug")
+        raise InternalError(f"semigroup violation {t} has x-exponent {beta[0]} >= 0; this is a bug")
     forms = base[: k + 2]
     forms.append(base[k + 1] - monomial_product(base[: k + 1], beta))
     for i in range(k + 3, l + 3):
@@ -324,88 +325,97 @@ def loop_witness(pairs, kind):
     return KeyFormSeq(tuple(forms), values, multipliers, essential)
 
 
-def loop_key_forms(g):
+def loop_key_forms(g, certify=False):
     """The cancellation algorithm with the forms built inside the loop, next
     to their expansions: a step within the lattice of the essential values
     found so far subtracts a scaled monomial from the current form; a
     leading degree outside it raises the form to the next denominator
     first, and that form becomes essential.  The run's cross-checks follow,
-    the non-essential multipliers included."""
+    the non-essential multipliers included.
+
+    The expansions are exact unless ``certify`` is set; then they are
+    truncated and the loop runs under :func:`~semidegree.algebra.certified`,
+    which the exact loop checks elsewhere.  The forms are built the same
+    way in both: every monomial from its forms by
+    :func:`~semidegree.algebra.monomial_product`, with no table of powers."""
     from semidegree import KeyFormSeq, LaurentPoly, XiSeries
-    from semidegree.algebra import monomial_product, series_of
-    from semidegree.keyforms import KeyFormError, essential_key_values, represent
-    from semidegree.puiseux import formal_pairs
+    from semidegree.algebra import certified, monomial_product, series_of
+    from semidegree.keyforms import essential_key_values, represent, step_bound
+    from semidegree.puiseux import InternalError, formal_pairs
 
     pairs = formal_pairs(g)
     ps = [p for _, p in pairs.pairs]
     delta_x = pairs.delta_x
-    max_steps = 10 * (len(g.phi) + sum(ps))
+    max_steps = step_bound(g, pairs) + 1  # the last step cancels nothing
 
-    x = LaurentPoly.x()
-    forms = [x, LaurentPoly.y()]
-    expansions = [XiSeries([((delta_x, 0), 1)], delta_x), series_of(g)]
-    ess_indices, ess_forms, ess_expansions, ess_values = [0], [x], [expansions[0]], [delta_x]
-    lattice = 1  # p_0 * ... * p_k for the essentials found so far
-    values = [delta_x]
-    steps = 0
-    while True:
-        steps += 1
-        if steps > max_steps:
-            raise KeyFormError("cancellation did not terminate within the step cap; this is a bug")
-        s = len(forms) - 1
-        expansion = expansions[s]
-        if expansion.is_zero:
-            raise KeyFormError("expansion vanished; this is a bug")
-        w = expansion.value
-        values.append(w)
-        lead = expansion.leading_coefficient
-        if len(lead) > 1:
-            ess_indices.append(s)
-            break
-        k = len(ess_indices) - 1
-        if w * lattice % delta_x == 0:
-            beta = represent(w, ess_values)
-            power = 1
-        else:
-            if k >= len(ps):
-                raise KeyFormError("degree outside the full lattice; this is a bug")
-            power = ps[k]
-            if w * lattice * power % delta_x != 0:
-                raise KeyFormError("degree skipped a lattice level; this is a bug")
-            beta = represent(power * w, ess_values)
+    def run(y_expansion):
+        x = LaurentPoly.x()
+        forms = [x, LaurentPoly.y()]
+        expansions = [XiSeries([((delta_x, 0), 1)], delta_x, y_expansion.band), y_expansion]
+        ess_indices, ess_forms, ess_expansions, ess_values = [0], [x], [expansions[0]], [delta_x]
+        lattice = 1  # p_0 * ... * p_k for the essentials found so far
+        values = [delta_x]
+        steps = 0
+        while True:
+            steps += 1
+            if steps > max_steps:
+                raise InternalError("cancellation did not terminate within the step cap; this is a bug")
+            s = len(forms) - 1
+            expansion = expansions[s]
+            if expansion.is_zero:
+                raise InternalError("expansion vanished; this is a bug")
+            w = expansion.value
+            values.append(w)
+            lead = expansion.leading_coefficient
+            if len(lead) > 1:
+                ess_indices.append(s)
+                break
+            k = len(ess_indices) - 1
+            if w * lattice % delta_x == 0:
+                beta = represent(w, ess_values)
+                power = 1
+            else:
+                if k >= len(ps):
+                    raise InternalError("degree outside the full lattice; this is a bug")
+                power = ps[k]
+                if w * lattice * power % delta_x != 0:
+                    raise InternalError("degree skipped a lattice level; this is a bug")
+                beta = represent(power * w, ess_values)
 
-        monomial = monomial_product(ess_forms, beta)
-        mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x)
-        for ess_exp, b in zip(ess_expansions[1:], beta[1:]):
-            mono_expansion = mono_expansion * ess_exp ** b
-        mono_lead = mono_expansion.leading_coefficient
-        if mono_expansion.value != power * w or len(mono_lead) != 1:
-            raise KeyFormError("cancelling monomial has the wrong shape; this is a bug")
+            monomial = monomial_product(ess_forms, beta)
+            mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, y_expansion.band)
+            for ess_exp, b in zip(ess_expansions[1:], beta[1:]):
+                mono_expansion = mono_expansion * ess_exp ** b
+            mono_lead = mono_expansion.leading_coefficient
+            if mono_expansion.value != power * w or len(mono_lead) != 1:
+                raise InternalError("cancelling monomial has the wrong shape; this is a bug")
 
-        scalar = lead[0] ** power / mono_lead[0]
-        if power == 1:
-            forms.append(forms[s] - monomial.scale(scalar))
-            expansions.append(expansion - mono_expansion.scale(scalar))
-        else:
-            ess_indices.append(s)
-            ess_forms.append(forms[s])
-            ess_expansions.append(expansion)
-            ess_values.append(w)
-            lattice *= power
-            forms.append(forms[s] ** power - monomial.scale(scalar))
-            expansions.append(expansion ** power - mono_expansion.scale(scalar))
+            scalar = lead[0] ** power / mono_lead[0]
+            if power == 1:
+                forms.append(forms[s] - monomial.scale(scalar))
+                expansions.append(expansion - mono_expansion.scale(scalar))
+            else:
+                ess_indices.append(s)
+                ess_forms.append(forms[s])
+                ess_expansions.append(expansion)
+                ess_values.append(w)
+                lattice *= power
+                forms.append(forms[s] ** power - monomial.scale(scalar))
+                expansions.append(expansion ** power - mono_expansion.scale(scalar))
+        return forms, values, ess_indices
 
+    forms, values, ess_indices = certified(g, run) if certify else run(series_of(g))
     seq = KeyFormSeq(tuple(forms), tuple(values), tuple(search_multipliers(values)), tuple(ess_indices))
     if len(seq.essential_indices) != pairs.l + 2:
-        raise KeyFormError("wrong number of essential forms; this is a bug")
+        raise InternalError("wrong number of essential forms; this is a bug")
     if seq.essential_values() != essential_key_values(pairs):
-        raise KeyFormError("essential values disagree with the recursion; this is a bug")
+        raise InternalError("essential values disagree with the recursion; this is a bug")
     for k, j in enumerate(seq.essential_indices[1:], start=1):
         if seq.alpha(j) != ps[k - 1]:
-            raise KeyFormError("essential multiplier mismatch; this is a bug")
+            raise InternalError("essential multiplier mismatch; this is a bug")
     for j in range(1, seq.n + 2):
         if j not in seq.essential_indices and seq.alpha(j) != 1:
-            raise KeyFormError("non-essential index with multiplier > 1; this is a bug")
+            raise InternalError("non-essential index with multiplier > 1; this is a bug")
     return seq
 
 

@@ -211,3 +211,19 @@ def test_pow_matches_repeated_products(f, g):
         for k in range(1, 4):
             product = product * s
             assert s ** k == product
+
+
+@FAST
+@given(st.integers(-4, 4), st.integers(0, 4), st.fractions(max_denominator=6) | st.integers(-3, 3))
+def test_a_term_equals_the_constructed_monomial(a, b, c):
+    term = LaurentPoly.term(a, b, c)
+    built = LaurentPoly([((a, b), c)])
+    assert term == built and hash(term) == hash(built)
+    assert term.is_zero == (c == 0)
+
+
+def test_a_term_refuses_floats_and_negative_y_powers():
+    with pytest.raises(TypeError):
+        LaurentPoly.term(0, 1, 0.5)
+    with pytest.raises(AlgebraError):
+        LaurentPoly.term(0, -1)

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -347,3 +348,43 @@ def test_an_unreadable_batch_input_exits_2(tmp_path, capsys, make, reason):
     assert code == 2 and out == ""
     assert err.startswith(f"cannot read {path}: ") and reason in err
     assert len(err.splitlines()) == 1
+
+
+def _break_the_step_cap(monkeypatch):
+    import semidegree.keyforms as keyforms
+
+    monkeypatch.setattr(keyforms, "step_bound", lambda g, pairs: 0)
+    return "cancellation did not terminate within the step cap; this is a bug"
+
+
+def _break_the_violation_check(monkeypatch):
+    import semidegree.graphs as graphs
+
+    monkeypatch.setattr(graphs, "represent", lambda target, values: [0] * len(values))
+    return "semigroup violation 3 has x-exponent 0 >= 0; this is a bug"
+
+
+@pytest.mark.parametrize(
+    "breaks, line",
+    [
+        (_break_the_step_cap, 'decide --phi "x^(2/5)" --r "-6/5"'),
+        (_break_the_violation_check, 'witness --pairs "2/5,-6/1" --kind nonalgebraic'),
+    ],
+    ids=["keyforms", "graphs"],
+)
+def test_a_failed_consistency_check_exits_5(tmp_path, capsys, monkeypatch, breaks, line):
+    from semidegree import InternalError
+
+    assert not issubclass(InternalError, ValueError)
+    message = breaks(monkeypatch)
+    expected = f"internal error: InternalError: {message}"
+    code, out, err = run_cli(capsys, *shlex.split(line))
+    assert (code, out, err.strip()) == (5, "", expected)
+
+    batch = tmp_path / "requests.txt"
+    batch.write_text(f'classify --pairs "2/5,-6/1"\n{line}\ngraph --pairs "2/5,-6/1"\n')
+    code, out, _ = run_cli(capsys, "batch", "--input", str(batch))
+    lines = [json.loads(text) for text in out.splitlines()]
+    assert code == 5
+    assert lines[0]["kind"] == "both" and lines[2]["command"] == "graph"
+    assert lines[1] == {"error": expected, "exit_code": "5"}

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction as F
@@ -23,13 +24,16 @@ from semidegree import (
     truncate_above,
     verify_key_properties,
 )
-from semidegree.keyforms import KeyFormError, key_forms_with_values
+from semidegree.algebra import certified
+from semidegree.graphs import algebraic_witness, nonalgebraic_witness
+from semidegree.keyforms import KeyFormError, _cancel, key_forms_with_values, step_bound
 from semidegree.semigroups import in_group
 
 from helpers import (
     loop_key_forms,
     random_contractible,
     random_generic,
+    random_normal_pairs,
     search_multipliers,
     search_represent,
 )
@@ -147,17 +151,33 @@ def _dyadic_chain(depth):
 
 
 @pytest.mark.parametrize(
-    "g",
+    "g, certify",
     [
-        D1,
-        D2,
-        GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3)),
-        GenericDPS(DPuiseuxPoly.zero(), F(3, 7)),
+        (g, False)
+        for g in [
+            D1,
+            D2,
+            GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3)),
+            GenericDPS(DPuiseuxPoly.zero(), F(3, 7)),
+        ]
+        + [_dyadic_chain(depth) for depth in range(1, 5)]
     ]
-    + [_dyadic_chain(depth) for depth in range(1, 5)],
+    # the exact loop takes minutes on these, so its expansions are truncated
+    # too; its forms are still built monomial by monomial, with no table
+    + [
+        (g, True)
+        for g in [
+            GenericDPS(parse_dps("x^(1/3) + x^(1/5) + x^(1/7)"), F(-1)),
+            GenericDPS(parse_dps("x^(1/3) + x^(1/7) + x^(1/11)"), F(-1)),
+            _dyadic_chain(5),
+            _dyadic_chain(6),
+        ]
+    ],
+    ids=[f"g{i}" for i in range(12)],
 )
-def test_cancellation_matches_the_form_building_loop_on_examples(g):
-    assert _key_form_outcome(compute_key_forms, g) == _key_form_outcome(loop_key_forms, g)
+def test_cancellation_matches_the_form_building_loop_on_examples(g, certify):
+    oracle = functools.partial(loop_key_forms, certify=certify)
+    assert _key_form_outcome(compute_key_forms, g) == _key_form_outcome(oracle, g)
 
 
 def test_key_forms_of_the_algebraic_branch():
@@ -300,3 +320,98 @@ def test_essential_y_degrees_grow_with_the_denominators():
     # each power step bumps the y-degree to the next denominator product
     successors = [seq.forms[j + 1].y_degree for j in seq.essential_indices[1:-1]]
     assert successors == [3, 6]
+
+
+# ---------------------------------------------------------------------------
+# the step cap and the power table
+
+
+def _cancellations(g):
+    """The cancellations of the loop on g, counted without a cap."""
+    values, _ = certified(g, lambda expansion: _cancel(expansion, 10**9))
+    return len(values) - 2
+
+
+@FAST
+@given(st.integers(0, 2**32), st.integers(0, 5), st.booleans())
+def test_cancellations_stay_within_the_step_bound(seed, max_terms, contractible):
+    draw = random_contractible if contractible else random_generic
+    g = draw(random.Random(seed), max_terms=max_terms)
+    assert _cancellations(g) <= step_bound(g, formal_pairs(g))
+
+
+@pytest.mark.parametrize(
+    "depth, steps, bound",
+    [(1, 1, 4), (2, 3, 7), (3, 7, 12), (4, 16, 21), (5, 33, 38), (6, 66, 71), (7, 131, 136)],
+)
+def test_step_counts_and_bounds_on_dyadic_chains(depth, steps, bound):
+    g = _dyadic_chain(depth)
+    assert _cancellations(g) == steps
+    assert step_bound(g, formal_pairs(g)) == bound
+
+
+@pytest.mark.parametrize(
+    "phi, r, bound",
+    # y essential from the start; and a level before the first essential form
+    [("0", "3/7", 1), ("-x^3", "5/2", 1), ("x^2 + x + x^(3/5)", "-1", 11)],
+)
+def test_step_bound_on_small_series(phi, r, bound):
+    g = GenericDPS(parse_dps(phi), F(r))
+    assert step_bound(g, formal_pairs(g)) == bound
+    assert _cancellations(g) <= bound
+
+
+def test_dyadic_depth_8_cancels_within_its_step_bound():
+    # 260 cancellations: more than the old cap of 10 * (len(phi) + sum p) = 250
+    g = _dyadic_chain(8)
+    bound = step_bound(g, formal_pairs(g))
+    values, scalars = certified(g, lambda expansion: _cancel(expansion, bound))
+    assert (len(values) - 2, bound) == (260, 265)
+    assert len(scalars) == 260
+
+
+def _product_bound(seq):
+    """One product per entry g_e^2..g_e^{alpha_e} of each essential form
+    after y that is raised, and one per factor g_e^b of each monomial."""
+    rows = sum(seq.alpha(e) - 1 for e in seq.essential_indices if 2 <= e <= seq.n)
+    factors = 0
+    for j in range(1, seq.n + 1):
+        beta = represent(seq.alpha(j) * seq.values[j], seq.values[:j])
+        factors += sum(1 for b in beta[2:] if b)
+    return rows + factors
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of LaurentPoly products made so far."""
+    count = [0]
+    multiply = LaurentPoly.__mul__
+
+    def counting(self, other):
+        count[0] += 1
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    return count
+
+
+def test_the_worked_example_builds_each_power_once(products):
+    g = GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3))
+    seq = compute_key_forms(g)
+    assert products[0] <= _product_bound(seq)
+
+
+def test_witnesses_build_each_power_once(products):
+    rng = random.Random(27)
+    built = 0
+    for _ in range(40):
+        pairs = random_normal_pairs(rng)
+        for build in (algebraic_witness, nonalgebraic_witness):
+            products[0] = 0
+            try:
+                seq = build(pairs)
+            except ValueError:  # no such witness, or no compactification
+                continue
+            assert products[0] <= _product_bound(seq)
+            built += 1
+    assert built > 20
