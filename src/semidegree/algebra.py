@@ -81,6 +81,49 @@ def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], 
             out[key] = out.get(key, 0) + n1 * n2
 
 
+def _subtract_row(
+    out: dict[tuple[int, int], int],
+    den: int,
+    floor: int | None,
+    row: dict[tuple[int, int], int],
+    scale: Fraction,
+    shift: int,
+    row_floor: int | None,
+) -> tuple[int, int | None]:
+    """Subtract from the numerators ``out`` over ``den``, in place, ``scale``
+    times the integer numerators ``row`` with ``shift`` added to each first
+    exponent; ``row`` is known above ``row_floor`` before the shift.
+
+    The difference is known above the larger floor: ``out`` is filtered
+    only when that floor rises, rescaled only when the lcm of the
+    denominators grows, and its numerators are never reduced.  Returns the
+    new (den, floor)."""
+    if row_floor is not None:
+        row_floor += shift
+        if floor is None or row_floor > floor:
+            floor = row_floor
+            for key in [key for key in out if key[0] <= floor]:
+                del out[key]
+    new_den = math.lcm(den, scale.denominator)
+    if new_den != den:
+        up = new_den // den
+        for key in out:
+            out[key] *= up
+        den = new_den
+    factor = scale.numerator * (den // scale.denominator)
+    for (a, b), n in row.items():
+        a += shift
+        if floor is not None and a <= floor:
+            continue
+        key = (a, b)
+        n = out.get(key, 0) - factor * n
+        if n:
+            out[key] = n
+        else:
+            del out[key]
+    return den, floor
+
+
 class _Sparse:
     """Sparse map (int, int) -> nonzero rational with exact ring arithmetic.
 
@@ -146,9 +189,16 @@ class _Sparse:
         return hash((self._ring(), self.floor, self._den, frozenset(self._terms.items())))
 
     def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int):
+        """self + sign * other in one pass over both maps."""
         self._check(other)
         den = math.lcm(self._den, other._den)
-        s, t = den // self._den, den // other._den
+        s, t = den // self._den, sign * (den // other._den)
         out = {key: n * s for key, n in self._terms.items()}
         for key, n in other._terms.items():
             out[key] = out.get(key, 0) + n * t
@@ -159,9 +209,6 @@ class _Sparse:
 
     def __neg__(self):
         return self._like({key: -n for key, n in self._terms.items()}, self._den, self.floor)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -258,14 +305,20 @@ class XiSeries(_Sparse):
         floor = _larger(self.floor, floor)
         return self._like({key: n for key, n in self._terms.items() if key[0] > floor}, self._den, floor)
 
+    def _top(self) -> tuple[int, int] | None:
+        """The highest key, or None for the zero expansion; raises
+        :class:`PrecisionLost` when no term is known above the floor."""
+        top = max(self._terms) if self._terms else None
+        if self.floor is not None and (top is None or top[0] <= self.floor):
+            raise PrecisionLost(f"no term is known above X^{self.floor}")
+        return top
+
     @property
     def value(self) -> int | None:
         """Top X-exponent, or None for the zero expansion; raises
         :class:`PrecisionLost` when no term is known above the floor."""
-        top = max(self._terms)[0] if self._terms else None
-        if self.floor is not None and (top is None or top <= self.floor):
-            raise PrecisionLost(f"no term is known above X^{self.floor}")
-        return top
+        top = self._top()
+        return None if top is None else top[0]
 
     @property
     def degree(self) -> Fraction | None:
@@ -398,11 +451,16 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
     if band is not None and band < 1:
         raise AlgebraError(f"the band must be a positive integer, got {band}")
     den = formal_pairs(g).delta_x
-    terms = [((e, 0), c) for e, c in g.phi.items()] + [((g.r, 1), Fraction(1))]
-    off = [e for (e, _), _ in terms if (e * den).denominator != 1]
-    if off:
-        raise InternalError(f"exponent {off[0]} is not in (1/{den})Z; this is a bug")
-    return XiSeries((((e * den, b), c) for (e, b), c in terms), den, band)
+    terms = [(e, 0, c) for e, c in g.phi.items()] + [(g.r, 1, Fraction(1))]
+    common = math.lcm(*(c.denominator for _, _, c in terms))
+    numerators = {}
+    for e, b, c in terms:
+        a = e * den
+        if a.denominator != 1:
+            raise InternalError(f"exponent {e} is not in (1/{den})Z; this is a bug")
+        numerators[a.numerator, b] = c.numerator * (common // c.denominator)
+    ring = XiSeries((), den, band)
+    return ring._like(numerators, common)
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:

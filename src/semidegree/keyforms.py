@@ -15,7 +15,10 @@ of the current form's expansion:
 
 The loop keeps only expansions and records each value and scalar;
 :func:`key_forms_with_values`, which also builds the witnesses, turns them
-into forms.
+into forms.  The running expansion is one private map of integer
+numerators that each step updates in place, so a step costs the terms of
+its monomial; an expansion becomes an :class:`XiSeries` only at an
+essential step, where it is raised and kept for the later monomials.
 
 Both halves build the cancelling monomials from one table of powers per
 run.  The monomial of step j is x^beta_0 * prod g_i^beta_i with
@@ -41,7 +44,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import LaurentPoly, XiSeries, certified, monomial_product, semidegrees
+from .algebra import (
+    LaurentPoly,
+    PrecisionLost,
+    XiSeries,
+    _subtract_row,
+    certified,
+    monomial_product,
+    semidegrees,
+)
 from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, essential_key_values, formal_pairs
 from .semigroups import in_group
 
@@ -245,6 +256,14 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     scalar of each cancelling monomial, after at most ``bound``
     cancellations.
 
+    The running expansion is one private map from (X-exponent, xi-exponent)
+    to integer numerators over one denominator, known above its floor.  A
+    step reads its top key and constant numerator and subtracts the scaled,
+    shifted monomial in place (:func:`~semidegree.algebra._subtract_row`),
+    so it costs the monomial's terms, not copies of the expansion.  Only an
+    essential step (power > 1) takes an :class:`XiSeries` snapshot, which it
+    raises and keeps for the monomials of later steps.
+
     The monomial of a step is x^beta_0 times powers ess^b of the expansions
     of the essential forms after x, and the difference is known only above
     the floor of the raised expansion, so each power is needed only to that
@@ -252,14 +271,17 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     when a step needs it deeper than it was built or uncut, and every read
     is cut to the step's depth: a power carrying an earlier, deeper cut
     into later products would make them needlessly wide.  x^beta_0 is a
-    shift, not a product.
+    shift, and a monomial with no essential factor is the one term it
+    shifts.
     """
     delta_x = expansion.den
+    terms, den, floor = dict(expansion._terms), expansion._den, expansion.floor
     ess_expansions: list[XiSeries] = []  # of the essential forms after x
     ess_values = [delta_x]
     values = [delta_x]
     scalars: list[Fraction] = []
     kept: dict[tuple[int, int], tuple[int | None, XiSeries]] = {}  # (i, b): (depth, ess_i ** b)
+    unit = {(0, 0): 1}
 
     def cut_power(i: int, b: int, depth: int | None) -> XiSeries:
         built = kept.get((i, b))
@@ -270,34 +292,40 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         return kept_power if depth is None else kept_power.above(kept_power.value - depth)
 
     for _ in range(bound + 1):
-        if expansion.is_zero:
-            raise InternalError("expansion vanished; this is a bug")
-        w = expansion.value
+        if not terms:
+            if floor is None:
+                raise InternalError("expansion vanished; this is a bug")
+            raise PrecisionLost(f"no term is known above X^{floor}")
+        w, xi = max(terms)  # every key lies above the floor
         values.append(w)
-        lead = expansion.leading_coefficient
-        if len(lead) > 1:  # the generic indeterminate reached the top
+        if xi > 0:  # the generic indeterminate reached the top
             return values, scalars
 
+        lead, lead_den = terms[w, 0], den
         d = math.gcd(*ess_values)
         power = d // math.gcd(d, w)
         beta = represent(power * w, ess_values)
-        raised = expansion ** power
-        depth = None if raised.floor is None else power * w - raised.floor
+        if power > 1:  # an essential form: keep its expansion for later monomials
+            snapshot = expansion._like(terms, den, floor)
+            ess_expansions.append(snapshot)
+            ess_values.append(w)
+            raised = snapshot ** power
+            terms, den, floor = raised._terms, raised._den, raised.floor
+        depth = None if floor is None else power * w - floor
         factors = [cut_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
         if factors:
-            mono_expansion = math.prod(factors[1:], start=factors[0]).x_shift(beta[0] * delta_x)
+            mono = math.prod(factors[1:], start=factors[0])
+            row, row_den, row_floor, top = mono._terms, mono._den, mono.floor, mono._top()
         else:
-            mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, expansion.band)
-        mono_lead = mono_expansion.leading_coefficient
-        if mono_expansion.value != power * w or len(mono_lead) != 1:
+            row, row_den, row_floor, top = unit, 1, None, (0, 0)
+        shift = beta[0] * delta_x
+        if top is None or (top[0] + shift, top[1]) != (power * w, 0):
             raise InternalError("cancelling monomial has the wrong shape; this is a bug")
 
-        scalar = lead[0] ** power / mono_lead[0]
-        scalars.append(scalar)
-        if power > 1:
-            ess_expansions.append(expansion)
-            ess_values.append(w)
-        expansion = raised - mono_expansion.scale(scalar)
+        # scalar = (lead / lead_den) ** power / (row[top] / row_den)
+        num, div = lead ** power, lead_den ** power * row[top]
+        scalars.append(Fraction(num * row_den, div))
+        den, floor = _subtract_row(terms, den, floor, row, Fraction(num, div), shift, row_floor)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 

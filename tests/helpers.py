@@ -5,7 +5,10 @@ from fractions import Fraction
 from semidegree import DPuiseuxPoly, GenericDPS, LaurentPoly
 
 
-def random_dps(rng, max_terms=3, denominators=(1, 1, 2, 3)):
+SMALL_INTEGERS = (-3, -2, -1, 1, 2, 3)
+
+
+def random_dps(rng, max_terms=3, denominators=(1, 1, 2, 3), coefficients=SMALL_INTEGERS):
     """A random descending Puiseux polynomial with small denominators."""
     terms = []
     used = set()
@@ -14,13 +17,13 @@ def random_dps(rng, max_terms=3, denominators=(1, 1, 2, 3)):
         if e in used:
             continue
         used.add(e)
-        terms.append((e, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))))
+        terms.append((e, Fraction(rng.choice(coefficients))))
     return DPuiseuxPoly(terms)
 
 
-def random_generic(rng, max_terms=3):
+def random_generic(rng, max_terms=3, coefficients=SMALL_INTEGERS):
     """A random generic descending series (any sign of the last value)."""
-    phi = random_dps(rng, max_terms=max_terms)
+    phi = random_dps(rng, max_terms=max_terms, coefficients=coefficients)
     bottom = phi.order if not phi.is_zero else Fraction(3)
     r = bottom - Fraction(rng.randrange(1, 6), rng.choice([1, 2, 3]))
     return GenericDPS(phi, r)
@@ -417,6 +420,81 @@ def loop_key_forms(g, certify=False):
         if j not in seq.essential_indices and seq.alpha(j) != 1:
             raise InternalError("non-essential index with multiplier > 1; this is a bug")
     return seq
+
+
+def xiseries_cancel(expansion, bound):
+    """The values and scalars of the cancellation loop, with every step on
+    whole XiSeries values: the raised expansion, the monomial's expansion
+    shifted and scaled, and their difference are each a new series, and
+    the leading coefficients are read as dense xi-tuples.  Powers of the
+    essential expansions are kept and cut as in
+    :func:`~semidegree.keyforms._cancel`, which keeps the running expansion
+    as one map of numerators instead."""
+    import math
+
+    from semidegree import XiSeries
+    from semidegree.keyforms import represent
+    from semidegree.puiseux import InternalError
+
+    delta_x = expansion.den
+    ess_expansions = []  # of the essential forms after x
+    ess_values = [delta_x]
+    values = [delta_x]
+    scalars = []
+    kept = {}  # (i, b): (depth, ess_i ** b)
+
+    def cut_power(i, b, depth):
+        built = kept.get((i, b))
+        if built is None or built[0] is not None and (depth is None or depth > built[0]):
+            ess = ess_expansions[i]
+            built = kept[i, b] = depth, (ess if depth is None else ess.above(ess.value - depth)) ** b
+        kept_power = built[1]
+        return kept_power if depth is None else kept_power.above(kept_power.value - depth)
+
+    for _ in range(bound + 1):
+        if expansion.is_zero:
+            raise InternalError("expansion vanished; this is a bug")
+        w = expansion.value
+        values.append(w)
+        lead = expansion.leading_coefficient
+        if len(lead) > 1:  # the generic indeterminate reached the top
+            return values, scalars
+
+        d = math.gcd(*ess_values)
+        power = d // math.gcd(d, w)
+        beta = represent(power * w, ess_values)
+        raised = expansion ** power
+        depth = None if raised.floor is None else power * w - raised.floor
+        factors = [cut_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
+        if factors:
+            mono_expansion = math.prod(factors[1:], start=factors[0]).x_shift(beta[0] * delta_x)
+        else:
+            mono_expansion = XiSeries([((beta[0] * delta_x, 0), 1)], delta_x, expansion.band)
+        mono_lead = mono_expansion.leading_coefficient
+        if mono_expansion.value != power * w or len(mono_lead) != 1:
+            raise InternalError("cancelling monomial has the wrong shape; this is a bug")
+
+        scalar = lead[0] ** power / mono_lead[0]
+        scalars.append(scalar)
+        if power > 1:
+            ess_expansions.append(expansion)
+            ess_values.append(w)
+        expansion = raised - mono_expansion.scale(scalar)
+    raise InternalError("cancellation did not terminate within the step cap; this is a bug")
+
+
+def constructor_series_of(g, band=None):
+    """The expansion of g through the general XiSeries constructor: a
+    Fraction per term, summed and put over their least common denominator."""
+    from semidegree import XiSeries
+    from semidegree.puiseux import InternalError, formal_pairs
+
+    den = formal_pairs(g).delta_x
+    terms = [((e, 0), c) for e, c in g.phi.items()] + [((g.r, 1), Fraction(1))]
+    off = [e for (e, _), _ in terms if (e * den).denominator != 1]
+    if off:
+        raise InternalError(f"exponent {off[0]} is not in (1/{den})Z; this is a bug")
+    return XiSeries((((e * den, b), c) for (e, b), c in terms), den, band)
 
 
 # ---------------------------------------------------------------------------

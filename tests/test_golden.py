@@ -6,6 +6,7 @@ computed or printed shows here as a diff.  Each file was written by running
 the same argv through ``semidegree.cli.main``.
 """
 
+import warnings
 from pathlib import Path
 
 import pytest
@@ -31,3 +32,35 @@ CASES = [
 def test_cli_output_matches_the_golden_file(name, argv, code, capsys):
     assert main(argv) == code
     assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+def test_the_library_writes_nothing(capfd):
+    """Only the CLI writes: the library's entry points print nothing to
+    stdout or stderr, at the Python or the file-descriptor level, and warn
+    nothing."""
+    from fractions import Fraction
+
+    from semidegree import (
+        FormalPuiseuxPairs,
+        GenericDPS,
+        classify,
+        compute_key_forms,
+        decide_algebraic,
+        parse_dps,
+    )
+    from semidegree.algebra import semidegrees
+    from semidegree.graphs import algebraic_witness, nonalgebraic_witness
+
+    capfd.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi, r in [(BIG, "-8/3"), ("x^(2/5)", "-6/5"), ("x^(2/5) + x^-1", "-6/5")]:
+            g = GenericDPS(parse_dps(phi), Fraction(r))
+            seq = compute_key_forms(g)
+            decide_algebraic(g)
+            semidegrees(seq.forms, g)
+        pairs = FormalPuiseuxPairs(((2, 5), (-6, 1)))
+        classify(pairs)
+        algebraic_witness(pairs)
+        nonalgebraic_witness(pairs)
+    assert capfd.readouterr() == ("", "")

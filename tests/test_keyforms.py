@@ -24,6 +24,7 @@ from semidegree import (
     truncate_above,
     verify_key_properties,
 )
+import semidegree.algebra as algebra
 from semidegree.algebra import certified
 from semidegree.graphs import algebraic_witness, nonalgebraic_witness
 from semidegree.keyforms import KeyFormError, _cancel, key_forms_with_values, step_bound
@@ -36,6 +37,7 @@ from helpers import (
     random_normal_pairs,
     search_multipliers,
     search_represent,
+    xiseries_cancel,
 )
 
 FAST = settings(max_examples=300, deadline=None, derandomize=True)
@@ -415,3 +417,50 @@ def test_witnesses_build_each_power_once(products):
             assert products[0] <= _product_bound(seq)
             built += 1
     assert built > 20
+
+
+# ---------------------------------------------------------------------------
+# the working map against the loop on whole XiSeries values
+
+
+def _both_cancellations(g):
+    """(values, scalars) of _cancel and of the XiSeries loop, each certified."""
+    bound = step_bound(g, formal_pairs(g))
+    mine = certified(g, lambda expansion: _cancel(expansion, bound))
+    oracle = certified(g, lambda expansion: xiseries_cancel(expansion, bound))
+    return mine, oracle
+
+
+@pytest.fixture(params=["first band", "band 1"])
+def first_band(request, monkeypatch):
+    """The normal first band, or a first band of 1, so every run retries."""
+    if request.param == "band 1":
+        monkeypatch.setattr(algebra, "_first_band", lambda pairs: 1)
+
+
+def random_rational(rng, max_terms):
+    """A random generic series whose coefficients have denominators, so the
+    working map's denominator grows between essential steps."""
+    return random_generic(rng, max_terms, coefficients=(F(-7, 3), F(-1, 2), F(2, 5), F(5, 4), F(-3, 7), 3))
+
+
+@pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
+def test_working_map_matches_the_xiseries_loop_on_seeded_series(first_band, draw):
+    for seed in range(500):
+        g = draw(random.Random(seed), max_terms=seed % 6)
+        mine, oracle = _both_cancellations(g)
+        assert mine == oracle, g
+
+
+@pytest.mark.parametrize(
+    "g",
+    [_dyadic_chain(depth) for depth in range(1, 7)]
+    + [
+        GenericDPS(parse_dps("x^(1/3) + x^(1/5) + x^(1/7)"), F(-1)),
+        GenericDPS(parse_dps("x^(1/3) + x^(1/7) + x^(1/11)"), F(-1)),
+    ],
+    ids=[f"dyadic{depth}" for depth in range(1, 7)] + ["wide357", "wide3711"],
+)
+def test_working_map_matches_the_xiseries_loop_on_examples(first_band, g):
+    mine, oracle = _both_cancellations(g)
+    assert mine == oracle

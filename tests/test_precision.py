@@ -10,9 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semidegree.algebra as algebra
+import semidegree.puiseux as puiseux
 from semidegree import (
     DPuiseuxPoly,
+    FormalPuiseuxPairs,
     GenericDPS,
+    InternalError,
     LaurentPoly,
     compute_key_forms,
     formal_pairs,
@@ -26,6 +29,7 @@ from semidegree.algebra import AlgebraError, PrecisionLost, series_of
 from helpers import (
     approximate_root,
     check_approximate_roots,
+    constructor_series_of,
     loop_key_forms,
     oracle_substitute,
     random_contractible,
@@ -169,10 +173,14 @@ laurent_polys = st.dictionaries(
 ).map(lambda terms: LaurentPoly(terms.items()))
 
 
+def _expand(f, base):
+    """f(x, base) in the ring of base."""
+    return algebra._substitute(f, base, {0: algebra._power_row(base ** 0)})
+
+
 def _expressions(base, f, h, c, n):
     """The same ring expressions in any ring of expansions of one series."""
-    s = algebra._substitute(f, base, {0: algebra._power_row(base ** 0)})
-    t = algebra._substitute(h, base, {0: algebra._power_row(base ** 0)})
+    s, t = _expand(f, base), _expand(h, base)
     return [s * t, s ** n, s - t, s + t, -s, s.scale(c), s.x_shift(-2), (s - t) * (s + t) ** 2]
 
 
@@ -263,3 +271,62 @@ def test_approximate_root_of_a_power_is_its_base():
     f = LaurentPoly([((0, 2), F(1)), ((3, 0), F(-1))])  # y^2 - x^3
     assert approximate_root(f ** 3, 3) == f
     assert approximate_root(f, 1) == f
+
+
+# ---------------------------------------------------------------------------
+# the expansion of y from integer numerators, and differences in one pass
+
+
+wide_coefficients = st.fractions(min_value=-9, max_value=9, max_denominator=12).filter(bool)
+wide_series = st.builds(
+    lambda phi, drop: GenericDPS(phi, (F(3) if phi.is_zero else phi.order) - drop),
+    st.dictionaries(
+        st.fractions(min_value=-4, max_value=4, max_denominator=6), wide_coefficients, max_size=5
+    ).map(lambda terms: DPuiseuxPoly(terms.items())),
+    st.fractions(min_value=F(1, 5), max_value=4, max_denominator=5),
+)
+
+
+@FAST
+@given(wide_series, st.sampled_from([None, 1, 10**9]))
+def test_series_of_equals_the_constructed_expansion(g, band):
+    built = series_of(g, band)
+    assert built == constructor_series_of(g, band)
+    assert (built.band, built.floor) == (band, None)
+
+
+def test_an_exponent_off_the_lattice_is_an_internal_error(monkeypatch):
+    # with delta_x taken as 1, the exponent 1/2 of phi has no integer X-exponent
+    g = GenericDPS(parse_dps("x^2 + x^(1/2)"), F(-1))
+    coarse = lambda g: FormalPuiseuxPairs(((-1, 1),))  # noqa: E731
+    monkeypatch.setattr(algebra, "formal_pairs", coarse)
+    monkeypatch.setattr(puiseux, "formal_pairs", coarse)
+    expected = "exponent 1/2 is not in (1/1)Z; this is a bug"
+    for build in (series_of, constructor_series_of):
+        with pytest.raises(InternalError) as info:
+            build(g)
+        assert str(info.value) == expected
+
+
+@FAST
+@given(generic_series, laurent_polys, laurent_polys, coefficients, st.integers(0, 3), st.integers(1, 12))
+def test_a_difference_is_the_sum_with_the_negation(g, f, h, c, n, band):
+    pairs = [(f, h.scale(c)), (f * h, f.scale(c))]
+    for base in (series_of(g), series_of(g, band)):
+        # the powers carry floors under a band, the scales other denominators
+        s, t = _expand(f, base) ** n, _expand(h, base).scale(c)
+        pairs += [(s, t), (t, s), (s, s), (s * t, s.scale(c))]
+    for a, b in pairs:
+        assert a - b == a + (-b)
+
+
+@FAST
+@given(generic_series, laurent_polys, laurent_polys, coefficients, st.integers(-3, 3), st.integers(0, 3), st.integers(1, 12))
+def test_subtracting_a_row_in_place_is_the_difference_of_series(g, f, h, c, shift, n, band):
+    # either operand may have the higher floor and the larger denominator
+    for base in (series_of(g), series_of(g, band)):
+        s, t = _expand(f, base) ** n, _expand(h, base).scale(c)
+        for a, b in ((s, t), (t, s)):
+            out = dict(a._terms)
+            den, floor = algebra._subtract_row(out, a._den, a.floor, b._terms, c / b._den, shift, b.floor)
+            assert a._like(out, den, floor) == a - b.x_shift(shift).scale(c)
