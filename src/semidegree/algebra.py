@@ -89,10 +89,12 @@ def _subtract_row(
     scale: Fraction,
     shift: int,
     row_floor: int | None,
+    second_shift: int = 0,
 ) -> tuple[int, int | None]:
     """Subtract from the numerators ``out`` over ``den``, in place, ``scale``
     times the integer numerators ``row`` with ``shift`` added to each first
-    exponent; ``row`` is known above ``row_floor`` before the shift.
+    exponent and ``second_shift`` to each second; ``row`` is known above
+    ``row_floor`` before the shift, and its keys at or below it are skipped.
 
     The difference is known above the larger floor: ``out`` is filtered
     only when that floor rises, rescaled only when the lcm of the
@@ -115,7 +117,7 @@ def _subtract_row(
         a += shift
         if floor is not None and a <= floor:
             continue
-        key = (a, b)
+        key = (a, b + second_shift)
         n = out.get(key, 0) - factor * n
         if n:
             out[key] = n
@@ -451,14 +453,18 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
     if band is not None and band < 1:
         raise AlgebraError(f"the band must be a positive integer, got {band}")
     den = formal_pairs(g).delta_x
-    terms = [(e, 0, c) for e, c in g.phi.items()] + [(g.r, 1, Fraction(1))]
+    terms = [(e, 0, c) for e, c in g.phi._terms.items()]  # Fraction keys: no sort, no hash
+    terms.append((g.r, 1, Fraction(1)))
     common = math.lcm(*(c.denominator for _, _, c in terms))
     numerators = {}
+    off = []
     for e, b, c in terms:
-        a = e * den
-        if a.denominator != 1:
-            raise InternalError(f"exponent {e} is not in (1/{den})Z; this is a bug")
-        numerators[a.numerator, b] = c.numerator * (common // c.denominator)
+        a, rest = divmod(e.numerator * den, e.denominator)
+        if rest:
+            off.append(e)
+        numerators[a, b] = c.numerator * (common // c.denominator)
+    if off:  # r lies below every exponent of phi, so this is the first one read from the top
+        raise InternalError(f"exponent {max(off)} is not in (1/{den})Z; this is a bug")
     ring = XiSeries((), den, band)
     return ring._like(numerators, common)
 

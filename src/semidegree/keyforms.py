@@ -26,9 +26,11 @@ run.  The monomial of step j is x^beta_0 * prod g_i^beta_i with
 essential indices: every monomial is x^beta_0 * y^beta_1, one term, times
 powers g_e^b with b < p_e of the few essential forms g_e after y.  The
 builder fills each essential form's row g_e, g_e^2, ..., g_e^{p_e} once,
-one product per entry, and its last entry is the next form's top; the
-loop keeps each power of an essential expansion for the whole run and
-reads it cut to the current step's depth.  :func:`monomial_product`,
+one product per entry, and its last entry is the next form's top; it keeps
+each product of powers by its factors, so monomials sharing factors share
+products, and builds each form in one subtraction from its top.  The loop
+keeps each power of an essential expansion for the whole run and reads it
+to the current step's depth.  :func:`monomial_product`,
 which powers every factor afresh, is left to the verifier, so that stays
 an independent route.
 
@@ -164,19 +166,33 @@ def key_forms_with_values(
     scalars are given.  The essential indices are 0, every j with
     alpha_j > 1, and the last.
 
-    Since beta_i < alpha_i, beta vanishes off the essential indices, so the
-    monomial is the one term x^beta_0 * y^beta_1 times one power g_e^b of
-    each essential form g_e after y with b = beta_e > 0.  Those powers come
-    from one row per essential form, g_e^0..g_e^{alpha_e}, filled by one
-    product per entry when g_e is built; its last entry is the top of the
-    next form, and the top y^alpha_1 of form 2 is one term too.  So the
-    whole sequence takes sum_e (alpha_e - 1) products for the rows and one
-    per factor g_e^b, and none for the powers of x and y.
+    Since beta_i < alpha_i, beta vanishes off the essential indices, so it
+    is represented against the essential values so far, and the monomial is
+    x^beta_0 * y^beta_1 times the product P of one power g_e^b of each
+    essential form g_e after y with b = beta_e > 0.  Those powers come from
+    one row per essential form, g_e^0..g_e^{alpha_e}, filled by one product
+    per entry when g_e is built; its last entry is the top of the next
+    form, and the top y^alpha_1 of form 2 is one term.  P is kept for the
+    run under its factors ((e, b), ...) and built from its longest kept
+    prefix, so the whole sequence takes sum_e (alpha_e - 1) products for
+    the rows and one per distinct factor prefix of length 2 or more.  Each
+    form is then one pass over integer numerators: the top's, minus the
+    scaled P with x^beta_0 * y^beta_1 as a shift of its exponents.
     """
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
     rows: dict[int, list[LaurentPoly]] = {}  # essential j >= 2: g_j^0..g_j^alpha_j
+    products: dict[tuple[tuple[int, int], ...], LaurentPoly] = {(): LaurentPoly.one()}
+
+    def product(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
+        kept = products.get(factors)
+        if kept is None:
+            e, b = factors[-1]
+            kept = products[factors] = rows[e][b] if len(factors) == 1 else product(factors[:-1]) * rows[e][b]
+        return kept
+
+    ess, ess_values = [0], [values[0]]  # the essential indices before j, with their values
     for j in range(1, last):
         alpha = multipliers[j - 1]
         if j == 1:
@@ -188,13 +204,16 @@ def key_forms_with_values(
             top = row[alpha]
         else:
             top = forms[j]
-        beta = represent(alpha * values[j], values[:j])
-        y_exp = beta[1] if j > 1 else 0
-        head = LaurentPoly.term(beta[0], y_exp, 1 if scalars is None else scalars[j - 1])
-        monomial = math.prod((rows[e][b] for e, b in enumerate(beta[2:], start=2) if b), start=head)
-        forms.append(top - monomial)
-    essential = [0] + [j for j in range(1, last) if multipliers[j - 1] > 1] + [last]
-    return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(essential))
+        beta = dict(zip(ess, represent(alpha * values[j], ess_values)))
+        mono = product(tuple((e, b) for e, b in beta.items() if e >= 2 and b))
+        scale = Fraction(1 if scalars is None else scalars[j - 1], mono._den)
+        terms = dict(top._terms)
+        den, _ = _subtract_row(terms, top._den, None, mono._terms, scale, beta[0], None, beta.get(1, 0))
+        forms.append(top._like(terms, den))
+        if alpha > 1:
+            ess.append(j)
+            ess_values.append(values[j])
+    return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), (*ess, last))
 
 
 def step_bound(g: GenericDPS, pairs: FormalPuiseuxPairs) -> int:
@@ -268,11 +287,12 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     of the essential forms after x, and the difference is known only above
     the floor of the raised expansion, so each power is needed only to that
     depth below its top.  Each power is kept for the whole run, rebuilt only
-    when a step needs it deeper than it was built or uncut, and every read
-    is cut to the step's depth: a power carrying an earlier, deeper cut
-    into later products would make them needlessly wide.  x^beta_0 is a
-    shift, and a monomial with no essential factor is the one term it
-    shifts.
+    when a step needs it deeper than it was built or uncut.  Factors are
+    cut to the step's depth before they multiply: a power carrying an
+    earlier, deeper cut into later products would make them needlessly
+    wide.  A lone factor is not copied to cut it; the subtraction skips its
+    terms below the step's depth.  x^beta_0 is a shift, and a monomial
+    with no essential factor is the one term it shifts.
     """
     delta_x = expansion.den
     terms, den, floor = dict(expansion._terms), expansion._den, expansion.floor
@@ -283,13 +303,12 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     kept: dict[tuple[int, int], tuple[int | None, XiSeries]] = {}  # (i, b): (depth, ess_i ** b)
     unit = {(0, 0): 1}
 
-    def cut_power(i: int, b: int, depth: int | None) -> XiSeries:
+    def kept_power(i: int, b: int, depth: int | None) -> XiSeries:
         built = kept.get((i, b))
         if built is None or built[0] is not None and (depth is None or depth > built[0]):
             ess = ess_expansions[i]
             built = kept[i, b] = depth, (ess if depth is None else ess.above(ess.value - depth)) ** b
-        kept_power = built[1]
-        return kept_power if depth is None else kept_power.above(kept_power.value - depth)
+        return built[1]
 
     for _ in range(bound + 1):
         if not terms:
@@ -312,9 +331,12 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
             raised = snapshot ** power
             terms, den, floor = raised._terms, raised._den, raised.floor
         depth = None if floor is None else power * w - floor
-        factors = [cut_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
-        if factors:
-            mono = math.prod(factors[1:], start=factors[0])
+        factors = [kept_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
+        if len(factors) > 1:
+            cuts = [f if depth is None else f.above(f.value - depth) for f in factors]
+            factors = [math.prod(cuts[1:], start=cuts[0])]
+        if factors:  # a lone factor is read uncut: the subtraction skips its keys at or below the floor
+            mono = factors[0]
             row, row_den, row_floor, top = mono._terms, mono._den, mono.floor, mono._top()
         else:
             row, row_den, row_floor, top = unit, 1, None, (0, 0)

@@ -483,6 +483,41 @@ def xiseries_cancel(expansion, bound):
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 
+def row_key_forms(values, scalars=None):
+    """The key forms a value sequence determines, each monomial built as a
+    one-term head times a product of rows of powers that starts at that
+    head, so no two monomials share a partial product, and each form as a
+    difference of two LaurentPoly values.  The exponents come from
+    :func:`~semidegree.keyforms.represent` against all earlier values."""
+    import math
+
+    from semidegree import KeyFormSeq
+    from semidegree.keyforms import _multipliers_from_values, represent
+
+    multipliers = _multipliers_from_values(values)
+    last = len(values) - 1
+    forms = [LaurentPoly.x(), LaurentPoly.y()]
+    rows = {}  # essential j >= 2: g_j^0..g_j^alpha_j
+    for j in range(1, last):
+        alpha = multipliers[j - 1]
+        if j == 1:
+            top = LaurentPoly.term(0, alpha)
+        elif alpha > 1:
+            row = rows[j] = [LaurentPoly.one(), forms[j]]
+            while len(row) <= alpha:
+                row.append(row[-1] * forms[j])
+            top = row[alpha]
+        else:
+            top = forms[j]
+        beta = represent(alpha * values[j], values[:j])
+        y_exp = beta[1] if j > 1 else 0
+        head = LaurentPoly.term(beta[0], y_exp, 1 if scalars is None else scalars[j - 1])
+        monomial = math.prod((rows[e][b] for e, b in enumerate(beta[2:], start=2) if b), start=head)
+        forms.append(top - monomial)
+    essential = [0] + [j for j in range(1, last) if multipliers[j - 1] > 1] + [last]
+    return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), tuple(essential))
+
+
 def constructor_series_of(g, band=None):
     """The expansion of g through the general XiSeries constructor: a
     Fraction per term, summed and put over their least common denominator."""

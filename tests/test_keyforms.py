@@ -25,6 +25,7 @@ from semidegree import (
     verify_key_properties,
 )
 import semidegree.algebra as algebra
+import semidegree.keyforms as keyforms
 from semidegree.algebra import certified
 from semidegree.graphs import algebraic_witness, nonalgebraic_witness
 from semidegree.keyforms import KeyFormError, _cancel, key_forms_with_values, step_bound
@@ -35,6 +36,7 @@ from helpers import (
     random_contractible,
     random_generic,
     random_normal_pairs,
+    row_key_forms,
     search_multipliers,
     search_represent,
     xiseries_cancel,
@@ -372,15 +374,28 @@ def test_dyadic_depth_8_cancels_within_its_step_bound():
     assert len(scalars) == 260
 
 
+def _certified_run(g):
+    """(values, scalars) of the certified cancellation on g."""
+    bound = step_bound(g, formal_pairs(g))
+    return certified(g, lambda expansion: _cancel(expansion, bound))
+
+
+@functools.cache
+def _dyadic_run(depth):
+    return _certified_run(_dyadic_chain(depth))
+
+
 def _product_bound(seq):
     """One product per entry g_e^2..g_e^{alpha_e} of each essential form
-    after y that is raised, and one per factor g_e^b of each monomial."""
+    after y that is raised, and one per distinct prefix, of length 2 or
+    more, of the factors g_e^b of a monomial taken in increasing e."""
     rows = sum(seq.alpha(e) - 1 for e in seq.essential_indices if 2 <= e <= seq.n)
-    factors = 0
+    prefixes = set()
     for j in range(1, seq.n + 1):
         beta = represent(seq.alpha(j) * seq.values[j], seq.values[:j])
-        factors += sum(1 for b in beta[2:] if b)
-    return rows + factors
+        factors = tuple((e, b) for e, b in enumerate(beta[2:], start=2) if b)
+        prefixes.update(factors[:k] for k in range(2, len(factors) + 1))
+    return rows + len(prefixes)
 
 
 @pytest.fixture
@@ -419,6 +434,14 @@ def test_witnesses_build_each_power_once(products):
     assert built > 20
 
 
+def test_dyadic_depth_7_builds_its_forms_in_62_products(products):
+    # 131 monomials with 63 distinct sets of essential factors
+    values, scalars = _dyadic_run(7)
+    products[0] = 0
+    seq = key_forms_with_values(values, scalars)
+    assert products[0] <= _product_bound(seq) == 62
+
+
 # ---------------------------------------------------------------------------
 # the working map against the loop on whole XiSeries values
 
@@ -426,9 +449,7 @@ def test_witnesses_build_each_power_once(products):
 def _both_cancellations(g):
     """(values, scalars) of _cancel and of the XiSeries loop, each certified."""
     bound = step_bound(g, formal_pairs(g))
-    mine = certified(g, lambda expansion: _cancel(expansion, bound))
-    oracle = certified(g, lambda expansion: xiseries_cancel(expansion, bound))
-    return mine, oracle
+    return _certified_run(g), certified(g, lambda expansion: xiseries_cancel(expansion, bound))
 
 
 @pytest.fixture(params=["first band", "band 1"])
@@ -464,3 +485,86 @@ def test_working_map_matches_the_xiseries_loop_on_seeded_series(first_band, draw
 def test_working_map_matches_the_xiseries_loop_on_examples(first_band, g):
     mine, oracle = _both_cancellations(g)
     assert mine == oracle
+
+
+# ---------------------------------------------------------------------------
+# the form builder against the row-by-row oracle
+
+
+def _assert_same_forms(values, scalars=None):
+    seq = key_forms_with_values(values, scalars)
+    oracle = row_key_forms(values, scalars)
+    assert seq == oracle  # every form with its numerators and denominator
+    assert hash(seq) == hash(oracle)
+
+
+@pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
+def test_form_builder_matches_the_row_oracle_on_seeded_series(draw):
+    for seed in range(500):
+        g = draw(random.Random(seed), max_terms=seed % 6)
+        _assert_same_forms(*_certified_run(g))
+
+
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_form_builder_matches_the_row_oracle_on_dyadic_chains(depth):
+    _assert_same_forms(*_dyadic_run(depth))
+
+
+def _witnesses(seeds):
+    """Both witnesses of each seeded pair list that has them."""
+    for seed in seeds:
+        pairs = random_normal_pairs(random.Random(seed))
+        for build in (algebraic_witness, nonalgebraic_witness):
+            try:
+                seq = build(pairs)
+            except ValueError:  # no such witness, or no compactification
+                continue
+            yield seq
+
+
+def test_form_builder_matches_the_row_oracle_on_witnesses():
+    built = 0
+    for seq in _witnesses(range(1000)):
+        _assert_same_forms(seq.values)
+        built += 1
+    assert built > 500
+
+
+@pytest.fixture
+def betas(monkeypatch):
+    """(target, values, beta) of every call to represent in keyforms."""
+    calls = []
+
+    def recording(target, values):
+        beta = represent(target, values)
+        calls.append((target, tuple(values), beta))
+        return beta
+
+    monkeypatch.setattr(keyforms, "represent", recording)
+    return calls
+
+
+def _assert_betas_from_the_essential_values(seq, calls):
+    """Step j represents alpha_j * values[j] against the essential values
+    below j, and the nonzero exponents are those against all of values[:j]."""
+    assert len(calls) == seq.n
+    for j, (target, ess_values, beta) in enumerate(calls, start=1):
+        ess = [i for i in seq.essential_indices if i < j]
+        assert target == seq.alpha(j) * seq.values[j]
+        assert ess_values == tuple(seq.values[i] for i in ess)
+        everything = represent(target, seq.values[:j])
+        assert dict((i, b) for i, b in zip(ess, beta) if b) == dict((i, b) for i, b in enumerate(everything) if b)
+
+
+@pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
+def test_form_builder_represents_against_the_essential_values(betas, draw):
+    for seed in range(200):
+        values, scalars = _certified_run(draw(random.Random(seed), max_terms=seed % 6))
+        betas.clear()
+        _assert_betas_from_the_essential_values(key_forms_with_values(values, scalars), betas)
+
+
+def test_witness_builds_represent_against_the_essential_values(betas):
+    for seq in _witnesses(range(200)):
+        betas.clear()
+        _assert_betas_from_the_essential_values(key_forms_with_values(seq.values), betas)

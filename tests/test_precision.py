@@ -308,6 +308,17 @@ def test_an_exponent_off_the_lattice_is_an_internal_error(monkeypatch):
         assert str(info.value) == expected
 
 
+def test_the_highest_exponent_off_the_lattice_is_named(monkeypatch):
+    # phi's terms are stored lowest first, so the one named is not the first stored
+    g = GenericDPS(DPuiseuxPoly([(F(1, 2), 1), (F(3, 2), 1)]), F(-1))
+    coarse = lambda g: FormalPuiseuxPairs(((-1, 1),))  # noqa: E731
+    monkeypatch.setattr(algebra, "formal_pairs", coarse)
+    monkeypatch.setattr(puiseux, "formal_pairs", coarse)
+    for build in (series_of, constructor_series_of):
+        with pytest.raises(InternalError) as info:
+            build(g)
+        assert str(info.value) == "exponent 3/2 is not in (1/1)Z; this is a bug"
+
 @FAST
 @given(generic_series, laurent_polys, laurent_polys, coefficients, st.integers(0, 3), st.integers(1, 12))
 def test_a_difference_is_the_sum_with_the_negation(g, f, h, c, n, band):
