@@ -14,9 +14,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple
 
 from .algebra import AlgebraError
 from .algebra import semidegree as semidegree_value
@@ -187,41 +189,55 @@ def _cmd_witness(args) -> dict:
     }
 
 
+# Each line command's flags: value flags (dest -> help, every one required),
+# switches (dest -> help) and the allowed values of choice flags.  argparse
+# is built from this table for the process's own argv; batch lines are read
+# against it directly by _line_args.
+_SERIES = {"phi": "descending Puiseux polynomial", "r": "generic exponent (rational)"}
+_PAIRS = {"pairs": "comma-separated q/p pairs"}
+
+
+class _Command(NamedTuple):
+    help: str
+    values: dict[str, str]
+    switches: dict[str, str] = {}
+    choices: dict[str, tuple[str, ...]] = {}
+
+
+_COMMANDS = {
+    "keyforms": _Command("compute the key forms", _SERIES),
+    "semidegree": _Command("evaluate the semidegree", {**_SERIES, "f": "element of Q[x,1/x,y]"}),
+    "decide": _Command("decide algebraicity", _SERIES),
+    "cousin": _Command(
+        "decide approximability by a polynomial curve",
+        {"psi": "local Puiseux polynomial (positive exponents)", "r": "positive rational contact order"},
+    ),
+    "classify": _Command("classify a dual graph from its pairs", _PAIRS),
+    "graph": _Command("emit the resolution dual graph", _PAIRS, {"dot": "emit DOT instead of JSON"}),
+    "witness": _Command(
+        "construct a witness key-form sequence",
+        {**_PAIRS, "kind": "witness kind"},
+        choices={"kind": ("algebraic", "nonalgebraic")},
+    ),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semidegree",
         description="Key forms, algebraicity decisions and resolution dual graphs "
         "for valuations at infinity on the plane.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for dest, text in command.values.items():
+            p.add_argument(f"--{dest}", required=True, help=text, choices=command.choices.get(dest))
+        for dest, text in command.switches.items():
+            p.add_argument(f"--{dest}", action="store_true", help=text)
 
-    series = argparse.ArgumentParser(add_help=False)
-    series.add_argument("--phi", required=True, help="descending Puiseux polynomial")
-    series.add_argument("--r", required=True, help="generic exponent (rational)")
-
-    sub.add_parser("keyforms", parents=[series], help="compute the key forms")
-
-    p = sub.add_parser("semidegree", parents=[series], help="evaluate the semidegree")
-    p.add_argument("--f", required=True, help="element of Q[x,1/x,y]")
-
-    sub.add_parser("decide", parents=[series], help="decide algebraicity")
-
-    p = sub.add_parser("cousin", help="decide approximability by a polynomial curve")
-    p.add_argument("--psi", required=True, help="local Puiseux polynomial (positive exponents)")
-    p.add_argument("--r", required=True, help="positive rational contact order")
-
-    p = sub.add_parser("classify", help="classify a dual graph from its pairs")
-    p.add_argument("--pairs", required=True, help="comma-separated q/p pairs")
-
-    p = sub.add_parser("graph", help="emit the resolution dual graph")
-    p.add_argument("--pairs", required=True, help="comma-separated q/p pairs")
-    p.add_argument("--dot", action="store_true", help="emit DOT instead of JSON")
-
-    p = sub.add_parser("witness", help="construct a witness key-form sequence")
-    p.add_argument("--pairs", required=True, help="comma-separated q/p pairs")
-    p.add_argument("--kind", required=True, choices=["algebraic", "nonalgebraic"])
-
-    p = sub.add_parser("batch", help="run one command per line of a file")
+    p = sub.add_parser("batch", help="run one command per line of a file", allow_abbrev=False)
     p.add_argument("--input", required=True, help="file of command lines")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
@@ -240,7 +256,7 @@ _HANDLERS = {
     "witness": _cmd_witness,
 }
 
-_VALUE_FLAGS = {"--phi", "--r", "--f", "--psi", "--pairs", "--kind", "--input", "--jobs"}
+_VALUE_FLAGS = {"--input", "--jobs"} | {f"--{dest}" for c in _COMMANDS.values() for dest in c.values}
 
 
 def _merge_flag_values(argv: list[str]) -> list[str]:
@@ -259,16 +275,74 @@ def _merge_flag_values(argv: list[str]) -> list[str]:
     return out
 
 
+# POSIX shell words, as shlex.split reads them: blanks are space, tab, CR
+# and LF; single quotes are literal; double quotes honour only \" and \\;
+# a backslash elsewhere escapes the next character.
+_PIECE = r"[^ \t\r\n'\"\\]|\\.|'[^']*'|\"(?:[^\"\\]|\\.)*\""
+_WORD = re.compile(rf"(?:{_PIECE})+", re.S)
+# a blank or the end after every word, so a failed match cannot backtrack
+# through the ways of cutting one word in two
+_LINE = re.compile(rf"[ \t\r\n]*(?:{_WORD.pattern}(?:[ \t\r\n]+|\Z))*", re.S)
+_QUOTED = re.compile(r"\\(.)|'([^']*)'|\"((?:[^\"\\]|\\.)*)\"", re.S)
+_DOUBLE_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _unquote(match: re.Match) -> str:
+    escaped, single, double = match.groups()
+    if double is not None:
+        return _DOUBLE_ESCAPE.sub(r"\1", double)
+    return escaped if single is None else single
+
+
+def _split_line(line: str) -> list[str]:
+    """shlex.split(line), without its character-at-a-time lexer."""
+    if not _LINE.fullmatch(line):
+        return shlex.split(line)  # a malformed line: raises shlex's own ValueError
+    return [_QUOTED.sub(_unquote, word) for word in _WORD.findall(line)]
+
+
+def _line_args(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace _PARSER would give for argv, or None where it would
+    refuse argv or print help.  Flags are exact, ``--flag value`` or
+    ``--flag=value``; a repeated flag keeps its last value."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    found: dict[str, object] = dict.fromkeys(command.switches, False)
+    i = 1
+    while i < len(argv):
+        token = argv[i]
+        name, joined, value = token.partition("=")
+        dest = name[2:] if name.startswith("--") else None
+        if dest in command.values:
+            if not joined:
+                if i + 1 == len(argv):
+                    return None
+                i += 1
+                value = argv[i]
+            if value not in command.choices.get(dest, (value,)):
+                return None
+            found[dest] = value
+        elif dest in command.switches and not joined:
+            found[dest] = True
+        else:
+            return None
+        i += 1
+    if any(dest not in found for dest in command.values):
+        return None
+    return argparse.Namespace(command=argv[0], **found)
+
+
 def run_line(line: str) -> tuple[int, str]:
     """Run one command line; returns (exit code, single-line JSON or error)."""
     try:
-        argv = shlex.split(line)
+        argv = _split_line(line)
         if argv and argv[0] == "batch":
             raise ParseError("batch lines may not nest", 0)
-        args = _PARSER.parse_args(_merge_flag_values(argv))
+        args = _line_args(argv)
+        if args is None:
+            return EXIT_INVALID, json.dumps({"error": "bad arguments", "exit_code": str(EXIT_INVALID)})
         result = _HANDLERS[args.command](args)
-    except SystemExit:
-        return EXIT_INVALID, json.dumps({"error": "bad arguments", "exit_code": str(EXIT_INVALID)})
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(exc)
         return code, json.dumps({"error": _error_text(exc), "exit_code": str(code)})

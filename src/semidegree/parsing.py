@@ -11,7 +11,10 @@ and ``parse(print(value)) == value`` holds for every value.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
 
 from .algebra import LaurentPoly
 from .puiseux import DPuiseuxPoly
@@ -21,6 +24,9 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+_DIGITS = re.compile(r"[0-9]+")
 
 
 class _Scanner:
@@ -47,13 +53,14 @@ class _Scanner:
             raise ParseError(f"expected {expected!r}", self.pos)
 
     def integer(self) -> int:
+        """An unsigned run of ASCII digits; a digit of another script (``²``,
+        ``٣``), which str.isdigit also accepts, is not a number here."""
         self._skip_space()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start : self.pos])
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
+            raise ParseError("expected a number", self.pos)
+        self.pos = match.end()
+        return int(match.group())
 
     def rational(self) -> Fraction:
         value = Fraction(self.integer())
@@ -181,20 +188,32 @@ def dps_to_str(poly: DPuiseuxPoly) -> str:
     return _join_signed(pieces)
 
 
+_Y_THEN_X = itemgetter(1, 0)
+
+
 def laurent_to_str(poly: LaurentPoly) -> str:
-    if poly.is_zero:
+    """Terms by y-exponent then x-exponent, both descending, printed from
+    the integer numerators over the poly's one denominator."""
+    terms, den = poly._terms, poly._den
+    if not terms:
         return "0"
     pieces = []
-    for (a, b), coeff in poly.items():
-        factors = []
-        magnitude = abs(coeff)
+    for key in sorted(terms, key=_Y_THEN_X, reverse=True):
+        a, b = key
+        n = terms[key]
+        num, d = abs(n), 1
+        if den > 1:
+            g = gcd(num, den)
+            num, d = num // g, den // g
+        if d > 1:
+            factors = [f"{num}/{d}"]
+        else:
+            factors = [str(num)] if num != 1 else []
         if a != 0:
             factors.append(f"x^{a}" if a != 1 else "x")
         if b != 0:
             factors.append(f"y^{b}" if b != 1 else "y")
-        if magnitude != 1 or not factors:
-            factors.insert(0, str(magnitude))
-        pieces.append((coeff < 0, "*".join(factors)))
+        pieces.append((n < 0, "*".join(factors) or "1"))
     return _join_signed(pieces)
 
 

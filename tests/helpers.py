@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 from semidegree import DPuiseuxPoly, GenericDPS, LaurentPoly
+from semidegree.parsing import _join_signed
 
 
 SMALL_INTEGERS = (-3, -2, -1, 1, 2, 3)
@@ -52,6 +53,25 @@ def random_laurent(rng, max_terms=4, allow_negative_x=True):
         poly = LaurentPoly(terms)
         if not poly.is_zero:
             return poly
+
+
+def items_laurent_to_str(poly):
+    """The Laurent printer that reads LaurentPoly.items (a Fraction per
+    term), kept as the oracle of parsing.laurent_to_str."""
+    if poly.is_zero:
+        return "0"
+    pieces = []
+    for (a, b), coeff in poly.items():
+        factors = []
+        magnitude = abs(coeff)
+        if a != 0:
+            factors.append(f"x^{a}" if a != 1 else "x")
+        if b != 0:
+            factors.append(f"y^{b}" if b != 1 else "y")
+        if magnitude != 1 or not factors:
+            factors.insert(0, str(magnitude))
+        pieces.append((coeff < 0, "*".join(factors)))
+    return _join_signed(pieces)
 
 
 def coprime_pairs(rng, count, min_q=2, max_p=12):

@@ -62,6 +62,15 @@ def test_parse_laurent_rejects_negative_y():
         parse_laurent("y^-1")
 
 
+@pytest.mark.parametrize(
+    "text, position", [("x^²", 2), ("²*x", 0), ("٣*x", 0), ("x^(²)", 3), ("3/²*x", 2)]
+)
+def test_only_ascii_digits_are_numbers(text, position):
+    for parse in (parse_dps, parse_laurent):
+        with pytest.raises(ParseError, match=rf"^expected a number \(at position {position}\)$"):
+            parse(text)
+
+
 def test_print_parse_round_trip_dps():
     rng = random.Random(51)
     for _ in range(60):
@@ -388,3 +397,137 @@ def test_a_failed_consistency_check_exits_5(tmp_path, capsys, monkeypatch, break
     assert code == 5
     assert lines[0]["kind"] == "both" and lines[2]["command"] == "graph"
     assert lines[1] == {"error": expected, "exit_code": "5"}
+
+
+def test_bad_batch_lines_print_nothing_but_their_error(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_text(
+        'classify --pairs "2/5,-6/1"\n'
+        "keyforms -h\n"
+        'decide --phi "x^(2/5)" --r "-6/5"\n'
+        "graph --help\n"
+        'witness --pairs "2/5,-6/1" --kind maybe\n'
+        'keyforms --bogus 1 --phi "x^(2/5)" --r "-6/5"\n'
+        'witness --pairs "2/5,-6/1" --kind algebraic\n'
+    )
+    code, out, err = run_cli(capsys, "batch", "--input", str(batch))
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert (code, err) == (2, "")
+    assert len(lines) == 7
+    assert [line.get("command") for line in lines] == ["classify", None, "decide", None, None, None, "witness"]
+    bad = {"error": "bad arguments", "exit_code": "2"}
+    assert lines[1] == lines[3] == lines[4] == lines[5] == bad
+
+
+def test_flags_are_never_abbreviated(capsys):
+    with pytest.raises(SystemExit) as stopped:
+        main(["classify", "--pair", "2/5,-6/1"])
+    assert stopped.value.code == 2
+    assert "required: --pairs" in capsys.readouterr().err
+
+
+def test_split_line_matches_shlex():
+    from semidegree.cli import _LINE, _split_line
+
+    def split(split_with, text):
+        try:
+            return split_with(text)
+        except ValueError as exc:
+            return str(exc)
+
+    rng = random.Random(53)
+    alphabet = " \t\r\n\v\f'\"\\ab-="  # \v and \f are word characters to shlex
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(12)))
+        expected = split(shlex.split, text)
+        assert split(_split_line, text) == expected, repr(text)
+        # the regexes, not the shlex fallback, split every well-formed line
+        assert bool(_LINE.fullmatch(text)) == isinstance(expected, list), repr(text)
+
+
+GOLDEN_LINES = (Path(__file__).resolve().parent / "golden" / "batch.txt").read_text().splitlines()
+# the shapes the benchmark's batch workload draws: values quoted by shlex.quote
+BENCH_LINES = [
+    "keyforms --phi '-2*x^(7/3) + x^-1' --r -13/3",
+    "decide --phi 'x^(5/2) + 3*x' --r 1/2",
+    "semidegree --phi 'x^(1/2)' --r -3/2 --f 'y^2 - 2*x^-1*y + 3'",
+    "cousin --psi 'x^(3/2) - x^5' --r 8/3",
+    "classify --pairs 3/2,-1/1",
+    "graph --pairs 7/3,-5/1",
+    "witness --pairs 3/2,-1/1 --kind nonalgebraic",
+]
+INSERTS = [
+    ["-h"], ["--help"], ["--"], ["--dot"], ["--dot=1"], ["--dot="], ["--kind", "maybe"], ["--kind=maybe"],
+    ["--kind", "algebraic"], ["--bogus", "1"], ["--ph", "x"], ["--pair", "2/5"], ["--input", "f"],
+    ["--r"], ["--r="], ["-6/5"], ["batch"], ["--phi", "--r"], ["--f", "-h"],
+]
+
+
+def _mutations(rng, argv):
+    """argv with flags dropped, repeated, joined by '=', reordered or
+    foreign tokens inserted, one to three edits deep."""
+    argv = list(argv)
+    for _ in range(rng.randrange(1, 4)):
+        edit = rng.randrange(5)
+        i = rng.randrange(len(argv) + 1)
+        if edit == 0 and len(argv) > 1:
+            del argv[rng.randrange(len(argv))]
+        elif edit == 1 and i + 1 < len(argv) and argv[i].startswith("--"):
+            argv[i : i] = argv[i : i + 2]
+        elif edit == 2 and i + 1 < len(argv) and argv[i].startswith("--"):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        elif edit == 3 and len(argv) > 2:
+            j = rng.randrange(1, len(argv))
+            argv[j], argv[-1] = argv[-1], argv[j]
+        else:
+            argv[i:i] = rng.choice(INSERTS)
+    return argv
+
+
+def test_line_args_matches_argparse():
+    import argparse
+    import contextlib
+    import io
+
+    from semidegree.cli import _PARSER, _line_args, _merge_flag_values, _split_line
+
+    def by_argparse(argv):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                args = _PARSER.parse_args(_merge_flag_values(argv))
+            except SystemExit:
+                return None
+        # argparse strips a value of "--" to [] (and the command then fails
+        # as an internal error); a batch line keeps the text
+        return argparse.Namespace(**{k: "--" if v == [] else v for k, v in vars(args).items()})
+
+    rng = random.Random(54)
+    lines = GOLDEN_LINES + [" ".join(map(shlex.quote, argv)) for argv in README_EXAMPLES] + BENCH_LINES
+    accepted = refused = 0
+    for line in lines:
+        argv = _split_line(line)
+        assert _line_args(argv) == by_argparse(argv) is not None, line
+        for _ in range(150):
+            mutant = _mutations(rng, argv)
+            expected = by_argparse(mutant)
+            assert _line_args(mutant) == expected, mutant
+            accepted += expected is not None
+            refused += expected is None
+    assert accepted > 300 and refused > 2000
+
+
+def test_laurent_printer_matches_the_items_oracle():
+    from helpers import items_laurent_to_str
+
+    from semidegree import LaurentPoly
+
+    rng = random.Random(55)
+    cases = [LaurentPoly.zero(), LaurentPoly.one(), -LaurentPoly.one(), LaurentPoly.term(0, 0, F(-3, 4))]
+    for _ in range(400):
+        terms = [
+            ((rng.randrange(-4, 5), rng.randrange(0, 4)), F(rng.choice((-7, -2, -1, 1, 1, 3, 4)), rng.choice((1, 1, 2, 3, 6))))
+            for _ in range(rng.randrange(1, 6))
+        ]
+        cases.append(LaurentPoly(terms))
+    for poly in cases:
+        assert laurent_to_str(poly) == items_laurent_to_str(poly)
