@@ -88,24 +88,14 @@ def _subtract_row(
     row: dict[tuple[int, int], int],
     scale: Fraction,
     shift: int,
-    row_floor: int | None,
     second_shift: int = 0,
-) -> tuple[int, int | None]:
-    """Subtract from the numerators ``out`` over ``den``, in place, ``scale``
-    times the integer numerators ``row`` with ``shift`` added to each first
-    exponent and ``second_shift`` to each second; ``row`` is known above
-    ``row_floor`` before the shift, and its keys at or below it are skipped.
-
-    The difference is known above the larger floor: ``out`` is filtered
-    only when that floor rises, rescaled only when the lcm of the
-    denominators grows, and its numerators are never reduced.  Returns the
-    new (den, floor)."""
-    if row_floor is not None:
-        row_floor += shift
-        if floor is None or row_floor > floor:
-            floor = row_floor
-            for key in [key for key in out if key[0] <= floor]:
-                del out[key]
+) -> int:
+    """Subtract from the numerators ``out`` over ``den``, known above
+    ``floor``, in place, ``scale`` times the integer numerators ``row`` with
+    ``shift`` added to each first exponent and ``second_shift`` to each
+    second, skipping the keys of ``row`` that land at or below the floor.
+    ``out`` is rescaled only when the lcm of the denominators grows, and
+    its numerators are never reduced.  Returns the new denominator."""
     new_den = math.lcm(den, scale.denominator)
     if new_den != den:
         up = new_den // den
@@ -123,7 +113,7 @@ def _subtract_row(
             out[key] = n
         else:
             del out[key]
-    return den, floor
+    return den
 
 
 class _Sparse:

@@ -59,11 +59,19 @@ def _error_text(error: Exception) -> str:
     return str(error)
 
 
+def _ascii(text: str) -> str:
+    """text, if it holds only ASCII and no ``_``: int() and Fraction() also
+    read other scripts' digits and ``_`` between digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError("only ASCII digits, without _ separators")
+    return text
+
+
 def _parse_rational(text: str):
     from fractions import Fraction
 
     try:
-        return Fraction(text.strip())
+        return Fraction(_ascii(text.strip()))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {text!r}: {exc}", 0) from None
 
@@ -74,12 +82,9 @@ def _parse_pairs(text: str) -> FormalPuiseuxPairs:
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty pair", 0)
-        if "/" in chunk:
-            q_text, p_text = chunk.split("/", 1)
-        else:
-            q_text, p_text = chunk, "1"
+        q_text, slash, p_text = chunk.partition("/")
         try:
-            pairs.append((int(q_text), int(p_text)))
+            pairs.append((int(_ascii(q_text)), int(_ascii(p_text if slash else "1"))))
         except ValueError:
             raise ParseError(f"bad pair {chunk!r}", 0) from None
     return FormalPuiseuxPairs(tuple(pairs))
@@ -375,9 +380,12 @@ def _cmd_batch(args) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _PARSER.parse_args(_merge_flag_values(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _line_args(argv)  # a line command reads as a batch line does
+    if args is None:  # batch, help and errors: argparse
+        args = _PARSER.parse_args(_merge_flag_values(argv))
+        if [] in vars(args).values():  # argparse 3.11 reads a value of -- as []
+            _PARSER.error("a flag's value may not be --")
     try:
         if args.command == "batch":
             code, out = _cmd_batch(args)

@@ -20,19 +20,17 @@ numerators that each step updates in place, so a step costs the terms of
 its monomial; an expansion becomes an :class:`XiSeries` only at an
 essential step, where it is raised and kept for the later monomials.
 
-Both halves build the cancelling monomials from one table of powers per
-run.  The monomial of step j is x^beta_0 * prod g_i^beta_i with
-0 <= beta_i < alpha_i, so beta_i vanishes wherever alpha_i = 1, off the
-essential indices: every monomial is x^beta_0 * y^beta_1, one term, times
-powers g_e^b with b < p_e of the few essential forms g_e after y.  The
-builder fills each essential form's row g_e, g_e^2, ..., g_e^{p_e} once,
-one product per entry, and its last entry is the next form's top; it keeps
-each product of powers by its factors, so monomials sharing factors share
-products, and builds each form in one subtraction from its top.  The loop
-keeps each power of an essential expansion for the whole run and reads it
-to the current step's depth.  :func:`monomial_product`,
-which powers every factor afresh, is left to the verifier, so that stays
-an independent route.
+Both halves build the cancelling monomials from one table per run,
+:class:`_Products`.  The monomial of step j is x^beta_0 * prod g_i^beta_i
+with 0 <= beta_i < alpha_i, so beta_i vanishes off the essential indices:
+every monomial is x^beta_0 * y^beta_1 times powers g_e^b, b < p_e, of the
+few essential forms g_e after y.  The table keeps a row of powers of each,
+and each product of powers under its factors with the depth to which it is
+known, so monomials sharing factors share products.  The builder asks for
+exact products, with x^beta_0 * y^beta_1 a shift; the loop asks to the
+step's depth and multiplies the power of y's expansion last.
+:func:`monomial_product`, which powers every factor afresh, is left to the
+verifier, so that stays an independent route.
 
 The values of the essential forms depend only on the formal Puiseux pairs
 and satisfy an explicit recursion (:func:`essential_key_values`), which the
@@ -155,6 +153,44 @@ def represent(target, values: Sequence[int]) -> list[int]:
     return beta
 
 
+class _Products:
+    """Products of powers of a run's essential objects, each kept under its
+    factors ((e, b), ...) with the depth below its top to which it is known.
+
+    The object added under e is the essential form g_e or its expansion.  A
+    product is its longest proper prefix times the power of its last
+    factor, and g_e^b is g_e^(b-1) times g_e, so each takes one product.
+    Depth None asks for a product as exact as its ring keeps it; otherwise
+    the first operand is cut to the depth asked, which cuts the product to
+    that depth below its top.  A product is built once: the depths a run
+    asks for never grow (within a level the floor stays and the top falls,
+    and a raised expansion is known no deeper below its top than the old
+    floor allowed), and a step's check catches a monomial known too little.
+    """
+
+    def __init__(self, one):
+        self._kept = {(): (None, one)}
+
+    def add(self, e: int, obj) -> None:
+        self._kept[(e, 1),] = None, obj
+
+    def get(self, factors: tuple[tuple[int, int], ...], depth: int | None):
+        """The product of ``factors``, known at least ``depth`` below its top."""
+        kept = self._kept.get(factors)
+        if kept is None:
+            *prefix, (e, b) = factors
+            if not prefix:  # a power: g_e^b = g_e^(b-1) * g_e
+                prefix, b = [(e, b - 1)], 1
+            value = self._cut(tuple(prefix), depth) * self.get(((e, b),), depth)
+            kept = self._kept[factors] = depth, value
+        return kept[1]
+
+    def _cut(self, factors, depth):
+        """The product of ``factors``, cut ``depth`` below its top."""
+        value = self.get(factors, depth)
+        return value if self._kept[factors][0] == depth else value.above(value.value - depth)
+
+
 def key_forms_with_values(
     values: Sequence[int], scalars: Sequence[Fraction] | None = None
 ) -> KeyFormSeq:
@@ -167,48 +203,33 @@ def key_forms_with_values(
     alpha_j > 1, and the last.
 
     Since beta_i < alpha_i, beta vanishes off the essential indices, so it
-    is represented against the essential values so far, and the monomial is
-    x^beta_0 * y^beta_1 times the product P of one power g_e^b of each
-    essential form g_e after y with b = beta_e > 0.  Those powers come from
-    one row per essential form, g_e^0..g_e^{alpha_e}, filled by one product
-    per entry when g_e is built; its last entry is the top of the next
-    form, and the top y^alpha_1 of form 2 is one term.  P is kept for the
-    run under its factors ((e, b), ...) and built from its longest kept
-    prefix, so the whole sequence takes sum_e (alpha_e - 1) products for
-    the rows and one per distinct factor prefix of length 2 or more.  Each
-    form is then one pass over integer numerators: the top's, minus the
-    scaled P with x^beta_0 * y^beta_1 as a shift of its exponents.
+    is represented against the essential values so far.  The powers g_e^b
+    of the essential forms after y and their products P come exact from one
+    :class:`_Products` table, whose row of g_e also gives the top
+    g_e^alpha_e of the next form: sum_e (alpha_e - 1) products for the rows
+    and one per distinct factor prefix of length 2 or more.  Each form is
+    then one pass over integer numerators: the top's, minus the scaled P
+    with x^beta_0 * y^beta_1 as a shift of its exponents.
     """
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
-    rows: dict[int, list[LaurentPoly]] = {}  # essential j >= 2: g_j^0..g_j^alpha_j
-    products: dict[tuple[tuple[int, int], ...], LaurentPoly] = {(): LaurentPoly.one()}
-
-    def product(factors: tuple[tuple[int, int], ...]) -> LaurentPoly:
-        kept = products.get(factors)
-        if kept is None:
-            e, b = factors[-1]
-            kept = products[factors] = rows[e][b] if len(factors) == 1 else product(factors[:-1]) * rows[e][b]
-        return kept
-
+    products = _Products(LaurentPoly.one())
     ess, ess_values = [0], [values[0]]  # the essential indices before j, with their values
     for j in range(1, last):
         alpha = multipliers[j - 1]
         if j == 1:
             top = LaurentPoly.term(0, alpha)
         elif alpha > 1:
-            row = rows[j] = [LaurentPoly.one(), forms[j]]
-            while len(row) <= alpha:
-                row.append(row[-1] * forms[j])
-            top = row[alpha]
+            products.add(j, forms[j])
+            top = products.get(((j, alpha),), None)
         else:
             top = forms[j]
         beta = dict(zip(ess, represent(alpha * values[j], ess_values)))
-        mono = product(tuple((e, b) for e, b in beta.items() if e >= 2 and b))
+        mono = products.get(tuple((e, b) for e, b in beta.items() if e >= 2 and b), None)
         scale = Fraction(1 if scalars is None else scalars[j - 1], mono._den)
         terms = dict(top._terms)
-        den, _ = _subtract_row(terms, top._den, None, mono._terms, scale, beta[0], None, beta.get(1, 0))
+        den = _subtract_row(terms, top._den, None, mono._terms, scale, beta[0], beta.get(1, 0))
         forms.append(top._like(terms, den))
         if alpha > 1:
             ess.append(j)
@@ -283,33 +304,19 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     essential step (power > 1) takes an :class:`XiSeries` snapshot, which it
     raises and keeps for the monomials of later steps.
 
-    The monomial of a step is x^beta_0 times powers ess^b of the expansions
-    of the essential forms after x, and the difference is known only above
-    the floor of the raised expansion, so each power is needed only to that
-    depth below its top.  Each power is kept for the whole run, rebuilt only
-    when a step needs it deeper than it was built or uncut.  Factors are
-    cut to the step's depth before they multiply: a power carrying an
-    earlier, deeper cut into later products would make them needlessly
-    wide.  A lone factor is not copied to cut it; the subtraction skips its
-    terms below the step's depth.  x^beta_0 is a shift, and a monomial
-    with no essential factor is the one term it shifts.
+    The monomial of a step is x^beta_0, a shift, times powers of the
+    expansions of the essential forms after x.  The difference is known only
+    above the floor of the raised expansion, so the run's :class:`_Products`
+    table, with y's power last, gives the monomial known at least that deep
+    below its top; the subtraction skips its keys at or below the floor,
+    and a monomial not known down to the floor is a bug.
     """
     delta_x = expansion.den
     terms, den, floor = dict(expansion._terms), expansion._den, expansion.floor
-    ess_expansions: list[XiSeries] = []  # of the essential forms after x
-    ess_values = [delta_x]
+    ess, ess_values = [0], [delta_x]  # the essential indices so far, with their values
     values = [delta_x]
     scalars: list[Fraction] = []
-    kept: dict[tuple[int, int], tuple[int | None, XiSeries]] = {}  # (i, b): (depth, ess_i ** b)
-    unit = {(0, 0): 1}
-
-    def kept_power(i: int, b: int, depth: int | None) -> XiSeries:
-        built = kept.get((i, b))
-        if built is None or built[0] is not None and (depth is None or depth > built[0]):
-            ess = ess_expansions[i]
-            built = kept[i, b] = depth, (ess if depth is None else ess.above(ess.value - depth)) ** b
-        return built[1]
-
+    products = _Products(expansion._like({(0, 0): 1}, 1))
     for _ in range(bound + 1):
         if not terms:
             if floor is None:
@@ -323,31 +330,28 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         lead, lead_den = terms[w, 0], den
         d = math.gcd(*ess_values)
         power = d // math.gcd(d, w)
-        beta = represent(power * w, ess_values)
+        beta = dict(zip(ess, represent(power * w, ess_values)))
         if power > 1:  # an essential form: keep its expansion for later monomials
             snapshot = expansion._like(terms, den, floor)
-            ess_expansions.append(snapshot)
+            products.add(len(values) - 1, snapshot)
+            ess.append(len(values) - 1)
             ess_values.append(w)
             raised = snapshot ** power
             terms, den, floor = raised._terms, raised._den, raised.floor
         depth = None if floor is None else power * w - floor
-        factors = [kept_power(i, b, depth) for i, b in enumerate(beta[1:]) if b]
-        if len(factors) > 1:
-            cuts = [f if depth is None else f.above(f.value - depth) for f in factors]
-            factors = [math.prod(cuts[1:], start=cuts[0])]
-        if factors:  # a lone factor is read uncut: the subtraction skips its keys at or below the floor
-            mono = factors[0]
-            row, row_den, row_floor, top = mono._terms, mono._den, mono.floor, mono._top()
-        else:
-            row, row_den, row_floor, top = unit, 1, None, (0, 0)
+        factors = tuple((e, b) for e, b in beta.items() if e >= 2 and b)
+        mono = products.get(factors + ((1, beta[1]),) if beta.get(1) else factors, depth)
         shift = beta[0] * delta_x
+        top = mono._top()
         if top is None or (top[0] + shift, top[1]) != (power * w, 0):
             raise InternalError("cancelling monomial has the wrong shape; this is a bug")
+        if mono.floor is not None and (floor is None or mono.floor + shift > floor):
+            raise InternalError("cancelling monomial is not known down to the step's floor; this is a bug")
 
-        # scalar = (lead / lead_den) ** power / (row[top] / row_den)
-        num, div = lead ** power, lead_den ** power * row[top]
-        scalars.append(Fraction(num * row_den, div))
-        den, floor = _subtract_row(terms, den, floor, row, Fraction(num, div), shift, row_floor)
+        # scalar = (lead / lead_den) ** power / (mono's top coefficient)
+        num, div = lead ** power, lead_den ** power * mono._terms[top]
+        scalars.append(Fraction(num * mono._den, div))
+        den = _subtract_row(terms, den, floor, mono._terms, Fraction(num, div), shift)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 

@@ -446,10 +446,11 @@ def xiseries_cancel(expansion, bound):
     """The values and scalars of the cancellation loop, with every step on
     whole XiSeries values: the raised expansion, the monomial's expansion
     shifted and scaled, and their difference are each a new series, and
-    the leading coefficients are read as dense xi-tuples.  Powers of the
-    essential expansions are kept and cut as in
-    :func:`~semidegree.keyforms._cancel`, which keeps the running expansion
-    as one map of numerators instead."""
+    the leading coefficients are read as dense xi-tuples.  Each power of an
+    essential expansion is kept, raised afresh when a step needs it deeper,
+    and the cut powers are multiplied afresh at every step, where
+    :func:`~semidegree.keyforms._cancel` keeps products of powers in one
+    table and the running expansion as one map of numerators."""
     import math
 
     from semidegree import XiSeries

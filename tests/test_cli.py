@@ -426,6 +426,106 @@ def test_flags_are_never_abbreviated(capsys):
     assert "required: --pairs" in capsys.readouterr().err
 
 
+def _exit_code(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), whether it returns or
+    argparse stops it."""
+    try:
+        code = main(list(argv))
+    except SystemExit as stopped:
+        code = stopped.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+GOLDEN_BATCH = str(Path(__file__).resolve().parent / "golden" / "batch.txt")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--pairs", "--"),
+        ("graph", "--pairs", "--"),
+        ("witness", "--pairs", "--", "--kind", "algebraic"),
+        ("witness", "--pairs", "2/5,-6/1", "--kind", "--"),
+        ("keyforms", "--phi", "--", "--r", "-6/5"),
+        ("decide", "--phi", "x^(2/5)", "--r", "--"),
+        ("semidegree", "--phi", "x^(2/5)", "--r", "-6/5", "--f", "--"),
+        ("cousin", "--psi", "--", "--r", "8/3"),
+        ("batch", "--input", "--"),
+        ("batch", "--input", GOLDEN_BATCH, "--jobs", "--"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_a_flag_value_of_double_dash_exits_2(capsys, argv):
+    code, out, err = _exit_code(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "internal error" not in err
+
+
+def test_a_pairs_value_of_double_dash_fails_as_on_a_batch_line(capsys):
+    from semidegree.cli import run_line
+
+    code, out, err = _exit_code(capsys, ["classify", "--pairs", "--"])
+    line_code, text = run_line("classify --pairs --")
+    assert (code, out, err) == (line_code, "", json.loads(text)["error"] + "\n")
+    assert err == "bad pair '--' (at position 0)\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--pairs", "\u0662/\u0665,-6/1"),  # Arabic-Indic digits
+        ("classify", "--pairs", "2/5,-6_0/1"),
+        ("graph", "--pairs", "2/5,-6/\uff11"),  # a fullwidth 1
+        ("witness", "--pairs", "2_0/5,-6/1", "--kind", "algebraic"),
+        ("decide", "--phi", "x^(2/5)", "--r", "-\u0666/\u0665"),
+        ("decide", "--phi", "x^(2/5)", "--r", "-6/5_0"),
+        ("keyforms", "--phi", "x^(2/5)", "--r", "-1_2/10"),
+        ("cousin", "--psi", "x^(3/2) - x^5", "--r", "\u0668/3"),
+    ],
+)
+def test_numbers_in_flags_are_ascii_digits_only(capsys, argv):
+    from semidegree.cli import run_line
+
+    code, out, err = _exit_code(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad ")
+    code, text = run_line(shlex.join(argv))
+    assert code == 2
+    assert json.loads(text)["error"] == err.rstrip("\n")
+
+
+def test_ascii_numbers_in_flags_read_as_int_and_fraction_read_them(monkeypatch):
+    import semidegree.cli as cli
+    from semidegree.cli import _parse_pairs, _parse_rational
+
+    monkeypatch.setattr(cli, "FormalPuiseuxPairs", lambda pairs: pairs)  # compare the numbers read
+
+    def outcome(parse, text):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    def pairs_by_int(text):
+        chunks = [chunk.strip().partition("/") for chunk in text.split(",")]
+        if not all(q for q, _, _ in chunks):
+            raise ValueError("empty pair")
+        return tuple((int(q), int(p if slash else "1")) for q, slash, p in chunks)
+
+    rng = random.Random(56)
+    alphabet = "0123456789+-/., eE"
+    read = 0
+    for _ in range(20000):
+        text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
+        rational = outcome(lambda t: F(t.strip()), text)
+        assert outcome(_parse_rational, text) == rational, repr(text)
+        pairs = outcome(pairs_by_int, text)
+        assert outcome(_parse_pairs, text) == pairs, repr(text)
+        read += rational is not None and pairs is not None
+    assert read > 500
+
+
 def test_split_line_matches_shlex():
     from semidegree.cli import _LINE, _split_line
 

@@ -21,6 +21,7 @@ from semidegree import (
     parse_laurent,
     represent,
     semidegree,
+    XiSeries,
     truncate_above,
     verify_key_properties,
 )
@@ -398,18 +399,28 @@ def _product_bound(seq):
     return rows + len(prefixes)
 
 
-@pytest.fixture
-def products(monkeypatch):
-    """The number of LaurentPoly products made so far."""
+def _count_products(monkeypatch, ring):
     count = [0]
-    multiply = LaurentPoly.__mul__
+    multiply = ring.__mul__
 
     def counting(self, other):
         count[0] += 1
         return multiply(self, other)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    monkeypatch.setattr(ring, "__mul__", counting)
     return count
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of LaurentPoly products made so far."""
+    return _count_products(monkeypatch, LaurentPoly)
+
+
+@pytest.fixture
+def expansion_products(monkeypatch):
+    """The number of XiSeries products made so far."""
+    return _count_products(monkeypatch, XiSeries)
 
 
 def test_the_worked_example_builds_each_power_once(products):
@@ -440,6 +451,48 @@ def test_dyadic_depth_7_builds_its_forms_in_62_products(products):
     products[0] = 0
     seq = key_forms_with_values(values, scalars)
     assert products[0] <= _product_bound(seq) == 62
+
+
+def _cancel_product_bound(seq):
+    """The products of one run of _cancel with no rebuilt product: binary
+    powering of each essential expansion it raises, one per entry
+    ess^2..ess^b of a row as far as a monomial reads it, and one per
+    distinct prefix, of length 2 or more, of the factors of a monomial,
+    those after y in increasing order and y's last."""
+    alphas = [seq.alpha(e) for e in seq.essential_indices if 1 <= e <= seq.n]
+    raises = sum(alpha.bit_length() + bin(alpha).count("1") - 2 for alpha in alphas)
+    rows, prefixes = {}, set()
+    for j in range(1, seq.n + 1):
+        beta = represent(seq.alpha(j) * seq.values[j], seq.values[:j])
+        factors = tuple((e, b) for e, b in enumerate(beta[2:], start=2) if b)
+        factors += tuple((1, b) for b in beta[1:2] if b)
+        for e, b in factors:
+            rows[e] = max(rows.get(e, 1), b)
+        prefixes.update(factors[:k] for k in range(2, len(factors) + 1))
+    return raises + sum(b - 1 for b in rows.values()) + len(prefixes)
+
+
+def test_dyadic_depth_7_cancels_in_124_products(expansion_products):
+    # 131 steps, 111 of them with two or more essential factors after y,
+    # in one certified run: 7 raises and 117 distinct factor prefixes
+    seq = compute_key_forms(_dyadic_chain(7))
+    assert expansion_products[0] <= _cancel_product_bound(seq) == 124
+
+
+def test_cancellation_keeps_no_product_deeper_than_it_was_asked(monkeypatch):
+    # a product of operands kept deeper than the step needs is as wide as
+    # they are, so its first operand is cut to the depth asked
+    tables = []
+    init = keyforms._Products.__init__
+
+    def recording(self, one):
+        init(self, one)
+        tables.append(self)
+
+    monkeypatch.setattr(keyforms._Products, "__init__", recording)
+    _certified_run(_dyadic_chain(6))
+    cut = [value.floor >= value.value - depth for table in tables for depth, value in table._kept.values() if depth]
+    assert len(cut) > 50 and all(cut)
 
 
 # ---------------------------------------------------------------------------

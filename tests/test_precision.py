@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semidegree.algebra as algebra
+import semidegree.keyforms as keyforms
 import semidegree.puiseux as puiseux
 from semidegree import (
     DPuiseuxPoly,
@@ -334,10 +335,30 @@ def test_a_difference_is_the_sum_with_the_negation(g, f, h, c, n, band):
 @FAST
 @given(generic_series, laurent_polys, laurent_polys, coefficients, st.integers(-3, 3), st.integers(0, 3), st.integers(1, 12))
 def test_subtracting_a_row_in_place_is_the_difference_of_series(g, f, h, c, shift, n, band):
-    # either operand may have the higher floor and the larger denominator
+    # either operand may have the larger denominator and the higher floor;
+    # the map is first cut to the higher floor, since the row must be known
+    # down to the map's floor
     for base in (series_of(g), series_of(g, band)):
         s, t = _expand(f, base) ** n, _expand(h, base).scale(c)
         for a, b in ((s, t), (t, s)):
+            floor = algebra._larger(a.floor, None if b.floor is None else b.floor + shift)
+            if floor is not None:
+                a = a.above(floor)
             out = dict(a._terms)
-            den, floor = algebra._subtract_row(out, a._den, a.floor, b._terms, c / b._den, shift, b.floor)
-            assert a._like(out, den, floor) == a - b.x_shift(shift).scale(c)
+            den = algebra._subtract_row(out, a._den, a.floor, b._terms, c / b._den, shift)
+            assert a._like(out, den, a.floor) == a - b.x_shift(shift).scale(c)
+
+
+def test_a_monomial_not_known_down_to_the_floor_is_an_internal_error(monkeypatch):
+    # every product of essential powers cut just below its top, so no
+    # monomial with a factor is known down to its step's floor
+    get = keyforms._Products.get
+
+    def shallow(self, factors, depth):
+        mono = get(self, factors, depth)
+        return mono.above(mono.value - 1) if factors else mono
+
+    monkeypatch.setattr(keyforms._Products, "get", shallow)
+    with pytest.raises(InternalError) as info:
+        compute_key_forms(dyadic_chain(3))
+    assert str(info.value) == "cancelling monomial is not known down to the step's floor; this is a bug"
