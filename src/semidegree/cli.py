@@ -60,8 +60,7 @@ def _error_text(error: Exception) -> str:
 
 
 def _ascii(text: str) -> str:
-    """text, if it holds only ASCII and no ``_``: int() and Fraction() also
-    read other scripts' digits and ``_`` between digits."""
+    """text, refused if it is not ASCII or holds ``_``: int() and Fraction() read both."""
     if not text.isascii() or "_" in text:
         raise ValueError("only ASCII digits, without _ separators")
     return text
@@ -82,9 +81,9 @@ def _parse_pairs(text: str) -> FormalPuiseuxPairs:
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty pair", 0)
-        q_text, slash, p_text = chunk.partition("/")
         try:
-            pairs.append((int(_ascii(q_text)), int(_ascii(p_text if slash else "1"))))
+            q_text, slash, p_text = _ascii(chunk).partition("/")
+            pairs.append((int(q_text), int(p_text if slash else "1")))
         except ValueError:
             raise ParseError(f"bad pair {chunk!r}", 0) from None
     return FormalPuiseuxPairs(tuple(pairs))
@@ -380,12 +379,11 @@ def _cmd_batch(args) -> tuple[int, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _line_args(argv)  # a line command reads as a batch line does
-    if args is None:  # batch, help and errors: argparse
-        args = _PARSER.parse_args(_merge_flag_values(argv))
-        if [] in vars(args).values():  # argparse 3.11 reads a value of -- as []
-            _PARSER.error("a flag's value may not be --")
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _PARSER.parse_args(_merge_flag_values(list(argv)))
+    if [] in vars(args).values():  # argparse 3.11 reads a value of -- as []
+        _PARSER.error("a flag's value may not be --")
     try:
         if args.command == "batch":
             code, out = _cmd_batch(args)

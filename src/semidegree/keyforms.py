@@ -23,14 +23,13 @@ essential step, where it is raised and kept for the later monomials.
 Both halves build the cancelling monomials from one table per run,
 :class:`_Products`.  The monomial of step j is x^beta_0 * prod g_i^beta_i
 with 0 <= beta_i < alpha_i, so beta_i vanishes off the essential indices:
-every monomial is x^beta_0 * y^beta_1 times powers g_e^b, b < p_e, of the
-few essential forms g_e after y.  The table keeps a row of powers of each,
-and each product of powers under its factors with the depth to which it is
-known, so monomials sharing factors share products.  The builder asks for
-exact products, with x^beta_0 * y^beta_1 a shift; the loop asks to the
-step's depth and multiplies the power of y's expansion last.
-:func:`monomial_product`, which powers every factor afresh, is left to the
-verifier, so that stays an independent route.
+it is x^beta_0 * y^beta_1 times powers g_e^b, b < p_e, of the essential
+forms g_e after y.  The table keeps each power of each, built from its
+halves, and each product of powers with the depth to which it is known,
+so monomials sharing factors share products.  The builder asks for exact
+products, with x^beta_0 * y^beta_1 a shift; the loop asks to the step's
+depth, y's power last.  :func:`monomial_product`, which powers every
+factor afresh, stays the verifier's independent route.
 
 The values of the essential forms depend only on the formal Puiseux pairs
 and satisfy an explicit recursion (:func:`essential_key_values`), which the
@@ -155,13 +154,14 @@ def represent(target, values: Sequence[int]) -> list[int]:
 
 class _Products:
     """Products of powers of a run's essential objects, each kept under its
-    factors ((e, b), ...) with the depth below its top to which it is known.
+    factors ((e, b), ...) with the depth below its top to which it is known
+    (None: exact).
 
     The object added under e is the essential form g_e or its expansion.  A
-    product is its longest proper prefix times the power of its last
-    factor, and g_e^b is g_e^(b-1) times g_e, so each takes one product.
-    Depth None asks for a product as exact as its ring keeps it; otherwise
-    the first operand is cut to the depth asked, which cuts the product to
+    product is its longest proper prefix times its last factor's power, and
+    g_e^b is g_e^(b // 2) times g_e^(b - b // 2), so each takes one product
+    and a power recurses once per halving.  The first operand is cut to the
+    depth asked unless it is kept at that depth, which cuts the product to
     that depth below its top.  A product is built once: the depths a run
     asks for never grow (within a level the floor stays and the top falls,
     and a raised expansion is known no deeper below its top than the old
@@ -169,26 +169,24 @@ class _Products:
     """
 
     def __init__(self, one):
-        self._kept = {(): (None, one)}
+        self._kept = {(): one}
+        self._depth: dict[tuple, int | None] = {}  # the depth asked when each product was built
 
     def add(self, e: int, obj) -> None:
-        self._kept[(e, 1),] = None, obj
+        self._kept[(e, 1),] = obj
 
     def get(self, factors: tuple[tuple[int, int], ...], depth: int | None):
         """The product of ``factors``, known at least ``depth`` below its top."""
         kept = self._kept.get(factors)
         if kept is None:
             *prefix, (e, b) = factors
-            if not prefix:  # a power: g_e^b = g_e^(b-1) * g_e
-                prefix, b = [(e, b - 1)], 1
-            value = self._cut(tuple(prefix), depth) * self.get(((e, b),), depth)
-            kept = self._kept[factors] = depth, value
-        return kept[1]
-
-    def _cut(self, factors, depth):
-        """The product of ``factors``, cut ``depth`` below its top."""
-        value = self.get(factors, depth)
-        return value if self._kept[factors][0] == depth else value.above(value.value - depth)
+            left, right = (tuple(prefix), ((e, b),)) if prefix else (((e, b // 2),), ((e, b - b // 2),))
+            first = self.get(left, depth)
+            if depth is not None and self._depth.get(left) != depth:
+                first = first.above(first.value - depth)
+            kept = self._kept[factors] = first * self.get(right, depth)
+            self._depth[factors] = depth
+        return kept
 
 
 def key_forms_with_values(
@@ -203,13 +201,11 @@ def key_forms_with_values(
     alpha_j > 1, and the last.
 
     Since beta_i < alpha_i, beta vanishes off the essential indices, so it
-    is represented against the essential values so far.  The powers g_e^b
-    of the essential forms after y and their products P come exact from one
-    :class:`_Products` table, whose row of g_e also gives the top
-    g_e^alpha_e of the next form: sum_e (alpha_e - 1) products for the rows
-    and one per distinct factor prefix of length 2 or more.  Each form is
-    then one pass over integer numerators: the top's, minus the scaled P
-    with x^beta_0 * y^beta_1 as a shift of its exponents.
+    is represented against the essential values so far.  One exact
+    :class:`_Products` table gives the product P of the powers of the
+    essential forms after y, and g_e^alpha_e, the top of the next form,
+    with them.  Each form is then one pass over integer numerators: the
+    top's, minus the scaled P with x^beta_0 * y^beta_1 a shift.
     """
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
@@ -330,7 +326,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         lead, lead_den = terms[w, 0], den
         d = math.gcd(*ess_values)
         power = d // math.gcd(d, w)
-        beta = dict(zip(ess, represent(power * w, ess_values)))
+        beta = represent(power * w, ess_values)
         if power > 1:  # an essential form: keep its expansion for later monomials
             snapshot = expansion._like(terms, den, floor)
             products.add(len(values) - 1, snapshot)
@@ -339,8 +335,10 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
             raised = snapshot ** power
             terms, den, floor = raised._terms, raised._den, raised.floor
         depth = None if floor is None else power * w - floor
-        factors = tuple((e, b) for e, b in beta.items() if e >= 2 and b)
-        mono = products.get(factors + ((1, beta[1]),) if beta.get(1) else factors, depth)
+        factors = [(e, b) for e, b in zip(ess[1:], beta[1:]) if b]
+        if factors and factors[0][0] == 1:  # y's power last
+            factors.append(factors.pop(0))
+        mono = products.get(tuple(factors), depth)
         shift = beta[0] * delta_x
         top = mono._top()
         if top is None or (top[0] + shift, top[1]) != (power * w, 0):

@@ -462,15 +462,6 @@ def test_a_flag_value_of_double_dash_exits_2(capsys, argv):
     assert "internal error" not in err
 
 
-def test_a_pairs_value_of_double_dash_fails_as_on_a_batch_line(capsys):
-    from semidegree.cli import run_line
-
-    code, out, err = _exit_code(capsys, ["classify", "--pairs", "--"])
-    line_code, text = run_line("classify --pairs --")
-    assert (code, out, err) == (line_code, "", json.loads(text)["error"] + "\n")
-    assert err == "bad pair '--' (at position 0)\n"
-
-
 @pytest.mark.parametrize(
     "argv",
     [

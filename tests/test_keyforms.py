@@ -1,6 +1,9 @@
+import contextlib
 import functools
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -455,8 +458,8 @@ def test_dyadic_depth_7_builds_its_forms_in_62_products(products):
 
 def _cancel_product_bound(seq):
     """The products of one run of _cancel with no rebuilt product: binary
-    powering of each essential expansion it raises, one per entry
-    ess^2..ess^b of a row as far as a monomial reads it, and one per
+    powering of each essential expansion it raises, at most one per power
+    ess^2..ess^b up to the highest a monomial reads, and one per
     distinct prefix, of length 2 or more, of the factors of a monomial,
     those after y in increasing order and y's last."""
     alphas = [seq.alpha(e) for e in seq.essential_indices if 1 <= e <= seq.n]
@@ -482,16 +485,19 @@ def test_dyadic_depth_7_cancels_in_124_products(expansion_products):
 def test_cancellation_keeps_no_product_deeper_than_it_was_asked(monkeypatch):
     # a product of operands kept deeper than the step needs is as wide as
     # they are, so its first operand is cut to the depth asked
-    tables = []
-    init = keyforms._Products.__init__
+    built = []  # (depth asked, product) of each product when it is built
+    get = keyforms._Products.get
 
-    def recording(self, one):
-        init(self, one)
-        tables.append(self)
+    def recording(self, factors, depth):
+        new = factors not in self._kept
+        product = get(self, factors, depth)
+        if new:
+            built.append((depth, product))
+        return product
 
-    monkeypatch.setattr(keyforms._Products, "__init__", recording)
+    monkeypatch.setattr(keyforms._Products, "get", recording)
     _certified_run(_dyadic_chain(6))
-    cut = [value.floor >= value.value - depth for table in tables for depth, value in table._kept.values() if depth]
+    cut = [product.floor >= product.value - depth for depth, product in built if depth]
     assert len(cut) > 50 and all(cut)
 
 
@@ -581,6 +587,44 @@ def test_form_builder_matches_the_row_oracle_on_witnesses():
         _assert_same_forms(seq.values)
         built += 1
     assert built > 500
+
+
+@contextlib.contextmanager
+def _frames_to_spare(spare):
+    """The recursion limit lowered to ``spare`` frames above the caller's."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + spare)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+# a multiplier of 601: the builder raises g_2 to 601 in the first, and the
+# loop raises y's expansion to 600 in the second; halving recurses about
+# ten levels deep, where a recursion per power would take 600 frames
+@pytest.mark.parametrize(
+    "g",
+    [
+        GenericDPS(parse_dps("x^(3/2) + x^(1/1202)"), F(-1, 1202)),
+        GenericDPS(parse_dps("x^(602/601) + x^(1/1202)"), F(-5, 1202)),
+    ],
+    ids=["builder", "loop"],
+)
+def test_a_multiplier_of_601_raises_its_powers_by_halving(g):
+    with _frames_to_spare(100):
+        values, scalars = _certified_run(g)
+        seq = key_forms_with_values(values, scalars)
+    bound = step_bound(g, formal_pairs(g))
+    assert (values, scalars) == certified(g, lambda expansion: xiseries_cancel(expansion, bound))
+    assert seq == row_key_forms(values, scalars)
+
+
+def test_a_witness_with_a_multiplier_of_601_is_built():
+    with _frames_to_spare(100):
+        seq = algebraic_witness(FormalPuiseuxPairs(((3, 2), (5, 601), (-1, 1))))
+    assert seq.multipliers[:2] == (2, 601)
+    _assert_same_forms(seq.values)
 
 
 @pytest.fixture
