@@ -14,6 +14,15 @@ denominator; a coefficient becomes a Fraction only where it is read.
   X = x^(1/delta_x) and the generic indeterminate xi, keyed by
   (X-exponent, xi-exponent).  Its top X-exponent is the semidegree value.
 
+Every product, of two elements or inside a substitution, goes through one
+kernel, :func:`_add_products`.  It multiplies small or sparse operands one
+pair of terms at a time.  A large product of operands that are dense on
+their lattice is packed instead (Kronecker substitution: Fateman 2005,
+Harvey 2009): each row of an operand, a level of the second exponent or of
+the weighted degree through its extreme terms, becomes one integer with a
+signed slot per lattice point, each pair of rows is one big-int product,
+and each output row is unpacked once.  Both give the same numerators.
+
 Only the top of an expansion is ever read, so an expansion may carry an
 absolute precision floor: an O(X^floor) term.  Every stored term lies
 strictly above the floor and is exact; ``floor is None`` means the
@@ -63,10 +72,41 @@ def _larger(*floors: int | None) -> int | None:
     return max((f for f in floors if f is not None), default=None)
 
 
+# A product of at least this many term pairs, whose smaller operand has at
+# least _PACK_MIN terms, is offered to :func:`_add_packed`, which packs it
+# when its pairs of rows average _PACK_MIN term pairs or more.  The two
+# paths are level at about 2000 pairs, or with an operand of about 12
+# terms, and packing gains under 2x up to about 4000 pairs.
+_PACK_PAIRS = 1 << 13
+_PACK_MIN = 16
+
+
 def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
     """Add to ``out`` the products of two rows of (key, integer numerator),
-    each sorted highest first, whose first exponent lies above ``cut``; so
-    each inner row stops at the cut."""
+    each sorted highest first, whose first exponent lies above ``cut``.
+
+    A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
+    terms or more in each operand, is packed by :func:`_add_packed`: each
+    row of an operand becomes one integer and each pair of rows one big-int
+    product.  Its slots are as wide as the largest sum of products needs,
+    and a packed row that overflows raises :class:`InternalError`.  That
+    path refuses, leaving ``out`` untouched, when its pairs of rows average
+    fewer than ``_PACK_MIN`` term pairs, or when an operand fills less than
+    half of its slots on the lattice step common to both.  Every other
+    product goes through the term loop, :func:`_add_term_products`.
+    """
+    if (
+        len(left) * len(right) >= _PACK_PAIRS
+        and min(len(left), len(right)) >= _PACK_MIN
+        and _add_packed(left, right, cut, out)
+    ):
+        return
+    _add_term_products(left, right, cut, out)
+
+
+def _add_term_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
+    """:func:`_add_products` one pair of terms at a time; each inner row
+    stops at the cut."""
     if not right:
         return
     top2 = right[0][0][0]
@@ -79,6 +119,153 @@ def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], 
                 break
             key = (a1 + a2, b1 + b2)
             out[key] = out.get(key, 0) + n1 * n2
+
+
+def _line(terms: list) -> tuple[int, int] | None:
+    """The coprime (u, v), both positive, for which u*a + v*b takes one
+    value on the top term of ``terms`` and on its term highest in the
+    second exponent; None when the two are one term."""
+    a1, b1 = terms[0][0]
+    b2, a2 = max((b, a) for (a, b), _ in terms)
+    g = math.gcd(b2 - b1, a1 - a2)
+    return ((b2 - b1) // g, (a1 - a2) // g) if g else None
+
+
+def _rows(terms: list, u: int, v: int, p: int, q: int) -> dict[int, list[tuple[int, int]]]:
+    """The terms grouped by level L = u*a + v*b, each as (P, numerator)
+    with P = p*a + q*b its position in the level.  With v > 0, P rises as a
+    falls within a level, so terms sorted highest first give each row
+    lowest position first."""
+    rows: dict[int, list[tuple[int, int]]] = {}
+    for (a, b), n in terms:
+        rows.setdefault(u * a + v * b, []).append((p * a + q * b, n))
+    return rows
+
+
+def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> bool:
+    """:func:`_add_products` with each row of an operand packed into one
+    integer, or False, with ``out`` untouched, when the rows are too short
+    to pay for a big-int product each or an operand is not dense on the
+    lattice the product would be packed on.
+
+    Rows are the levels L = u*a + v*b of one of two linear forms: the
+    second exponent, or the line through an operand's top term and its
+    term highest in the second exponent, whichever gives fewer pairs of
+    rows.  With u*q - v*p = 1, P = p*a + q*b is the position in a level,
+    and (L, P) -> (a, b) = (q*L - v*P, u*P - p*L) inverts the change of
+    coordinates, so products add both L and P.  Positions are packed on
+    one step s for both operands, the gcd of the position differences in
+    every row and of the lowest positions of the row pairs meeting in
+    one output row; so every contribution to an output row lies in one
+    residue class modulo s.  An operand is dense when its terms fill at
+    least half of its slots.
+
+    A row is the integer sum(n * 2^(w*i)) over its slots i, and a slot of
+    w bits holds any signed sum the product can reach:
+    |n| <= max|n1| * max|n2| * min(len), since a key of the product is hit
+    by at most one term pair per term of either operand.  Each pair of rows
+    is one big-int product, summed into its output row while still packed;
+    each output row is unpacked once, in linear time, by adding a bias of
+    2^(w-1) to every slot and slicing the bytes.  Terms whose products all
+    lie at or below ``cut`` are dropped first; a pair of rows takes of each
+    row only the terms that reach above the cut with the other's first
+    term, and the keys of the product at or below the cut are dropped.  A
+    slot past the cut may then hold a partial sum, still within the bound.
+    """
+    if not left or not right:
+        return True
+    top1, top2 = left[0][0][0], right[0][0][0]
+    left = [t for t in left if t[0][0] + top2 > cut]
+    right = [t for t in right if t[0][0] + top1 > cut]
+    if not left or not right:
+        return True
+    square = left == right  # then a pair of distinct rows is taken once, doubled
+
+    def row_pairs(form: tuple[int, int]) -> int:
+        u, v = form
+        return len({u * a + v * b for (a, b), _ in left}) * len({u * a + v * b for (a, b), _ in right})
+
+    u, v = min({(0, 1), _line(left), _line(right)} - {None}, key=row_pairs)
+    q = pow(u, -1, v)
+    p = (u * q - 1) // v
+    rows1, rows2 = _rows(left, u, v, p, q), _rows(right, u, v, p, q)
+    if len(rows1) * len(rows2) * _PACK_MIN > len(left) * len(right):
+        return False
+
+    # the step, then the output rows: the lowest position of each and the highest
+    step = 0
+    for row in (*rows1.values(), *rows2.values()):
+        if step != 1:
+            step = math.gcd(step, *(P - row[0][0] for P, _ in row))
+    span1 = {L: (row[0][0], row[-1][0]) for L, row in rows1.items()}
+    span2 = {L: (row[0][0], row[-1][0]) for L, row in rows2.items()}
+    pairs, low, high = [], {}, {}
+    for L1, (lo1, hi1) in span1.items():
+        for L2, (lo2, hi2) in span2.items():
+            if square and L2 < L1:
+                continue
+            L, lo = L1 + L2, lo1 + lo2
+            # q*L - v*P is the first exponent at position P of output row L,
+            # so the pair reaches above the cut up to position top, and each
+            # row is needed only up to top less the other's lowest position
+            top = (q * L - cut - 1) // v
+            if top < lo:
+                continue
+            end1, end2 = min(hi1, top - lo2), min(hi2, top - lo1)
+            pairs.append((L1, end1, L2, end2))
+            if L in low:
+                step = math.gcd(step, lo - low[L])
+                low[L], high[L] = min(low[L], lo), max(high[L], end1 + end2)
+            else:
+                low[L], high[L] = lo, end1 + end2
+    step = step or 1
+    for terms, spans in ((left, span1), (right, span2)):
+        if 2 * len(terms) < sum((hi - lo) // step + 1 for lo, hi in spans.values()):
+            return False
+
+    bound = max(abs(n) for _, n in left) * max(abs(n) for _, n in right) * min(len(left), len(right))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, with room for the sign
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    biases: dict[int, int] = {}
+
+    def bias(slots: int) -> int:
+        if slots not in biases:
+            biases[slots] = int.from_bytes(zero * slots, "little")
+        return biases[slots]
+
+    def pack(row: list, lo: int, hi: int) -> int:
+        """The row's terms up to position hi."""
+        slots = [zero] * ((hi - lo) // step + 1)
+        for P, n in row:
+            if P > hi:
+                break
+            slots[(P - lo) // step] = (n + half).to_bytes(width, "little")
+        return int.from_bytes(b"".join(slots), "little") - bias(len(slots))
+
+    packed1 = {(L, end): pack(rows1[L], span1[L][0], end) for L, end in {pair[:2] for pair in pairs}}
+    packed2 = {(L, end): pack(rows2[L], span2[L][0], end) for L, end in {pair[2:] for pair in pairs}}
+    sums: dict[int, int] = {}
+    for L1, end1, L2, end2 in pairs:
+        L = L1 + L2
+        shift = (span1[L1][0] + span2[L2][0] - low[L]) // step * 8 * width + (square and L1 != L2)
+        sums[L] = sums.get(L, 0) + (packed1[L1, end1] * packed2[L2, end2] << shift)
+
+    for L, total in sums.items():
+        slots = (high[L] - low[L]) // step + 1
+        total += bias(slots)
+        if total < 0 or total >> (8 * width * slots):
+            raise InternalError("a packed row overflowed its slots; this is a bug")
+        data = total.to_bytes(width * slots, "little")
+        # a = q*L - v*P falls as P rises, so the keys above the cut come first
+        last = min(slots, ((q * L - cut - 1) // v - low[L]) // step + 1)
+        a, b = q * L - v * low[L], u * low[L] - p * L  # the key of slot 0
+        biased = [int.from_bytes(data[j : j + width], "little") for j in range(0, last * width, width)]
+        for i, n in enumerate(biased):
+            if n != half:
+                key = (a - i * v * step, b + i * u * step)
+                out[key] = out.get(key, 0) + n - half
+    return True
 
 
 def _subtract_row(
@@ -152,7 +339,10 @@ class _Sparse:
         lowest terms."""
         g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
-        out._terms = {key: n // g for key, n in terms.items() if n}
+        if g == 1 and 0 not in terms.values():
+            out._terms = terms.copy()
+        else:
+            out._terms = {key: n // g for key, n in terms.items() if n}
         out._den = den // g
         return out
 
@@ -385,8 +575,9 @@ class LaurentPoly(_Sparse):
 
     @property
     def is_polynomial(self) -> bool:
-        """True iff no negative x-exponent appears (the zero polynomial counts)."""
-        return all(a >= 0 for a, _ in self._terms)
+        """True iff no negative x-exponent appears (the zero polynomial counts):
+        the least key, compared as a tuple, has the least x-exponent."""
+        return not self._terms or min(self._terms)[0] >= 0
 
     @property
     def y_degree(self) -> int:

@@ -166,17 +166,20 @@ class _Products:
     asks for never grow (within a level the floor stays and the top falls,
     and a raised expansion is known no deeper below its top than the old
     floor allowed), and a step's check catches a monomial known too little.
+    The unit is not kept: a monomial with no essential factor is a caller's
+    own unit, built only for the step that needs it.
     """
 
-    def __init__(self, one):
-        self._kept = {(): one}
+    def __init__(self):
+        self._kept: dict[tuple, object] = {}
         self._depth: dict[tuple, int | None] = {}  # the depth asked when each product was built
 
     def add(self, e: int, obj) -> None:
         self._kept[(e, 1),] = obj
 
     def get(self, factors: tuple[tuple[int, int], ...], depth: int | None):
-        """The product of ``factors``, known at least ``depth`` below its top."""
+        """The product of the nonempty ``factors``, known at least ``depth``
+        below its top."""
         kept = self._kept.get(factors)
         if kept is None:
             *prefix, (e, b) = factors
@@ -210,7 +213,7 @@ def key_forms_with_values(
     multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
-    products = _Products(LaurentPoly.one())
+    products = _Products()
     ess, ess_values = [0], [values[0]]  # the essential indices before j, with their values
     for j in range(1, last):
         alpha = multipliers[j - 1]
@@ -222,7 +225,8 @@ def key_forms_with_values(
         else:
             top = forms[j]
         beta = dict(zip(ess, represent(alpha * values[j], ess_values)))
-        mono = products.get(tuple((e, b) for e, b in beta.items() if e >= 2 and b), None)
+        factors = tuple((e, b) for e, b in beta.items() if e >= 2 and b)
+        mono = products.get(factors, None) if factors else LaurentPoly.one()
         scale = Fraction(1 if scalars is None else scalars[j - 1], mono._den)
         terms = dict(top._terms)
         den = _subtract_row(terms, top._den, None, mono._terms, scale, beta[0], beta.get(1, 0))
@@ -312,7 +316,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     ess, ess_values = [0], [delta_x]  # the essential indices so far, with their values
     values = [delta_x]
     scalars: list[Fraction] = []
-    products = _Products(expansion._like({(0, 0): 1}, 1))
+    products = _Products()
     for _ in range(bound + 1):
         if not terms:
             if floor is None:
@@ -338,7 +342,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         factors = [(e, b) for e, b in zip(ess[1:], beta[1:]) if b]
         if factors and factors[0][0] == 1:  # y's power last
             factors.append(factors.pop(0))
-        mono = products.get(tuple(factors), depth)
+        mono = products.get(tuple(factors), depth) if factors else expansion._like({(0, 0): 1}, 1)
         shift = beta[0] * delta_x
         top = mono._top()
         if top is None or (top[0] + shift, top[1]) != (power * w, 0):

@@ -1,7 +1,9 @@
+import hashlib
 import math
 import operator
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,14 +11,17 @@ from hypothesis import strategies as st
 
 from semidegree import (
     DPuiseuxPoly,
+    FormalPuiseuxPairs,
     GenericDPS,
     LaurentPoly,
+    algebraic_witness,
     formal_pairs,
     parse_dps,
     parse_laurent,
     semidegree,
     substitute,
 )
+from semidegree import algebra, cli
 from semidegree.algebra import AlgebraError, XiSeries, series_of
 
 from helpers import oracle_substitute, random_generic, random_laurent
@@ -227,3 +232,261 @@ def test_a_term_refuses_floats_and_negative_y_powers():
         LaurentPoly.term(0, 1, 0.5)
     with pytest.raises(AlgebraError):
         LaurentPoly.term(0, -1)
+
+
+# ---------------------------------------------------------------------------
+# packed products against the term loop
+
+
+def _sorted(numerators):
+    """(key, numerator) of a map, sorted highest first as products take them."""
+    return sorted(numerators.items(), reverse=True)
+
+
+def _loop(left, right, cut):
+    out = {}
+    algebra._add_term_products(left, right, cut, out)
+    return {key: n for key, n in out.items() if n}
+
+
+def _packed(left, right, cut):
+    """The packed numerators, or None when the packed path refuses.  The
+    map starts with a key no product reaches, so a packed product must add
+    to it and a refusal must leave it untouched."""
+    out = {(0, -1): 7}
+    if not algebra._add_packed(left, right, cut, out):
+        assert out == {(0, -1): 7}
+        return None
+    assert out.pop((0, -1)) == 7
+    return {key: n for key, n in out.items() if n}
+
+
+def _coefficient(rng):
+    return rng.choice((-1, 1)) * rng.randrange(1, 1 << 40)
+
+
+def _rows(rng, rows, width, step=1, shift=0, fill=1.0, residues=(0,)):
+    """Rows of first exponents, one per second exponent in ``rows``: row i
+    holds ``width`` slots of step ``step`` from a drawn start in the residue
+    class shift + residues[i % len(residues)], each slot filled with
+    probability ``fill``."""
+    out = {}
+    for i, b in enumerate(rows):
+        start = shift + residues[i % len(residues)] + step * rng.randrange(-3, 4)
+        for k in range(width):
+            if rng.random() < fill:
+                out[start + step * k, b] = _coefficient(rng)
+    return out
+
+
+def _band(rng, u, v, top, width):
+    """The terms with a, b >= 0 and top - width < u*a + v*b <= top: the
+    shape of a key form, whose top term and term highest in b lie on the
+    level top when u and v divide it."""
+    return {
+        (a, b): _coefficient(rng)
+        for a in range(top // u + 1)
+        for b in range(top // v + 1)
+        if top - width < u * a + v * b <= top
+    }
+
+
+def _operands(case):
+    rng = random.Random(case)
+    dense = _rows(rng, range(3), 12)
+    if case == "dense rows":
+        return dense, _rows(rng, range(2), 15)
+    if case == "dense rows squared":
+        return dense, dense
+    if case == "rows on step 3":
+        return _rows(rng, range(3), 10, step=3, shift=1), _rows(rng, range(1, 3), 9, step=3, shift=2)
+    if case == "rows with gaps":
+        return _rows(rng, range(3), 16, fill=0.7), _rows(rng, range(2), 16, fill=0.7)
+    if case == "level band squared":
+        band = _band(rng, 5, 3, 45, 12)
+        return band, band
+    if case == "level bands":
+        return _band(rng, 5, 3, 45, 12), _band(rng, 5, 3, 30, 9)
+    if case == "negative x-exponents":
+        return _rows(rng, range(2), 12, shift=-30), _rows(rng, range(3), 8, shift=-5)
+    if case == "one term":
+        return {(-4, 2): _coefficient(rng)}, dense
+    if case == "one term on the right":
+        return dense, {(7, 0): _coefficient(rng)}
+    if case == "one row":
+        return _rows(rng, [2], 20), dense
+    if case == "mixed residues":
+        # row 1 of the left is odd where the rest is even: output row 1
+        # takes even and odd contributions, so the step falls from 2 to 1
+        return _rows(rng, range(2), 10, step=2, residues=(0, 1)), _rows(rng, range(2), 10, step=2)
+    raise AssertionError(case)
+
+
+PACKED_CASES = [
+    "dense rows",
+    "dense rows squared",
+    "rows on step 3",
+    "rows with gaps",
+    "level band squared",
+    "level bands",
+    "negative x-exponents",
+    "one term",
+    "one term on the right",
+    "one row",
+    "mixed residues",
+]
+
+
+@pytest.mark.parametrize("case", PACKED_CASES)
+def test_packed_products_match_the_term_loop_at_every_cut(case, monkeypatch):
+    # rows of any length are packed, so that a cut near the top, which
+    # leaves a few terms per row, is packed too
+    monkeypatch.setattr(algebra, "_PACK_MIN", 1)
+    left, right = map(_sorted, _operands(case))
+    low = left[-1][0][0] + right[-1][0][0]
+    high = left[0][0][0] + right[0][0][0]
+    for cut in range(low - 2, high + 2):
+        assert _packed(left, right, cut) == _loop(left, right, cut)
+
+
+def test_rows_sparse_on_their_lattice_or_too_short_are_refused():
+    rng = random.Random(5)
+    sparse, dense = _rows(rng, range(3), 40, fill=0.2), _rows(rng, range(2), 40)
+    # one term per row in every candidate: a big-int product per term pair
+    diagonal = {(k, k): _coefficient(rng) for k in range(100)}
+    sloped = {(2 * k, k): _coefficient(rng) for k in range(100)}
+    for left, right in ((sparse, dense), (dense, sparse), (diagonal, diagonal), (diagonal, sloped)):
+        left, right = _sorted(left), _sorted(right)
+        assert _packed(left, right, -100) is None
+        out = {}
+        algebra._add_products(left, right, -100, out)
+        assert {key: n for key, n in out.items() if n} == _loop(left, right, -100)
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("n, width", [(16, 3), (33, 5), (60, 9)])
+def test_a_packed_slot_holds_the_largest_sum(n, width, rows):
+    # every coefficient at +-M, and the middle key of the product is hit by
+    # every term pair that can reach it, min(len) of them: its numerator is
+    # +-(n * rows) * M^2, which needs exactly 8 * width - 1 bits and a sign
+    # bit, so a slot one bit narrower overflows
+    M = math.isqrt(((1 << 8 * (width - 1)) - 1) // (n * rows))
+    bound = n * rows * M * M
+    assert bound.bit_length() == 8 * (width - 1)
+    plus = _sorted({(a, b): M for a in range(n) for b in range(rows)})
+    minus = _sorted({(a, b): -M for a in range(n) for b in range(rows)})
+    for left, right in ((plus, plus), (plus, minus), (minus, plus), (minus, minus)):
+        product = _packed(left, right, -1)
+        assert product == _loop(left, right, -1)
+        assert max(map(abs, product.values())) == bound
+
+
+@pytest.fixture
+def packing(monkeypatch):
+    """run(compute) -> (result with every product offered to the packed
+    path, result with the term loop alone, number of products packed)."""
+    add_packed = algebra._add_packed
+
+    def run(compute):
+        packed = []
+
+        def counting(*args):
+            packed.append(add_packed(*args))
+            return packed[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_PACK_PAIRS", 0)
+            m.setattr(algebra, "_PACK_MIN", 0)
+            m.setattr(algebra, "_add_packed", counting)
+            first = compute()
+        with monkeypatch.context() as m:
+            m.setattr(algebra, "_add_products", algebra._add_term_products)
+            second = compute()
+        return first, second, sum(packed)
+
+    return run
+
+
+def _expansion(numerators, band=None):
+    return XiSeries([(key, F(n, 6)) for key, n in numerators.items()], 1, band)
+
+
+def test_packed_expansion_products_match_at_every_band_and_floor(packing):
+    rng = random.Random(31)
+    s_terms, t_terms = _rows(rng, range(2), 14), _rows(rng, range(2), 11, shift=-9)
+    s, t = _expansion(s_terms), _expansion(t_terms)
+    low, high = min(s_terms)[0] + min(t_terms)[0], max(s_terms)[0] + max(t_terms)[0]
+    packed_total = 0
+    # a band cut at, below and above every key of the product
+    for band in range(1, high - low + 3):
+        s, t = _expansion(s_terms, band), _expansion(t_terms, band)
+        first, second, packed = packing(lambda: (s * t, t * s, s * s, s ** 3))
+        assert first == second
+        packed_total += packed
+    # a floor at, below and above every key of an operand, up to empty
+    # operands that carry only their floor
+    s, t = _expansion(s_terms), _expansion(t_terms)
+    for floor in range(min(s_terms)[0] - 2, max(s_terms)[0] + 2):
+        cut = s.above(floor)
+        first, second, packed = packing(lambda: (cut * t, t * cut, cut * cut))
+        assert first == second
+        packed_total += packed
+    assert packed_total > 100
+
+
+def test_packed_substitution_matches_the_term_loop(packing):
+    rng = random.Random(32)
+    f = LaurentPoly((key, F(n, 5)) for key, n in _rows(rng, range(6), 9, shift=-4).items())
+    for g in (D1, GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3))):
+        first, second, packed = packing(lambda: substitute(f, g))
+        assert first == second and packed
+
+
+# ---------------------------------------------------------------------------
+# which products are packed
+
+
+def test_the_l8_witness_squares_its_largest_form_packed_and_prints_the_same_json(monkeypatch, capsys):
+    calls = []
+    add_packed = algebra._add_packed
+
+    def recording(left, right, cut, out):
+        calls.append((len(left), len(right), add_packed(left, right, cut, out)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(algebra, "_add_packed", recording)
+    q = 3
+    pairs = [(3, 5)]
+    for _ in range(7):
+        q = 2 * q - 1
+        pairs.append((q, 2))
+    pairs.append((q - 1, 1))  # 3/5, 5/2, 9/2, ..., 257/2, 256/1
+    text = ",".join(f"{q}/{p}" for q, p in pairs)
+    assert cli.main(["witness", "--pairs", text, "--kind", "algebraic"]) == 0
+    assert (1470, 1470, True) in calls
+    # the md5 of the JSON line the term loop alone printed
+    assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "6d3eebd4cfc05a2e3168c26c1ffa808f"
+
+
+def test_no_product_of_the_timed_workloads_is_packed(monkeypatch, tmp_path):
+    # the largest are 289 term pairs (chain), 1521 (classify) and 36 (batch)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    largest = [0]
+    add_products = algebra._add_products
+
+    def recording(left, right, cut, out):
+        largest[0] = max(largest[0], len(left) * len(right))
+        add_products(left, right, cut, out)
+
+    def refused(*args):
+        raise AssertionError("a timed product reached the packed path")
+
+    monkeypatch.setattr(algebra, "_add_products", recording)
+    monkeypatch.setattr(algebra, "_add_packed", refused)
+    for name in ("chain", "classify", "batch"):
+        spec = workloads.build(name, 0, tmp_path / name, 1)
+        for item in spec.items:
+            spec.op(item)
+    assert 0 < largest[0] < algebra._PACK_PAIRS

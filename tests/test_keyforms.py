@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import hashlib
 import inspect
 import math
 import random
@@ -387,6 +388,14 @@ def _certified_run(g):
 @functools.cache
 def _dyadic_run(depth):
     return _certified_run(_dyadic_chain(depth))
+
+
+@pytest.mark.parametrize(
+    "depth, digest", [(7, "66e429ea7ba5032f6343aad78f157c8a"), (8, "998cb2e32c17040e2a6ed99acbf9d908")]
+)
+def test_dyadic_values_and_scalars_keep_their_digest(depth, digest):
+    # the md5 of repr((values, scalars)) as the term loop alone computed them
+    assert hashlib.md5(repr(_dyadic_run(depth)).encode()).hexdigest() == digest
 
 
 def _product_bound(seq):
