@@ -88,12 +88,12 @@ def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], 
     A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
     terms or more in each operand, is packed by :func:`_add_packed`: each
     row of an operand becomes one integer and each pair of rows one big-int
-    product.  Its slots are as wide as the largest sum of products needs,
-    and a packed row that overflows raises :class:`InternalError`.  That
-    path refuses, leaving ``out`` untouched, when its pairs of rows average
-    fewer than ``_PACK_MIN`` term pairs, or when an operand fills less than
-    half of its slots on the lattice step common to both.  Every other
-    product goes through the term loop, :func:`_add_term_products`.
+    product.  Its slots are as wide as the largest sum of products needs.
+    That path refuses, leaving ``out`` untouched, when its pairs of rows
+    average fewer than ``_PACK_MIN`` term pairs, or when an operand or the
+    output rows fill less than half of their slots on the lattice step
+    common to both operands.  Every other product goes through the term
+    loop, :func:`_add_term_products`.
     """
     if (
         len(left) * len(right) >= _PACK_PAIRS
@@ -145,8 +145,8 @@ def _rows(terms: list, u: int, v: int, p: int, q: int) -> dict[int, list[tuple[i
 def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> bool:
     """:func:`_add_products` with each row of an operand packed into one
     integer, or False, with ``out`` untouched, when the rows are too short
-    to pay for a big-int product each or an operand is not dense on the
-    lattice the product would be packed on.
+    to pay for a big-int product each or the product is not dense on the
+    lattice it would be packed on.
 
     Rows are the levels L = u*a + v*b of one of two linear forms: the
     second exponent, or the line through an operand's top term and its
@@ -157,20 +157,23 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
     one step s for both operands, the gcd of the position differences in
     every row and of the lowest positions of the row pairs meeting in
     one output row; so every contribution to an output row lies in one
-    residue class modulo s.  An operand is dense when its terms fill at
-    least half of its slots.
+    residue class modulo s.  The product is dense when each operand fills
+    at least half of its slots and the output rows span at most twice the
+    slots of the row pairs that meet in them, so that pairs far apart in
+    one output row cannot make it long.
 
     A row is the integer sum(n * 2^(w*i)) over its slots i, and a slot of
     w bits holds any signed sum the product can reach:
     |n| <= max|n1| * max|n2| * min(len), since a key of the product is hit
-    by at most one term pair per term of either operand.  Each pair of rows
-    is one big-int product, summed into its output row while still packed;
-    each output row is unpacked once, in linear time, by adding a bias of
-    2^(w-1) to every slot and slicing the bytes.  Terms whose products all
-    lie at or below ``cut`` are dropped first; a pair of rows takes of each
-    row only the terms that reach above the cut with the other's first
-    term, and the keys of the product at or below the cut are dropped.  A
-    slot past the cut may then hold a partial sum, still within the bound.
+    by at most one term pair per term of either operand.  That bound is
+    what keeps every slot exact.  Each pair of rows is one big-int product,
+    summed into its output row while still packed; each output row is
+    unpacked once, in linear time, by adding a bias of 2^(w-1) to every
+    slot and slicing the bytes.  A biased row that is negative or overflows
+    its top slot raises :class:`InternalError`.  Terms whose products all
+    lie at or below ``cut`` are dropped first, and so are pairs of rows
+    whose products all do; the keys of the product at or below the cut are
+    not unpacked.
     """
     if not left or not right:
         return True
@@ -204,24 +207,22 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
         for L2, (lo2, hi2) in span2.items():
             if square and L2 < L1:
                 continue
-            L, lo = L1 + L2, lo1 + lo2
-            # q*L - v*P is the first exponent at position P of output row L,
-            # so the pair reaches above the cut up to position top, and each
-            # row is needed only up to top less the other's lowest position
-            top = (q * L - cut - 1) // v
-            if top < lo:
-                continue
-            end1, end2 = min(hi1, top - lo2), min(hi2, top - lo1)
-            pairs.append((L1, end1, L2, end2))
+            L, lo, hi = L1 + L2, lo1 + lo2, hi1 + hi2
+            # q*L - v*P is the first exponent at position P of output row L
+            if (q * L - cut - 1) // v < lo:
+                continue  # the whole pair lies at or below the cut
+            pairs.append((L1, L2, lo, hi))
             if L in low:
                 step = math.gcd(step, lo - low[L])
-                low[L], high[L] = min(low[L], lo), max(high[L], end1 + end2)
+                low[L], high[L] = min(low[L], lo), max(high[L], hi)
             else:
-                low[L], high[L] = lo, end1 + end2
+                low[L], high[L] = lo, hi
     step = step or 1
     for terms, spans in ((left, span1), (right, span2)):
         if 2 * len(terms) < sum((hi - lo) // step + 1 for lo, hi in spans.values()):
             return False
+    if sum((high[L] - low[L]) // step + 1 for L in low) > 2 * sum((hi - lo) // step + 1 for *_, lo, hi in pairs):
+        return False
 
     bound = max(abs(n) for _, n in left) * max(abs(n) for _, n in right) * min(len(left), len(right))
     width = (bound.bit_length() + 8) // 8  # bytes per slot, with room for the sign
@@ -234,22 +235,20 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
             biases[slots] = int.from_bytes(zero * slots, "little")
         return biases[slots]
 
-    def pack(row: list, lo: int, hi: int) -> int:
-        """The row's terms up to position hi."""
-        slots = [zero] * ((hi - lo) // step + 1)
+    def pack(row: list) -> int:
+        lo = row[0][0]
+        slots = [zero] * ((row[-1][0] - lo) // step + 1)
         for P, n in row:
-            if P > hi:
-                break
             slots[(P - lo) // step] = (n + half).to_bytes(width, "little")
         return int.from_bytes(b"".join(slots), "little") - bias(len(slots))
 
-    packed1 = {(L, end): pack(rows1[L], span1[L][0], end) for L, end in {pair[:2] for pair in pairs}}
-    packed2 = {(L, end): pack(rows2[L], span2[L][0], end) for L, end in {pair[2:] for pair in pairs}}
+    packed1 = {L: pack(rows1[L]) for L in {pair[0] for pair in pairs}}
+    packed2 = {L: pack(rows2[L]) for L in {pair[1] for pair in pairs}}
     sums: dict[int, int] = {}
-    for L1, end1, L2, end2 in pairs:
+    for L1, L2, lo, _ in pairs:
         L = L1 + L2
-        shift = (span1[L1][0] + span2[L2][0] - low[L]) // step * 8 * width + (square and L1 != L2)
-        sums[L] = sums.get(L, 0) + (packed1[L1, end1] * packed2[L2, end2] << shift)
+        shift = (lo - low[L]) // step * 8 * width + (square and L1 != L2)
+        sums[L] = sums.get(L, 0) + (packed1[L1] * packed2[L2] << shift)
 
     for L, total in sums.items():
         slots = (high[L] - low[L]) // step + 1
@@ -339,10 +338,7 @@ class _Sparse:
         lowest terms."""
         g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
-        if g == 1 and 0 not in terms.values():
-            out._terms = terms.copy()
-        else:
-            out._terms = {key: n // g for key, n in terms.items() if n}
+        out._terms = {key: n // g for key, n in terms.items() if n}
         out._den = den // g
         return out
 
@@ -575,9 +571,8 @@ class LaurentPoly(_Sparse):
 
     @property
     def is_polynomial(self) -> bool:
-        """True iff no negative x-exponent appears (the zero polynomial counts):
-        the least key, compared as a tuple, has the least x-exponent."""
-        return not self._terms or min(self._terms)[0] >= 0
+        """True iff no negative x-exponent appears (the zero polynomial counts)."""
+        return all(a >= 0 for a, _ in self._terms)
 
     @property
     def y_degree(self) -> int:

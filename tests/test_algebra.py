@@ -355,12 +355,19 @@ def test_rows_sparse_on_their_lattice_or_too_short_are_refused():
     # one term per row in every candidate: a big-int product per term pair
     diagonal = {(k, k): _coefficient(rng) for k in range(100)}
     sloped = {(2 * k, k): _coefficient(rng) for k in range(100)}
-    for left, right in ((sparse, dense), (dense, sparse), (diagonal, diagonal), (diagonal, sloped)):
+    # two dense rows each, but the pairs meeting in output row y^1 lie a
+    # million slots apart: packed, that row would span all of them
+    apart = {(a + g, b): _coefficient(rng) for a in range(64) for b, g in ((0, 0), (1, 10**6))}
+    square = {(a, b): _coefficient(rng) for a in range(64) for b in range(2)}
+    cases = ((sparse, dense), (dense, sparse), (diagonal, diagonal), (diagonal, sloped), (apart, square))
+    for left, right in cases:
         left, right = _sorted(left), _sorted(right)
         assert _packed(left, right, -100) is None
         out = {}
         algebra._add_products(left, right, -100, out)
         assert {key: n for key, n in out.items() if n} == _loop(left, right, -100)
+    product = LaurentPoly(apart.items()) * LaurentPoly(square.items())
+    assert product._den == 1 and product._terms == _loop(_sorted(apart), _sorted(square), -100)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
