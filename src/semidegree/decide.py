@@ -82,13 +82,8 @@ def cousin_decide(psi_local: DPuiseuxPoly, r_local) -> Verdict:
 
 
 def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
-    last_poly = seq.last_form.is_polynomial
-    all_poly = all(form.is_polynomial for form in seq.forms)
-    if last_poly != all_poly:
-        raise InternalError(
-            "polynomiality of the last form does not match all forms; this is a bug"
-        )
-    if last_poly:
+    witness = next((i for i, form in enumerate(seq.forms) if not form.is_polynomial), None)
+    if witness is None:
         return Verdict(
             kind=ALGEBRAIC,
             keyforms=seq,
@@ -96,6 +91,8 @@ def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
             embedding_weights=(1, *seq.values),
             essential_weights=(1, *seq.essential_values()),
         )
-    witness = next(i for i, form in enumerate(seq.forms) if not form.is_polynomial)
+    if seq.last_form.is_polynomial:
+        raise InternalError(
+            "polynomiality of the last form does not match all forms; this is a bug"
+        )
     return Verdict(kind=NON_ALGEBRAIC, keyforms=seq, witness_index=witness)
-

@@ -10,6 +10,8 @@ of the current form's expansion:
   raised to the least power taking its value into the group of the earlier
   essential values (a power above 1 makes it essential), and a scalar
   multiple of a monomial in those essential forms cancels the leading term;
+  that power is the form's multiplier, one rule (:func:`_multiplier`) for
+  the loop and the form builder;
 * the process stops as soon as the generic indeterminate reaches the
   leading coefficient.
 
@@ -100,7 +102,9 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
     """Invert :func:`essential_key_values`.
 
     The p_k fall out of the chain of gcds of value prefixes, and the q_k
-    then follow from the recursion.
+    then follow from the recursion.  The gcd d_k of the first k + 1 values
+    divides omega_k and d_{k-1}, which divides omega_{k-1}, so each
+    division by d_k is exact.
     """
     gcds = []
     g = 0
@@ -114,12 +118,17 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
     q_prev, p_prev = 1, 1
     for k in range(1, len(omegas)):
         diff = omegas[k] - p_prev * omegas[k - 1]
-        if diff % gcds[k] != 0:
-            raise KeyFormError("values do not satisfy the essential recursion")
         q = q_prev * ps[k - 1] + diff // gcds[k]
         qs.append(q)
         q_prev, p_prev = q, ps[k - 1]
     return FormalPuiseuxPairs(tuple(zip(qs, ps)))
+
+
+def _multiplier(w: int, ess_values: Sequence[int]) -> int:
+    """The least power taking the value w into the group of the essential
+    values so far: d // gcd(d, w), with d their gcd."""
+    d = math.gcd(*ess_values)
+    return d // math.gcd(d, w)
 
 
 def represent(target, values: Sequence[int]) -> list[int]:
@@ -197,7 +206,9 @@ def key_forms_with_values(
 ) -> KeyFormSeq:
     """The key forms a value sequence determines, from x and y onward.
 
-    Form j+1 is form j raised to its multiplier alpha_j, minus the monomial
+    Form j+1 is form j raised to its multiplier alpha_j, the least power
+    taking values[j] into the group of the essential values before it
+    (:func:`_multiplier`, the loop's power), minus the monomial
     in the earlier forms with the exponents beta :func:`represent` gives for
     alpha_j * values[j], that monomial scaled by ``scalars[j - 1]`` when
     scalars are given.  The essential indices are 0, every j with
@@ -210,13 +221,14 @@ def key_forms_with_values(
     with them.  Each form is then one pass over integer numerators: the
     top's, minus the scaled P with x^beta_0 * y^beta_1 a shift.
     """
-    multipliers = _multipliers_from_values(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
     products = _Products()
     ess, ess_values = [0], [values[0]]  # the essential indices before j, with their values
+    multipliers = []
     for j in range(1, last):
-        alpha = multipliers[j - 1]
+        alpha = _multiplier(values[j], ess_values)
+        multipliers.append(alpha)
         if j == 1:
             top = LaurentPoly.term(0, alpha)
         elif alpha > 1:
@@ -234,6 +246,7 @@ def key_forms_with_values(
         if alpha > 1:
             ess.append(j)
             ess_values.append(values[j])
+    multipliers.append(_multiplier(values[last], ess_values))
     return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), (*ess, last))
 
 
@@ -328,8 +341,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
             return values, scalars
 
         lead, lead_den = terms[w, 0], den
-        d = math.gcd(*ess_values)
-        power = d // math.gcd(d, w)
+        power = _multiplier(w, ess_values)
         beta = represent(power * w, ess_values)
         if power > 1:  # an essential form: keep its expansion for later monomials
             snapshot = expansion._like(terms, den, floor)
@@ -355,18 +367,6 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         scalars.append(Fraction(num * mono._den, div))
         den = _subtract_row(terms, den, floor, mono._terms, Fraction(num, div), shift)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
-
-
-def _multipliers_from_values(values: Sequence[int]) -> list[int]:
-    """alpha_j = least positive integer with alpha_j * values[j] in the group
-    of the earlier values, computed through the running gcd."""
-    out = []
-    g = 0
-    for j, v in enumerate(values):
-        if j > 0:
-            out.append(g // math.gcd(g, abs(v)) if v != 0 else 1)
-        g = math.gcd(g, abs(v))
-    return out
 
 
 def _check_run(seq: KeyFormSeq, pairs: FormalPuiseuxPairs) -> None:
@@ -406,10 +406,17 @@ def verify_key_properties(seq: KeyFormSeq, g: GenericDPS | None = None) -> Verif
     forms, values = seq.forms, seq.values
     n = seq.n
 
+    if len(values) != n + 2 or len(seq.multipliers) != n + 1:
+        return VerificationReport((f"{n + 2} forms need as many values and {n + 1} multipliers",))
+    out_of_range = values[0] <= 0 or min(seq.multipliers, default=1) < 1
+    if out_of_range or not set(seq.essential_indices) <= set(range(n + 2)):
+        return VerificationReport(("value 0, a multiplier or an essential index is out of range",))
     if forms[0] != LaurentPoly.x():
         problems.append("form 0 is not x")
     if len(forms) < 2 or forms[1] != LaurentPoly.y():
         problems.append("form 1 is not y")
+    if problems:  # the checks below read forms[0] as x and forms[1] as y
+        return VerificationReport(tuple(problems))
 
     if g is not None:
         for j, actual in enumerate(semidegrees(forms, g)):

@@ -133,7 +133,6 @@ def parse_laurent(text: str) -> LaurentPoly:
         coeff = Fraction(sign)
         x_exp = Fraction(0)
         y_exp = Fraction(0)
-        saw_factor = False
         while True:
             if scanner.peek().isdigit():
                 coeff *= scanner.rational()
@@ -146,11 +145,8 @@ def parse_laurent(text: str) -> LaurentPoly:
                 y_exp += step
             else:
                 raise ParseError("expected a factor", scanner.pos)
-            saw_factor = True
             if not scanner.take("*"):
                 break
-        if not saw_factor:
-            raise ParseError("expected a term", scanner.pos)
         terms.append(((int(x_exp), int(y_exp)), coeff))
         if scanner.at_end():
             return LaurentPoly(terms)

@@ -509,13 +509,14 @@ def row_key_forms(values, scalars=None):
     one-term head times a product of rows of powers that starts at that
     head, so no two monomials share a partial product, and each form as a
     difference of two LaurentPoly values.  The exponents come from
-    :func:`~semidegree.keyforms.represent` against all earlier values."""
+    :func:`~semidegree.keyforms.represent` against all earlier values, the
+    multipliers from :func:`search_multipliers`."""
     import math
 
     from semidegree import KeyFormSeq
-    from semidegree.keyforms import _multipliers_from_values, represent
+    from semidegree.keyforms import represent
 
-    multipliers = _multipliers_from_values(values)
+    multipliers = search_multipliers(values)
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
     rows = {}  # essential j >= 2: g_j^0..g_j^alpha_j

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from semidegree import parse_dps, parse_laurent
-from semidegree.cli import main
+from semidegree.cli import main, run_line
 from semidegree.parsing import ParseError, dps_to_str, laurent_to_str
 
 from helpers import random_dps, random_laurent
@@ -69,6 +69,22 @@ def test_only_ascii_digits_are_numbers(text, position):
     for parse in (parse_dps, parse_laurent):
         with pytest.raises(ParseError, match=rf"^expected a number \(at position {position}\)$"):
             parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message, position",
+    [
+        (parse_dps, "x x", "expected '+' or '-'", 2),
+        (parse_dps, "2*y", "expected 'x'", 2),
+        (parse_dps, "+", "expected a term", 1),
+        (parse_laurent, "x*", "expected a factor", 2),
+    ],
+    ids=["dps-sign", "dps-x", "dps-term", "laurent-factor"],
+)
+def test_parse_errors_name_their_position(parse, text, message, position):
+    with pytest.raises(ParseError) as raised:
+        parse(text)
+    assert (str(raised.value), raised.value.position) == (f"{message} (at position {position})", position)
 
 
 def test_print_parse_round_trip_dps():
@@ -176,6 +192,28 @@ def test_exit_code_oversized_pairs_is_quick(capsys):
     assert code == 2
     assert not out
     assert "essential values too large" in err
+
+
+NON_ALGEBRAIC = ("decide", "--phi", "2*x^(5/2) - 2*x^-1", "--r", "-2")
+
+
+def test_a_non_algebraic_verdict_names_its_witness(capsys):
+    code, out, _ = run_cli(capsys, *NON_ALGEBRAIC)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["kind"] == "non_algebraic" and payload["witness_index"] == "3"
+    assert "curve" not in payload
+
+    code, line = run_line(shlex.join(NON_ALGEBRAIC))
+    assert code == 0
+    assert json.loads(line) == payload and '"witness_index":"3"' in line
+
+
+def test_a_nested_batch_line_exits_2():
+    assert run_line("batch --input x") == (
+        2,
+        json.dumps({"error": "batch lines may not nest (at position 0)", "exit_code": "2"}),
+    )
 
 
 README_EXAMPLES = [

@@ -34,6 +34,7 @@ import semidegree.keyforms as keyforms
 from semidegree.algebra import certified
 from semidegree.graphs import algebraic_witness, nonalgebraic_witness
 from semidegree.keyforms import KeyFormError, _cancel, key_forms_with_values, step_bound
+from semidegree.puiseux import PuiseuxError
 from semidegree.semigroups import in_group
 
 from helpers import (
@@ -263,6 +264,85 @@ def test_verify_flags_a_perturbed_form():
     assert any("step 1" in p or "value 2" in p for p in report.problems)
 
 
+WORKED = GenericDPS(parse_dps("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"), F(-8, 3))
+
+
+def _corrupt(seq, forms=None, values=None, multipliers=None, essential_indices=None):
+    """seq with the given entries replaced: a dict {index: entry} for forms,
+    values and multipliers, a whole tuple for the essential indices."""
+
+    def patch(entries, changes):
+        return tuple(changes.get(i, entry) for i, entry in enumerate(entries))
+
+    return KeyFormSeq(
+        patch(seq.forms, forms or {}),
+        patch(seq.values, values or {}),
+        patch(seq.multipliers, multipliers or {}),
+        seq.essential_indices if essential_indices is None else essential_indices,
+    )
+
+
+# the worked example: values (6, 18, 12, 10, 26, 22, 18, 7, 13, 12, 11),
+# multipliers (1, 1, 3, 1, 1, 1, 2, 1, 1, 1), essential indices (0, 3, 7, 10)
+@pytest.mark.parametrize(
+    "corrupt, problem",
+    [
+        (lambda seq: _corrupt(seq, forms={0: parse_laurent("y")}), "form 0 is not x"),
+        (lambda seq: _corrupt(seq, forms={0: parse_laurent("2*x")}), "form 0 is not x"),
+        (lambda seq: _corrupt(seq, forms={1: parse_laurent("y + 1")}), "form 1 is not y"),
+        (lambda seq: _corrupt(seq, forms={4: seq.forms[4].scale(2)}), "form 4 is not monic in y"),
+        (lambda seq: _corrupt(seq, multipliers={0: 2}), "multiplier 1: recorded 2, minimal is 1"),
+        (lambda seq: _corrupt(seq, multipliers={2: 1}), "step 3: 10 is not representable in the given values"),
+        (lambda seq: _corrupt(seq, values={2: 18}), "value 2 does not drop below multiplier * value 1"),
+        (lambda seq: _corrupt(seq, forms={2: seq.forms[1]}), "step 1: no monomial was subtracted"),
+        (
+            lambda seq: _corrupt(seq, essential_indices=(3, 7, 10)),
+            "essential indices must start at 0 and end at the last form",
+        ),
+        (lambda seq: _corrupt(seq, essential_indices=(0, 7, 3, 10)), "essential indices must strictly increase"),
+        (
+            lambda seq: _corrupt(seq, essential_indices=(0, 7, 10)),
+            "index 3: essentiality disagrees with multiplier 3",
+        ),
+        (lambda seq: _corrupt(seq, forms={3: seq.forms[3] * LaurentPoly.y()}), "essential form 3: y-degree 2 != 1"),
+        (
+            lambda seq: KeyFormSeq(seq.forms, seq.values, seq.multipliers[:-1], seq.essential_indices),
+            "11 forms need as many values and 10 multipliers",
+        ),
+        (lambda seq: _corrupt(seq, values={0: 0}), "value 0, a multiplier or an essential index is out of range"),
+        (lambda seq: _corrupt(seq, multipliers={0: -1}), "value 0, a multiplier or an essential index is out of range"),
+        (
+            lambda seq: _corrupt(seq, essential_indices=(0, 3, 11)),
+            "value 0, a multiplier or an essential index is out of range",
+        ),
+    ],
+    ids=[
+        "form0-y",
+        "form0-2x",
+        "form1",
+        "monic",
+        "multiplier-above",
+        "multiplier-below",
+        "no-drop",
+        "zero-difference",
+        "essential-skip-0",
+        "essential-order",
+        "essential-multiplier",
+        "essential-y-degree",
+        "multiplier-dropped",
+        "value0-zero",
+        "multiplier-negative",
+        "essential-out-of-range",
+    ],
+)
+def test_verify_reports_each_corruption(corrupt, problem):
+    seq = compute_key_forms(WORKED)
+    assert verify_key_properties(seq).ok
+    report = verify_key_properties(corrupt(seq))
+    assert not report.ok
+    assert problem in report.problems
+
+
 def test_verify_trivial_sequence():
     seq = KeyFormSeq(
         (LaurentPoly.x(), LaurentPoly.y()), (7, 3), (7,), (0, 1)
@@ -284,6 +364,21 @@ def test_pairs_recovered_from_essential_values():
         pairs = formal_pairs(g)
         omegas = essential_key_values(pairs)
         assert pairs_from_essential_values(omegas).pairs == pairs.pairs
+
+
+@pytest.mark.parametrize("draw", [random_generic, random_contractible])
+def test_pairs_from_essential_values_round_trips_seeded_pairs(draw):
+    for seed in range(1000):
+        pairs = formal_pairs(draw(random.Random(seed), max_terms=seed % 6))
+        assert pairs_from_essential_values(essential_key_values(pairs)) == pairs
+
+
+def test_pairs_from_essential_values_refusals_and_a_small_case():
+    with pytest.raises(KeyFormError, match="^essential values must have trivial overall gcd$"):
+        pairs_from_essential_values((4, 6))
+    with pytest.raises(PuiseuxError, match="^pair 1: denominator 1 out of range$"):
+        pairs_from_essential_values((6, 12, 1))
+    assert pairs_from_essential_values((6, 9, 4)).pairs == ((3, 2), (-5, 3))
 
 
 def test_randomized_coherence():

@@ -215,6 +215,15 @@ def test_formal_pairs_validation():
         FormalPuiseuxPairs(((2, 5), (3, 1)))  # exponents not decreasing
 
 
+@pytest.mark.parametrize(
+    "pairs, message",
+    [((), "at least the generic pair is required"), (((1, 1), (2, 1)), "pair 1: denominator 1 out of range")],
+)
+def test_formal_pairs_refusals_name_their_reason(pairs, message):
+    with pytest.raises(PuiseuxError, match=rf"^{message}$"):
+        FormalPuiseuxPairs(pairs)
+
+
 def test_strip_polynomial_part():
     g = GenericDPS(BIG_PHI, F(-8, 3))
     stripped = strip_polynomial_part(g)
