@@ -7,6 +7,10 @@ consistency check, :class:`~semidegree.puiseux.InternalError`, or any other
 exception: a bug), which in ``batch`` fails its own line only; a ``batch``
 input file that cannot be read is exit 2.  All numbers inside JSON payloads
 are decimal strings, never floats.
+
+Output is streamed: a key form's text is made only as the JSON encoder
+reaches it, and ``batch`` writes each line as soon as it is known, so no
+command holds its whole output text in memory.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import os
 import re
 import shlex
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
+from .algebra import LaurentPoly
 from .algebra import semidegree as semidegree_value
 from .decide import NotACompactificationError, cousin_decide, decide_algebraic
 from .graphs import (
@@ -91,9 +95,17 @@ def _generic_series(args) -> GenericDPS:
     return GenericDPS(parse_dps(args.phi), _parse_rational(args.r))
 
 
+def _form_text(obj: object) -> str:
+    """json's ``default`` hook: a key form's text, made only when the
+    encoder writes it.  Anything else in a payload is a bug."""
+    if isinstance(obj, LaurentPoly):
+        return laurent_to_str(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _sequence_payload(seq: KeyFormSeq) -> dict:
     return {
-        "key_forms": [laurent_to_str(f) for f in seq.forms],
+        "key_forms": list(seq.forms),  # printed by _form_text
         "values": [str(v) for v in seq.values],
         "multipliers": [str(a) for a in seq.multipliers],
         "essential_indices": [str(j) for j in seq.essential_indices],
@@ -335,6 +347,10 @@ def _line_args(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], **found)
 
 
+def _error_line(text: str, code: int) -> str:
+    return json.dumps({"error": text, "exit_code": str(code)})
+
+
 def run_line(line: str) -> tuple[int, str]:
     """Run one command line; returns (exit code, single-line JSON or error)."""
     try:
@@ -343,18 +359,50 @@ def run_line(line: str) -> tuple[int, str]:
             raise ParseError("batch lines may not nest", 0)
         args = _line_args(argv)
         if args is None:
-            return EXIT_INVALID, json.dumps({"error": "bad arguments", "exit_code": str(EXIT_INVALID)})
+            return EXIT_INVALID, _error_line("bad arguments", EXIT_INVALID)
         result = _HANDLERS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(exc)
-        return code, json.dumps({"error": _error_text(exc), "exit_code": str(code)})
+        return code, _error_line(_error_text(exc), code)
     if isinstance(result, str):
-        result = {"error": "dot output is not available in batch mode", "exit_code": str(EXIT_INVALID)}
-        return EXIT_INVALID, json.dumps(result)
-    return EXIT_OK, json.dumps(result, separators=(",", ":"))
+        return EXIT_INVALID, _error_line("dot output is not available in batch mode", EXIT_INVALID)
+    return EXIT_OK, json.dumps(result, separators=(",", ":"), default=_form_text)
 
 
-def _cmd_batch(args) -> tuple[int, str]:
+def _line_results(lines: list[str], workers: int) -> Iterator[tuple[int, str]]:
+    """run_line of each line, in input order, each as soon as it is known."""
+    if workers > 1:
+        # loaded only here: the pool pulls in multiprocessing, which no
+        # other command uses
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(max_workers=workers)
+            # one single-line map per line, all submitted before any line is
+            # written: a fork that fails falls back to the serial loop with
+            # nothing written twice, and a worker that dies costs only the
+            # lines whose results the pool lost with it
+            pending = [pool.map(run_line, (line,)) for line in lines]
+        except OSError:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+        else:
+            with pool:
+                for results in pending:
+                    try:
+                        result = next(results)
+                    except BrokenProcessPool:
+                        result = EXIT_INTERNAL, _error_line(
+                            "internal error: a batch worker process died", EXIT_INTERNAL
+                        )
+                    yield result
+            return
+    yield from map(run_line, lines)
+
+
+def _cmd_batch(args) -> int:
     try:
         with open(args.input, encoding="utf-8") as handle:
             lines = [line.strip() for line in handle if line.strip()]
@@ -364,16 +412,11 @@ def _cmd_batch(args) -> tuple[int, str]:
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are cores or lines
     workers = min(args.jobs, os.cpu_count() or 1, len(lines))
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run_line, lines))
-        except OSError:
-            results = [run_line(line) for line in lines]
-    else:
-        results = [run_line(line) for line in lines]
-    code = next((c for c, _ in results if c != EXIT_OK), EXIT_OK)
-    return code, "".join(text + "\n" for _, text in results)
+    code = EXIT_OK
+    for line_code, text in _line_results(lines, workers):
+        sys.stdout.write(text + "\n")
+        code = code or line_code  # the first failing line's code
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -384,9 +427,7 @@ def main(argv: list[str] | None = None) -> int:
         _PARSER.error("a flag's value may not be --")
     try:
         if args.command == "batch":
-            code, out = _cmd_batch(args)
-            sys.stdout.write(out)
-            return code
+            return _cmd_batch(args)
         result = _HANDLERS[args.command](args)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
         print(_error_text(exc), file=sys.stderr)
@@ -394,7 +435,8 @@ def main(argv: list[str] | None = None) -> int:
     if isinstance(result, str):
         sys.stdout.write(result)
     else:
-        sys.stdout.write(json.dumps(result, indent=2) + "\n")
+        json.dump(result, sys.stdout, indent=2, default=_form_text)
+        sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -288,6 +288,8 @@ def test_batch_mode_parallel(tmp_path, capsys):
 
 
 def test_batch_workers_are_clamped_to_cores_and_lines(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
     import semidegree.cli as cli
 
     requested = []
@@ -305,7 +307,7 @@ def test_batch_workers_are_clamped_to_cores_and_lines(tmp_path, capsys, monkeypa
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     batch = tmp_path / "requests.txt"
     for lines, expected in ((3, [3]), (10, [4]), (1, []), (0, [])):
