@@ -338,7 +338,10 @@ class _Sparse:
         lowest terms."""
         g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
-        out._terms = {key: n // g for key, n in terms.items() if n}
+        if g == 1 and 0 not in terms.values():
+            out._terms = dict(terms)  # nothing to drop or divide
+        else:
+            out._terms = {key: n // g for key, n in terms.items() if n}
         out._den = den // g
         return out
 

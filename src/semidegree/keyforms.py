@@ -29,9 +29,11 @@ it is x^beta_0 * y^beta_1 times powers g_e^b, b < p_e, of the essential
 forms g_e after y.  The table keeps each power of each, built from its
 halves, and each product of powers with the depth to which it is known,
 so monomials sharing factors share products.  The builder asks for exact
-products, with x^beta_0 * y^beta_1 a shift; the loop asks to the step's
-depth, y's power last.  :func:`monomial_product`, which powers every
-factor afresh, stays the verifier's independent route.
+products, with x^beta_0 * y^beta_1 a shift and the factors from the last
+form down, so that each product adds the shortest factor to a prefix that
+grows; the loop asks to the step's depth, which bounds every product
+whatever the order, with y's power last.  :func:`monomial_product`, which
+powers every factor afresh, stays the verifier's independent route.
 
 The values of the essential forms depend only on the formal Puiseux pairs
 and satisfy an explicit recursion (:func:`essential_key_values`), which the
@@ -237,7 +239,8 @@ def key_forms_with_values(
         else:
             top = forms[j]
         beta = dict(zip(ess, represent(alpha * values[j], ess_values)))
-        factors = tuple((e, b) for e, b in beta.items() if e >= 2 and b)
+        # the last form first: each product adds the shortest factor to its prefix
+        factors = tuple((e, b) for e, b in reversed(beta.items()) if e >= 2 and b)
         mono = products.get(factors, None) if factors else LaurentPoly.one()
         scale = Fraction(1 if scalars is None else scalars[j - 1], mono._den)
         terms = dict(top._terms)

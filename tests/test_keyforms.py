@@ -560,6 +560,22 @@ def test_dyadic_depth_7_builds_its_forms_in_62_products(products):
     assert products[0] <= _product_bound(seq) == 62
 
 
+def test_dyadic_depth_7_builder_adds_the_shortest_factor_to_each_product(monkeypatch):
+    # each exact product is its prefix times its lowest essential form, the
+    # shortest; taken in increasing e, the same 62 products offer 1544690
+    values, scalars = _dyadic_run(7)
+    pairs = []
+    add_products = algebra._add_products
+
+    def counting(left, right, cut, out):
+        pairs.append(len(left) * len(right))
+        add_products(left, right, cut, out)
+
+    monkeypatch.setattr(algebra, "_add_products", counting)
+    key_forms_with_values(values, scalars)
+    assert len(pairs) == 62 and sum(pairs) <= 315668
+
+
 def _cancel_product_bound(seq):
     """The products of one run of _cancel with no rebuilt product: binary
     powering of each essential expansion it raises, at most one per power
