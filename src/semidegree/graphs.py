@@ -7,16 +7,19 @@ curve that survives contraction).  The graph corresponds to an actual
 compactification exactly when the last essential value is positive, and
 then two families of semigroup conditions on the essential values decide
 whether the compactifications it carries are algebraic, non-algebraic, or
-both.  Explicit witness key-form sequences are constructed for each
-non-trivial answer.  Contractibility is negative definiteness of the
-intersection matrix, tested by exact symmetric elimination leaves first,
-which takes O(n) pivots on these trees.
+both.  Both are tested in one pass over k: while the first holds, the
+essential values so far are telescopic, so membership is one closed-form
+representation and the second needs no search above the largest gap;
+Apéry tables serve only what the closed forms leave.  Explicit witness
+key-form sequences are constructed for each non-trivial answer.
+Contractibility is negative definiteness of the intersection matrix,
+tested by exact symmetric elimination leaves first, which takes O(n)
+pivots on these trees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 from operator import lt
@@ -206,16 +209,16 @@ def _schur(x, a, b, d):
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Exact symmetric elimination over the nonzero pattern, fewest
-    neighbours first.
+    """Exact symmetric elimination over the nonzero pattern, leaves first.
 
     A symmetric matrix is negative definite exactly when a diagonal pivot d
     is negative and its Schur complement is, whichever vertex is taken, so
-    each step eliminates a vertex of least remaining degree: removing it
+    the order of elimination is free.  A vertex with at most one neighbour u
+    goes first: removing it only turns u's weight w into w - a^2/d, with no
+    fill, so a forest costs O(n) pivots (Parter 1961).  Only when no such
+    vertex is left does the loop take one of least degree, whose removal
     subtracts a_u * a_w / d from the entry of every pair u, w of its
-    neighbours.  On a tree that vertex is a leaf and its parent's weight
-    becomes w - 1/d with no fill (Parter 1961), so a dual graph costs O(n)
-    pivots.  Entries are exact (numerator, denominator) pairs; the first
+    neighbours.  Entries are exact (numerator, denominator) pairs; the first
     pivot >= 0 answers False.  Raises `GraphError` on a matrix that is not
     square or not symmetric.
     """
@@ -223,25 +226,40 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     short = next((i for i, row in enumerate(matrix) if len(row) != n), None)
     if short is not None:
         raise GraphError(f"matrix is not square: row {short} has {len(matrix[short])} entries, not {n}")
-    pivots = []
-    links: list[dict | None] = [{} for _ in range(n)]
-    for i, (row, column) in enumerate(zip(matrix, zip(*matrix))):
-        if tuple(row) != column:
-            raise GraphError(f"matrix is not symmetric: row {i} differs from column {i}")
-        pivots.append((row[i], 1))
-        for j in compress(range(i), row):
-            links[i][j] = links[j][i] = (row[j], 1)
-    queue = [(len(near), v) for v, near in enumerate(links)]
-    heapify(queue)
-    while queue:
-        degree, v = heappop(queue)
-        near = links[v]
-        if near is None or len(near) != degree:
-            continue  # eliminated, or its degree changed since it was queued
-        d = pivots[v]
+    span = range(n)
+    pivots, links = [], []
+    for i, row in enumerate(matrix):
+        near = {}
+        # a nonzero entry and its mirror are compared from both sides, so
+        # every asymmetry shows at some nonzero entry
+        for j in compress(span, row):
+            if matrix[j][i] != row[j]:
+                rows = zip(matrix, zip(*matrix))
+                first = next(k for k, (r, column) in enumerate(rows) if tuple(r) != column)
+                raise GraphError(f"matrix is not symmetric: row {first} differs from column {first}")
+            near[j] = (row[j], 1)
+        pivots.append(near.pop(i, (0, 1)))
+        links.append(near)
+    leaves = [v for v, near in enumerate(links) if len(near) <= 1]
+    for _ in span:
+        while leaves and links[leaves[-1]] is None:
+            leaves.pop()  # eliminated since it was stacked
+        if leaves:
+            v = leaves.pop()
+        else:
+            v = min((u for u, near in enumerate(links) if near is not None), key=lambda u: len(links[u]))
+        near, d = links[v], pivots[v]
         if d[0] >= 0:
             return False
         links[v] = None
+        if len(near) == 1:
+            ((u, a),) = near.items()
+            row = links[u]
+            del row[v]
+            pivots[u] = _schur(pivots[u], a, a, d)
+            if len(row) <= 1:
+                leaves.append(u)
+            continue
         items = list(near.items())
         for k, (u, a) in enumerate(items):
             row = links[u]
@@ -253,8 +271,8 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
                     row[w] = links[w][u] = x
                 elif w in row:
                     del row[w], links[w][u]
-        for u in near:
-            heappush(queue, (len(links[u]), u))
+            if len(row) <= 1:
+                leaves.append(u)
     return True
 
 
@@ -262,13 +280,11 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 # semigroup conditions and classification
 
 
-def _check_condition_args(omegas, pairs: FormalPuiseuxPairs, k: int) -> None:
-    if not 1 <= k <= pairs.l:
-        raise GraphError(f"condition index {k} out of range 1..{pairs.l}")
+def _check_condition_args(omegas, pairs: FormalPuiseuxPairs) -> None:
     if any(w <= 0 for w in omegas):
         raise GraphError("semigroup conditions need positive essential values")
-    # every table s1 and s2 build for k = 1..l, checked before any is built
-    size = max(apery_size(omegas[: j + 1]) for j in range(1, pairs.l + 1))
+    # every table the conditions may build for k = 1..l, checked before any is built
+    size = max((apery_size(omegas[: j + 1]) for j in range(1, pairs.l + 1)), default=0)
     if size > MAX_APERY_SIZE:
         raise GraphError(
             f"essential values too large: a semigroup table would need {size} "
@@ -276,34 +292,90 @@ def _check_condition_args(omegas, pairs: FormalPuiseuxPairs, k: int) -> None:
         )
 
 
+def _in_telescopic(target: int, values) -> bool:
+    """Semigroup membership for a telescopic sequence, one whose every value
+    after the first, times n_i = gcd(values[:i]) / gcd(values[:i + 1]), is a
+    nonnegative combination of the values before it.
+
+    Every member of the group then has one representation with
+    0 <= beta_i < n_i for i >= 1 (:func:`represent`), and it lies in the
+    semigroup exactly when beta_0 >= 0 (Kirfel-Pellikaan 1995): reducing
+    any nonnegative combination from the top value down reaches that
+    representation and keeps beta_0 nonnegative.
+    """
+    return target % gcd(*values) == 0 and represent(target, values)[0] >= 0
+
+
+def _least_gap(values, above: int, below: int) -> int | None:
+    """The least member of the group of the values strictly between
+    ``above`` and ``below``, a multiple of their gcd d, that is outside
+    their semigroup, or None.
+
+    A group member d*t is outside the semigroup exactly when t lies below
+    the Apéry entry of its class, so the least gap comes from the least t
+    of each class inside the window.  Those all lie below low + a, so the
+    least gap is the first t from low on that lies below its class's entry.
+    """
+    d, table = apery_set(values)
+    a = len(table)
+    low, high = above // d + 1, below // d
+    window = range(low, min(high, low + a))
+    shift = low % a
+    entries = table[shift:] + table[:shift]  # entry i is the class of low + i
+    least = next(compress(window, map(lt, window, entries)), None)
+    return None if least is None else d * least
+
+
+def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tuple[int, int]]]:
+    """S1 and S2 for k = 1..l in one pass: the k where S1 fails, and (k,
+    least violator) where S2 fails.
+
+    With d_k = gcd(omega_0..omega_k) and n_k = d_{k-1} / d_k, while
+    omega_0..omega_k is telescopic (:func:`_in_telescopic`) each membership
+    is one representation, and every group member above
+    F_k = sum_{i=1..k} (n_i - 1) * omega_i - omega_0, the largest gap, is
+    in the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.
+    An Apéry table serves the rest: S2 windows reaching below F_k, and every
+    prefix from the first one that is not telescopic.  On a pair list
+    n_k = p_k, so the prefix stays telescopic exactly while S1 holds.
+    """
+    _check_condition_args(omegas, pairs)
+    s1_failures, s2_witnesses = [], []
+    d, frobenius, telescopic = omegas[0], -omegas[0], True
+    for k, (_, p) in enumerate(pairs.pairs[: pairs.l], start=1):
+        w, head = omegas[k], omegas[:k]
+        holds = (_in_telescopic if telescopic else in_semigroup)(p * w, head)
+        if not holds:
+            s1_failures.append(k)
+        n = d // gcd(d, w)
+        d //= n
+        frobenius += (n - 1) * w
+        telescopic = telescopic and (holds if n == p else _in_telescopic(n * w, head))
+        if not telescopic or omegas[k + 1] < frobenius:
+            least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
+            if least is not None:
+                s2_witnesses.append((k, least))
+    return s1_failures, s2_witnesses
+
+
+def _check_index(pairs: FormalPuiseuxPairs, k: int) -> None:
+    if not 1 <= k <= pairs.l:
+        raise GraphError(f"condition index {k} out of range 1..{pairs.l}")
+
+
 def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
     """Is p_k * omega_k a nonnegative combination of the earlier values?"""
-    _check_condition_args(omegas, pairs, k)
-    p_k = pairs.pairs[k - 1][1]
-    return in_semigroup(p_k * omegas[k], list(omegas[:k]))
+    _check_index(pairs, k)
+    return k not in _conditions(omegas, pairs)[0]
 
 
 def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
     """Between omega_{k+1} and p_k * omega_k, does group membership in the
     first k+1 values imply semigroup membership?  Returns the least
-    violating integer when not.
-
-    The group is the multiples of d = gcd(omega_0..omega_k).  A group member
-    d*t is outside the semigroup exactly when t lies below the Apéry entry of
-    its class, so the least violator comes from the least t of each class
-    inside the window.  Those all lie below low + a, so the least violator
-    is the first t from low on that lies below its class's entry.
-    """
-    _check_condition_args(omegas, pairs, k)
-    p_k = pairs.pairs[k - 1][1]
-    d, table = apery_set(omegas[: k + 1])
-    a = len(table)
-    low, high = omegas[k + 1] // d + 1, p_k * omegas[k] // d
-    window = range(low, min(high, low + a))
-    shift = low % a
-    entries = table[shift:] + table[:shift]  # entry i is the class of low + i
-    least = next(compress(window, map(lt, window, entries)), None)
-    return (True, None) if least is None else (False, d * least)
+    violating integer when not."""
+    _check_index(pairs, k)
+    least = dict(_conditions(omegas, pairs)[1]).get(k)
+    return least is None, least
 
 
 @dataclass(frozen=True)
@@ -321,26 +393,17 @@ def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
     omegas = essential_key_values(pairs)
     if omegas[-1] <= 0:
         return GraphClass(NOT_A_COMPACTIFICATION, essential_values=omegas)
-    s1_failures = []
-    s2_failures = []
-    s2_witnesses = []
-    for k in range(1, pairs.l + 1):
-        if not s1(omegas, pairs, k):
-            s1_failures.append(k)
-        holds, witness = s2(omegas, pairs, k)
-        if not holds:
-            s2_failures.append(k)
-            s2_witnesses.append((k, witness))
+    s1_failures, s2_witnesses = _conditions(omegas, pairs)
     if s1_failures:
         kind = NON_ALGEBRAIC_ONLY
-    elif s2_failures:
+    elif s2_witnesses:
         kind = BOTH
     else:
         kind = ALGEBRAIC_ONLY
     return GraphClass(
         kind,
         tuple(s1_failures),
-        tuple(s2_failures),
+        tuple(k for k, _ in s2_witnesses),
         tuple(s2_witnesses),
         omegas,
     )
@@ -353,30 +416,25 @@ def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
     omegas = _compactification_values(pairs)
-    for k in range(1, pairs.l + 1):
-        if not s1(omegas, pairs, k):
-            raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={k}")
+    s1_failures, _ = _conditions(omegas, pairs)
+    if s1_failures:
+        raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
     return key_forms_with_values(omegas)
 
 
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence with a non-polynomial form realizing the graph."""
     omegas = _compactification_values(pairs)
-    if any(not s1(omegas, pairs, k) for k in range(1, pairs.l + 1)):
+    s1_failures, s2_witnesses = _conditions(omegas, pairs)
+    if s1_failures:
         # the base sequence itself is non-polynomial from the failure onward
         return key_forms_with_values(omegas)
-
-    k = witness_value = None
-    for candidate in range(1, pairs.l + 1):
-        holds, value = s2(omegas, pairs, candidate)
-        if not holds:
-            k, witness_value = candidate, value
-            break
-    if k is None:
+    if not s2_witnesses:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
 
-    beta = represent(witness_value, omegas[: k + 1])
-    if beta[0] >= 0:
+    k, witness_value = s2_witnesses[0]
+    if _in_telescopic(witness_value, omegas[: k + 1]):
+        beta = represent(witness_value, omegas[: k + 1])
         raise InternalError(
             f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
         )

@@ -12,6 +12,12 @@ values that satisfy the first semigroup condition).  That is O(a) memory
 and O(len(generators) * a) time independent of the target, and about 2a
 list operations when no walk runs.  The generators must be positive
 integers, which every caller in this package guarantees before asking.
+
+The classification asks for a table only where no closed form applies: a
+telescopic sequence's semigroup is read off one representation
+(``graphs._in_telescopic``), so tables serve the prefixes after the first
+semigroup condition fails and the windows of the second that lie below
+the largest gap.
 """
 
 from __future__ import annotations

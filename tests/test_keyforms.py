@@ -496,12 +496,13 @@ def test_dyadic_values_and_scalars_keep_their_digest(depth, digest):
 def _product_bound(seq):
     """One product per entry g_e^2..g_e^{alpha_e} of each essential form
     after y that is raised, and one per distinct prefix, of length 2 or
-    more, of the factors g_e^b of a monomial taken in increasing e."""
+    more, of the factors g_e^b of a monomial taken in decreasing e, as the
+    builder takes them."""
     rows = sum(seq.alpha(e) - 1 for e in seq.essential_indices if 2 <= e <= seq.n)
     prefixes = set()
     for j in range(1, seq.n + 1):
         beta = represent(seq.alpha(j) * seq.values[j], seq.values[:j])
-        factors = tuple((e, b) for e, b in enumerate(beta[2:], start=2) if b)
+        factors = tuple((e, b) for e, b in reversed(list(enumerate(beta[2:], start=2))) if b)
         prefixes.update(factors[:k] for k in range(2, len(factors) + 1))
     return rows + len(prefixes)
 

@@ -1,9 +1,10 @@
 """Differential tests of the fast classification kernels against slow oracles."""
 
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semidegree import (
@@ -13,7 +14,8 @@ from semidegree import (
     intersection_matrix,
     is_negative_definite,
 )
-from semidegree.graphs import GraphError, candidate_graph, s2
+from semidegree import graphs
+from semidegree.graphs import GraphError, _conditions, candidate_graph, s1, s2
 from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
 
 from helpers import (
@@ -128,6 +130,88 @@ def test_s2_matches_the_window_scan_on_pair_lists():
         checked += 1
 
 
+def _dp_member(target, generators):
+    """Semigroup membership read off the DP's Apéry table."""
+    d, table = dp_apery_set(generators)
+    t, r = divmod(target, d)
+    return t >= 0 and r == 0 and t >= table[t % len(table)]
+
+
+def _oracle_conditions(omegas, ps):
+    """S1 failures and S2 least violators from the DP's Apéry tables, S2 by
+    scanning every group member of its window."""
+    s1_failures = [k for k, p in enumerate(ps, start=1) if not _dp_member(p * omegas[k], omegas[:k])]
+    s2_witnesses = []
+    for k, p in enumerate(ps, start=1):
+        d = math.gcd(*omegas[: k + 1])
+        window = range(omegas[k + 1] + 1, p * omegas[k])
+        least = next((t for t in window if t % d == 0 and not _dp_member(t, omegas[: k + 1])), None)
+        if least is not None:
+            s2_witnesses.append((k, least))
+    return s1_failures, s2_witnesses
+
+
+@st.composite
+def condition_inputs(draw):
+    """Positive sequences omega_0..omega_{l+1} with their gcd steps drawn:
+    omega_i is m_i times the product of the steps n_j after i, so some steps
+    are 1 and some prefixes are telescopic and some are not.  Each p_k is
+    the sequence's own step, as on a pair list, or arbitrary."""
+    l = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.integers(1, 3), min_size=l, max_size=l))
+    factors = draw(st.lists(st.integers(1, 12), min_size=l + 1, max_size=l + 1))
+    omegas = [m * math.prod(steps[i:]) for i, m in enumerate(factors)]
+    omegas.append(draw(st.integers(1, 2 * max(omegas))))
+    ps = []
+    for k in range(1, l + 1):
+        own = math.gcd(*omegas[:k]) // math.gcd(*omegas[: k + 1])
+        ps.append(own if draw(st.booleans()) else draw(st.integers(1, 6)))
+    return tuple(omegas), ps
+
+
+@FAST
+@given(condition_inputs())
+# 4 * 1 is in <4, 6> but the step 2 * 1 is not, so 4, 6, 1 is not
+# telescopic though S1 holds at k = 2; the closed form would miss 3 = 3 * 1
+@example(((4, 6, 1, 1, 1), [2, 4, 3]))
+def test_one_pass_matches_the_dp_and_the_window_scan(data):
+    omegas, ps = data
+    pairs = _Pairs(ps)
+    expected = _oracle_conditions(omegas, ps)
+    assert _conditions(omegas, pairs) == expected
+    for k in range(1, pairs.l + 1):
+        assert s1(omegas, pairs, k) == (k not in expected[0])
+
+
+def _four_pairs(rng):
+    """A normal-form pair list 2/p_1, q_2/2, q_3/2, q_4/p_4, each q the last
+    q times p minus 1..11, so that S1 can fail at k = 2 before the last k."""
+    pairs = [(2, rng.choice((3, 5)))]
+    for p in (2, 2, rng.randrange(1, 3)):
+        q = pairs[-1][0] * p - rng.randrange(1, 12)
+        while math.gcd(abs(q), p) != 1:
+            q -= 1
+        pairs.append((q, p))
+    return FormalPuiseuxPairs(tuple(pairs))
+
+
+def test_one_pass_matches_the_dp_on_pair_lists_that_fail_s1():
+    # after an S1 failure at k < l the later k read Apéry tables
+    rng = random.Random(63)
+    failed_early = 0
+    while failed_early < 25:
+        pairs = _four_pairs(rng)
+        omegas = essential_key_values(pairs)
+        if omegas[-1] <= 0:
+            continue
+        ps = [p for _, p in pairs.pairs[: pairs.l]]
+        expected = _oracle_conditions(omegas, ps)
+        assert _conditions(omegas, pairs) == expected
+        for k in range(1, pairs.l + 1):
+            assert s2(omegas, pairs, k) == window_s2(omegas, ps[k - 1], k)
+        failed_early += bool(expected[0]) and expected[0][0] < pairs.l
+
+
 @st.composite
 def symmetric_matrices(draw):
     """Symmetric integer matrices over a random graph: forests, cycles and
@@ -162,6 +246,32 @@ def test_elimination_matches_both_oracles(matrix):
         ([[-1, 2], [2, -1]], False),  # second minor negative
         ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], False),  # -2 triangle: singular
         ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], True),  # -3 triangle
+        # a cycle in one component and trees in the others: no count of
+        # edges against vertices says whether leaves alone finish the work
+        (
+            [
+                [-5, 0, -3, 0, 0, 0, 0, 0, 0],
+                [0, 1, 0, 1, 0, 0, -1, 0, 0],
+                [-3, 0, -6, 0, 0, 0, 0, 0, 0],
+                [0, 1, 0, -1, 0, 0, 0, 0, -3],
+                [0, 0, 0, 0, -1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, -1, 0, 0, 0],
+                [0, -1, 0, 0, 0, 0, -1, 1, 0],
+                [0, 0, 0, 0, 0, 0, 1, -4, 1],
+                [0, 0, 0, -3, 0, 0, 0, 1, -5],
+            ],
+            False,
+        ),
+        (
+            [
+                [-3, 1, 1, 0, 0],
+                [1, -3, 1, 0, 0],
+                [1, 1, -3, 0, 0],
+                [0, 0, 0, -2, 1],
+                [0, 0, 0, 1, -2],
+            ],
+            True,
+        ),  # a -3 triangle beside an A_2 chain
     ],
 )
 def test_definiteness_examples(matrix, expected):
@@ -220,6 +330,32 @@ def _ladder_pairs(l):
         pairs.append((2 * pairs[-1][0] - 1, 2))
     pairs.append((pairs[-1][0] - 1, 1))
     return FormalPuiseuxPairs(tuple(pairs))
+
+
+def test_the_ladder_top_is_classified_with_no_semigroup_table(monkeypatch):
+    # at l = 19 the tables would have 786432 entries; the closed forms need none
+    def refuse(*args):
+        raise AssertionError("a semigroup table was built")
+
+    monkeypatch.setattr(graphs, "apery_set", refuse)
+    monkeypatch.setattr(graphs, "in_semigroup", refuse)
+    result = classify(_ladder_pairs(19))
+    assert result.kind == graphs.ALGEBRAIC_ONLY
+    assert result.s1_failures == result.s2_failures == ()
+
+
+def test_a_forest_is_eliminated_from_its_leaves_alone(monkeypatch):
+    # the least-degree search runs only when no vertex of degree <= 1 is left
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched for a least-degree vertex")
+
+    trees = [intersection_matrix(candidate_graph(_ladder_pairs(l)), exclude_estar=True) for l in (1, 5, 12)]
+    star_and_chain = _weighted_graph([-3, -2, -2, -2, -2, -2], [(0, 1), (0, 2), (0, 3), (4, 5)])
+    triangle = _weighted_graph([-3] * 3, [(0, 1), (1, 2), (2, 0)])
+    monkeypatch.setattr(graphs, "min", refuse, raising=False)
+    assert all(is_negative_definite(matrix) for matrix in trees + [star_and_chain])
+    with pytest.raises(AssertionError, match="least-degree"):
+        is_negative_definite(triangle)
 
 
 @pytest.mark.parametrize("l", range(1, 13))
