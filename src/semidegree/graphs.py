@@ -230,13 +230,11 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     pivots, links = [], []
     for i, row in enumerate(matrix):
         near = {}
-        # a nonzero entry and its mirror are compared from both sides, so
-        # every asymmetry shows at some nonzero entry
+        # an asymmetric pair has a nonzero side, so comparing each nonzero
+        # entry with its mirror finds every one
         for j in compress(span, row):
             if matrix[j][i] != row[j]:
-                rows = zip(matrix, zip(*matrix))
-                first = next(k for k, (r, column) in enumerate(rows) if tuple(r) != column)
-                raise GraphError(f"matrix is not symmetric: row {first} differs from column {first}")
+                raise GraphError(f"matrix is not symmetric: row {i} differs from column {i}")
             near[j] = (row[j], 1)
         pivots.append(near.pop(i, (0, 1)))
         links.append(near)
@@ -252,20 +250,12 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
         if d[0] >= 0:
             return False
         links[v] = None
-        if len(near) == 1:
-            ((u, a),) = near.items()
+        while near:
+            u, a = near.popitem()
             row = links[u]
             del row[v]
             pivots[u] = _schur(pivots[u], a, a, d)
-            if len(row) <= 1:
-                leaves.append(u)
-            continue
-        items = list(near.items())
-        for k, (u, a) in enumerate(items):
-            row = links[u]
-            del row[v]
-            pivots[u] = _schur(pivots[u], a, a, d)
-            for w, b in items[k + 1 :]:
+            for w, b in near.items():
                 x = _schur(row.get(w, (0, 1)), a, b, d)
                 if x[0]:
                     row[w] = links[w][u] = x
@@ -336,8 +326,7 @@ def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tupl
     F_k = sum_{i=1..k} (n_i - 1) * omega_i - omega_0, the largest gap, is
     in the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.
     An Apéry table serves the rest: S2 windows reaching below F_k, and every
-    prefix from the first one that is not telescopic.  On a pair list
-    n_k = p_k, so the prefix stays telescopic exactly while S1 holds.
+    prefix from the first one that is not telescopic.
     """
     _check_condition_args(omegas, pairs)
     s1_failures, s2_witnesses = [], []
@@ -350,7 +339,7 @@ def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tupl
         n = d // gcd(d, w)
         d //= n
         frobenius += (n - 1) * w
-        telescopic = telescopic and (holds if n == p else _in_telescopic(n * w, head))
+        telescopic = telescopic and _in_telescopic(n * w, head)
         if not telescopic or omegas[k + 1] < frobenius:
             least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
             if least is not None:
