@@ -7,6 +7,13 @@ fraction (``x^(5/3)``, ``x^(-13/6)``).  For Laurent polynomials a term is a
 ``*``-separated product of a coefficient and powers of ``x`` and ``y``;
 x-exponents may be negative, y-exponents may not.  Printing is canonical
 and ``parse(print(value)) == value`` holds for every value.
+
+Both grammars read one token list: white space is skipped, and a token is
+a run of ASCII digits or any other one character.  A digit of another
+script (``²``, ``٣``) starts a number, as str.isdigit says, but is not one.
+A ParseError's position is where the offending token starts, after white
+space; ``zero denominator`` and ``negative y-exponent`` point just past the
+token that completes the bad value.
 """
 
 from __future__ import annotations
@@ -26,131 +33,117 @@ class ParseError(ValueError):
         self.position = position
 
 
-_DIGITS = re.compile(r"[0-9]+")
+_TOKEN = re.compile(r"\s*([0-9]+|.|\Z)", re.S)
 
 
-class _Scanner:
+class _Tokens:
+    """A cursor over the text's (token, start position) pairs."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self.tokens = [(match[1], match.start(1)) for match in _TOKEN.finditer(text)]
+        self.i = 0
 
     def peek(self) -> str:
-        self._skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.i][0]
+
+    def error(self, message: str) -> ParseError:
+        return ParseError(message, self.tokens[self.i][1])
+
+    def past(self) -> int:
+        token, start = self.tokens[self.i - 1]
+        return start + len(token)
 
     def take(self, expected: str) -> bool:
-        if self.peek() == expected:
-            self.pos += 1
+        if self.tokens[self.i][0] == expected:
+            self.i += 1
             return True
         return False
 
     def expect(self, expected: str) -> None:
         if not self.take(expected):
-            raise ParseError(f"expected {expected!r}", self.pos)
+            raise self.error(f"expected {expected!r}")
 
     def integer(self) -> int:
-        """An unsigned run of ASCII digits; a digit of another script (``²``,
-        ``٣``), which str.isdigit also accepts, is not a number here."""
-        self._skip_space()
-        match = _DIGITS.match(self.text, self.pos)
-        if match is None:
-            raise ParseError("expected a number", self.pos)
-        self.pos = match.end()
-        return int(match.group())
+        token = self.peek()
+        if not (token.isascii() and token.isdigit()):
+            raise self.error("expected a number")
+        self.i += 1
+        return int(token)
 
     def rational(self) -> Fraction:
-        value = Fraction(self.integer())
-        if self.take("/"):
-            denom = self.integer()
-            if denom == 0:
-                raise ParseError("zero denominator", self.pos)
-            value /= denom
+        num = self.integer()
+        den = self.integer() if self.take("/") else 1
+        if den == 0:
+            raise ParseError("zero denominator", self.past())
+        return Fraction(num, den)
+
+    def power(self, number):
+        """After a variable: 1, or ``^`` and an optionally negated integer,
+        or ``^(`` and an optionally negated ``number()`` then ``)``."""
+        if not self.take("^"):
+            return 1
+        if not self.take("("):
+            return -self.integer() if self.take("-") else self.integer()
+        value = -number() if self.take("-") else number()
+        self.expect(")")
         return value
 
-    def sign(self, *, required: bool) -> int:
-        if self.take("+"):
-            return 1
-        if self.take("-"):
-            return -1
-        if required:
-            raise ParseError("expected '+' or '-'", self.pos)
-        return 1
 
-    def at_end(self) -> bool:
-        return self.peek() == ""
+def _signed_sum(text: str, term) -> list:
+    """The terms of ``[sign] term (sign term)*``, each read by
+    ``term(tokens, sign)`` with its sign applied."""
+    tokens = _Tokens(text)
+    terms = []
+    while True:
+        if tokens.take("-"):
+            sign = -1
+        elif tokens.take("+") or not terms:
+            sign = 1
+        else:
+            raise tokens.error("expected '+' or '-'")
+        terms.append(term(tokens, sign))
+        if tokens.peek() == "":
+            return terms
 
 
-def _exponent(scanner: _Scanner, *, allow_fraction: bool) -> Fraction:
-    if scanner.take("("):
-        negative = scanner.take("-")
-        value = scanner.rational() if allow_fraction else Fraction(scanner.integer())
-        scanner.expect(")")
-        return -value if negative else value
-    negative = scanner.take("-")
-    value = Fraction(scanner.integer())
-    return -value if negative else value
+def _dps_term(tokens: _Tokens, sign: int) -> tuple[int | Fraction, Fraction]:
+    coeff = Fraction(sign)
+    if tokens.peek().isdigit():
+        coeff *= tokens.rational()
+        if not tokens.take("*"):
+            return 0, coeff
+        tokens.expect("x")
+    elif not tokens.take("x"):
+        raise tokens.error("expected a term")
+    return tokens.power(tokens.rational), coeff
+
+
+def _laurent_term(tokens: _Tokens, sign: int) -> tuple[tuple[int, int], Fraction]:
+    coeff, x_exp, y_exp = Fraction(sign), 0, 0
+    while True:
+        if tokens.peek().isdigit():
+            coeff *= tokens.rational()
+        elif tokens.take("x"):
+            x_exp += tokens.power(tokens.integer)
+        elif tokens.take("y"):
+            step = tokens.power(tokens.integer)
+            if step < 0:
+                raise ParseError("negative y-exponent", tokens.past())
+            y_exp += step
+        else:
+            raise tokens.error("expected a factor")
+        if not tokens.take("*"):
+            return (x_exp, y_exp), coeff
 
 
 def parse_dps(text: str) -> DPuiseuxPoly:
     """Parse a descending Puiseux polynomial; duplicate exponents are summed."""
-    scanner = _Scanner(text)
-    terms: list[tuple[Fraction, Fraction]] = []
-    sign = scanner.sign(required=False)
-    while True:
-        coeff = Fraction(1)
-        exponent = Fraction(0)
-        if scanner.peek().isdigit():
-            coeff = scanner.rational()
-            if scanner.take("*"):
-                if not scanner.take("x"):
-                    raise ParseError("expected 'x'", scanner.pos)
-                if scanner.take("^"):
-                    exponent = _exponent(scanner, allow_fraction=True)
-                else:
-                    exponent = Fraction(1)
-        elif scanner.take("x"):
-            exponent = Fraction(1)
-            if scanner.take("^"):
-                exponent = _exponent(scanner, allow_fraction=True)
-        else:
-            raise ParseError("expected a term", scanner.pos)
-        terms.append((exponent, sign * coeff))
-        if scanner.at_end():
-            return DPuiseuxPoly(terms)
-        sign = scanner.sign(required=True)
+    return DPuiseuxPoly(_signed_sum(text, _dps_term))
 
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse an element of Q[x, 1/x, y]."""
-    scanner = _Scanner(text)
-    terms: list[tuple[tuple[int, int], Fraction]] = []
-    sign = scanner.sign(required=False)
-    while True:
-        coeff = Fraction(sign)
-        x_exp = Fraction(0)
-        y_exp = Fraction(0)
-        while True:
-            if scanner.peek().isdigit():
-                coeff *= scanner.rational()
-            elif scanner.take("x"):
-                x_exp += _exponent(scanner, allow_fraction=False) if scanner.take("^") else 1
-            elif scanner.take("y"):
-                step = _exponent(scanner, allow_fraction=False) if scanner.take("^") else 1
-                if step < 0:
-                    raise ParseError("negative y-exponent", scanner.pos)
-                y_exp += step
-            else:
-                raise ParseError("expected a factor", scanner.pos)
-            if not scanner.take("*"):
-                break
-        terms.append(((int(x_exp), int(y_exp)), coeff))
-        if scanner.at_end():
-            return LaurentPoly(terms)
-        sign = scanner.sign(required=True)
+    return LaurentPoly(_signed_sum(text, _laurent_term))
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +190,10 @@ def laurent_to_str(poly: LaurentPoly) -> str:
     for key in sorted(terms, key=_Y_THEN_X, reverse=True):
         a, b = key
         n = terms[key]
-        num, d = abs(n), 1
-        if den > 1:
-            g = gcd(num, den)
-            num, d = num // g, den // g
-        if d > 1:
-            factors = [f"{num}/{d}"]
-        else:
-            factors = [str(num)] if num != 1 else []
+        g = gcd(n, den)
+        num, d = abs(n) // g, den // g
+        coeff = f"{num}/{d}" if d > 1 else str(num)
+        factors = [coeff] if coeff != "1" else []
         if a != 0:
             factors.append(f"x^{a}" if a != 1 else "x")
         if b != 0:
@@ -214,10 +203,5 @@ def laurent_to_str(poly: LaurentPoly) -> str:
 
 
 def _join_signed(pieces: list[tuple[bool, str]]) -> str:
-    out = []
-    for i, (negative, body) in enumerate(pieces):
-        if i == 0:
-            out.append(f"-{body}" if negative else body)
-        else:
-            out.append(f"- {body}" if negative else f"+ {body}")
-    return " ".join(out)
+    text = " ".join(f"- {body}" if negative else f"+ {body}" for negative, body in pieces)
+    return text[2:] if text[0] == "+" else f"-{text[2:]}"

@@ -5,7 +5,11 @@
 Each workload runs once, ``perfbench/run.py --workload W --seed 0
 --seconds 1 --trace T``.  The run must exit 0, and its last line of stdout
 must be a JSON object, with no NaN or Infinity anywhere, whose ``correct``
-is true.  Exits 1 on the first workload that fails, with the reason.
+is true.  Its ``metrics`` must hold a number for every name that
+``BENCHMARK.json`` declares: the ``end_to_end`` names untraced, the
+``per_layer`` names traced.  A traced run's detail line, the one before
+the result, must name no ``absent_layers`` (a hooked function it could not
+find or count).  Exits 1 on the first workload that fails, with the reason.
 """
 
 from __future__ import annotations
@@ -16,7 +20,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUN = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parent.parent
+RUN = ROOT / "perfbench" / "run.py"
+DECLARED = ("end_to_end", "per_layer")  # the metric list for --trace 0 and 1
 
 
 def _refuse(token: str):
@@ -38,6 +44,22 @@ def check(workload: str, trace: int) -> str | None:
         return f"last line is not a strict-JSON result ({exc}): {lines[-1][:200]!r}"
     if not isinstance(result, dict) or result.get("correct") is not True:
         return f"result is not correct: {lines[-1][:500]}"
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())[DECLARED[trace]]
+    metrics = result.get("metrics", {})
+    missing = [
+        metric["name"]
+        for metric in declared
+        if not isinstance(metrics.get(metric["name"], {}).get("value"), (int, float))
+    ]
+    if missing:
+        return f"no number for the declared {DECLARED[trace]} metrics {missing}"
+    if trace:
+        try:
+            absent = json.loads(lines[-2])["detail"]["absent_layers"]
+        except (IndexError, ValueError, TypeError, KeyError) as exc:
+            return f"no detail line naming the absent layers ({exc!r})"
+        if absent:
+            return f"layers absent from the trace: {absent}"
     return None
 
 

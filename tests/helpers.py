@@ -1,9 +1,10 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import re
 from fractions import Fraction
 
 from semidegree import DPuiseuxPoly, GenericDPS, LaurentPoly
-from semidegree.parsing import _join_signed
+from semidegree.parsing import ParseError, _join_signed
 
 
 SMALL_INTEGERS = (-3, -2, -1, 1, 2, 3)
@@ -757,3 +758,134 @@ def check_approximate_roots(g):
         assert d.is_zero or next(lower) < seq.values[j], (g, j)
     assert values[-1] == seq.last_value, (g, values[-1])
     return len(inner), len(nonzero)
+
+
+# ---------------------------------------------------------------------------
+# the character scanner the token parsers replaced, kept as their oracle
+
+
+_DIGITS = re.compile(r"[0-9]+")
+
+
+class _Scanner:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def _skip_space(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self._skip_space()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def take(self, expected: str) -> bool:
+        if self.peek() == expected:
+            self.pos += 1
+            return True
+        return False
+
+    def expect(self, expected: str) -> None:
+        if not self.take(expected):
+            raise ParseError(f"expected {expected!r}", self.pos)
+
+    def integer(self) -> int:
+        """An unsigned run of ASCII digits; a digit of another script (``²``,
+        ``٣``), which str.isdigit also accepts, is not a number here."""
+        self._skip_space()
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
+            raise ParseError("expected a number", self.pos)
+        self.pos = match.end()
+        return int(match.group())
+
+    def rational(self) -> Fraction:
+        value = Fraction(self.integer())
+        if self.take("/"):
+            denom = self.integer()
+            if denom == 0:
+                raise ParseError("zero denominator", self.pos)
+            value /= denom
+        return value
+
+    def sign(self, *, required: bool) -> int:
+        if self.take("+"):
+            return 1
+        if self.take("-"):
+            return -1
+        if required:
+            raise ParseError("expected '+' or '-'", self.pos)
+        return 1
+
+    def at_end(self) -> bool:
+        return self.peek() == ""
+
+
+def _exponent(scanner: _Scanner, *, allow_fraction: bool) -> Fraction:
+    if scanner.take("("):
+        negative = scanner.take("-")
+        value = scanner.rational() if allow_fraction else Fraction(scanner.integer())
+        scanner.expect(")")
+        return -value if negative else value
+    negative = scanner.take("-")
+    value = Fraction(scanner.integer())
+    return -value if negative else value
+
+
+def scanner_parse_dps(text: str) -> DPuiseuxPoly:
+    """Parse a descending Puiseux polynomial; duplicate exponents are summed."""
+    scanner = _Scanner(text)
+    terms: list[tuple[Fraction, Fraction]] = []
+    sign = scanner.sign(required=False)
+    while True:
+        coeff = Fraction(1)
+        exponent = Fraction(0)
+        if scanner.peek().isdigit():
+            coeff = scanner.rational()
+            if scanner.take("*"):
+                if not scanner.take("x"):
+                    raise ParseError("expected 'x'", scanner.pos)
+                if scanner.take("^"):
+                    exponent = _exponent(scanner, allow_fraction=True)
+                else:
+                    exponent = Fraction(1)
+        elif scanner.take("x"):
+            exponent = Fraction(1)
+            if scanner.take("^"):
+                exponent = _exponent(scanner, allow_fraction=True)
+        else:
+            raise ParseError("expected a term", scanner.pos)
+        terms.append((exponent, sign * coeff))
+        if scanner.at_end():
+            return DPuiseuxPoly(terms)
+        sign = scanner.sign(required=True)
+
+
+def scanner_parse_laurent(text: str) -> LaurentPoly:
+    """Parse an element of Q[x, 1/x, y]."""
+    scanner = _Scanner(text)
+    terms: list[tuple[tuple[int, int], Fraction]] = []
+    sign = scanner.sign(required=False)
+    while True:
+        coeff = Fraction(sign)
+        x_exp = Fraction(0)
+        y_exp = Fraction(0)
+        while True:
+            if scanner.peek().isdigit():
+                coeff *= scanner.rational()
+            elif scanner.take("x"):
+                x_exp += _exponent(scanner, allow_fraction=False) if scanner.take("^") else 1
+            elif scanner.take("y"):
+                step = _exponent(scanner, allow_fraction=False) if scanner.take("^") else 1
+                if step < 0:
+                    raise ParseError("negative y-exponent", scanner.pos)
+                y_exp += step
+            else:
+                raise ParseError("expected a factor", scanner.pos)
+            if not scanner.take("*"):
+                break
+        terms.append(((int(x_exp), int(y_exp)), coeff))
+        if scanner.at_end():
+            return LaurentPoly(terms)
+        sign = scanner.sign(required=True)

@@ -155,6 +155,30 @@ def test_laurent_rejects_negative_y():
         LaurentPoly([((0, -1), F(1))])
 
 
+def test_laurent_rejects_fractional_exponents():
+    with pytest.raises(AlgebraError, match="^exponents must be integers$"):
+        LaurentPoly([((F(1, 2), 0), 1)])
+
+
+def test_the_zero_polynomial_has_no_degree_or_leading_term():
+    zero = LaurentPoly.zero()
+    with pytest.raises(AlgebraError, match="no y-degree"):
+        zero.y_degree
+    with pytest.raises(AlgebraError, match="no leading term"):
+        zero.leading_term()
+    assert zero.is_monic_in_y() is False
+
+
+def test_monomial_product_refuses_a_negative_power_of_y():
+    with pytest.raises(AlgebraError, match="^negative exponent on a non-x factor$"):
+        algebra.monomial_product([LaurentPoly.y(), LaurentPoly.x()], [-1, 1])
+
+
+def test_semidegrees_refuse_zero():
+    with pytest.raises(AlgebraError, match="^the semidegree of 0 is undefined$"):
+        algebra.semidegrees([LaurentPoly.zero()], D1)
+
+
 @FAST
 @given(generic_series, laurent_polys.filter(lambda f: not f.is_zero))
 def test_substitute_matches_the_fraction_keyed_oracle(g, f):

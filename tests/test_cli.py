@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from semidegree import parse_dps, parse_laurent
+from semidegree import LaurentPoly, parse_dps, parse_laurent
 from semidegree.cli import main, run_line
 from semidegree.parsing import ParseError, dps_to_str, laurent_to_str
 
-from helpers import random_dps, random_laurent
+from helpers import random_dps, random_laurent, scanner_parse_dps, scanner_parse_laurent
 
 BIG = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
 
@@ -78,13 +78,70 @@ def test_only_ascii_digits_are_numbers(text, position):
         (parse_dps, "2*y", "expected 'x'", 2),
         (parse_dps, "+", "expected a term", 1),
         (parse_laurent, "x*", "expected a factor", 2),
+        (parse_dps, "x^(2/5", "expected ')'", 6),
+        (parse_laurent, "x^(-2", "expected ')'", 5),
+        (parse_dps, "3/0*x", "zero denominator", 3),
+        (parse_dps, " x ^ ( 1 / 0 ) ", "zero denominator", 12),
+        (parse_laurent, "y^-1", "negative y-exponent", 4),
+        (parse_laurent, "2*y^(-3)", "negative y-exponent", 8),
     ],
-    ids=["dps-sign", "dps-x", "dps-term", "laurent-factor"],
+    ids=[
+        "dps-sign",
+        "dps-x",
+        "dps-term",
+        "laurent-factor",
+        "dps-close",
+        "laurent-close",
+        "dps-zero-coefficient-denominator",
+        "dps-zero-exponent-denominator",
+        "laurent-negative-y",
+        "laurent-negative-y-parenthesized",
+    ],
 )
 def test_parse_errors_name_their_position(parse, text, message, position):
     with pytest.raises(ParseError) as raised:
         parse(text)
     assert (str(raised.value), raised.value.position) == (f"{message} (at position {position})", position)
+
+
+# texts are drawn from pieces over ASCII digits, xy+-*/^(), blanks and tabs,
+# other white space and non-ASCII digits; multi-character pieces let them
+# reach the deeper errors (a zero denominator, an unclosed parenthesis)
+PARSE_PIECES = list("0123456789") + ["x", "y", "x^", "y^", "^(", "^(-", "^-", "/", "/0", "*", "+", "-", ")"]
+PARSE_PIECES += ["(", "^", " ", "\t", "\u00a0", "\u2028", "\x1c", "²", "٣", "１"]
+PARSE_WEIGHTS = [2] * 10 + [6, 6, 3, 3, 2, 2, 2, 3, 1, 5, 4, 4, 3] + [1, 1, 4, 1, 1, 1, 1, 1, 1, 1]
+LONG_RUN = "1" * 5000  # past int()'s 4300-digit limit, a ValueError on both sides
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_token_parsers_match_the_character_scanner():
+    rng = random.Random(24)
+    texts = [
+        "".join(rng.choices(PARSE_PIECES, PARSE_WEIGHTS, k=rng.randrange(0, 12)))
+        for _ in range(16000)
+    ]
+    texts += [LONG_RUN, f"x^{LONG_RUN}", f"x^(2/{LONG_RUN})", f"y^(-{LONG_RUN})", f"3*{LONG_RUN[:4300]}*y"]
+    reached = set()
+    for text in texts:
+        for parse, oracle in ((parse_dps, scanner_parse_dps), (parse_laurent, scanner_parse_laurent)):
+            outcome = parse_outcome(parse, text)
+            assert outcome == parse_outcome(oracle, text), (parse.__name__, text)
+            reached.add((parse, outcome[1].split(" (at")[0] if isinstance(outcome, tuple) else "a value"))
+    shared = ["a value", "expected a number", "zero denominator", "expected ')'", "expected '+' or '-'"]
+    assert reached >= {(parse_dps, kind) for kind in shared + ["expected 'x'", "expected a term"]}
+    assert reached >= {(parse_laurent, kind) for kind in shared + ["expected a factor", "negative y-exponent"]}
+
+
+def test_printed_values_repr_and_compare_only_with_their_own_kind():
+    assert repr(parse_dps("x^(2/5) + x^-1")) == "DPuiseuxPoly('x^(2/5) + x^-1')"
+    assert (parse_dps("x") == "x") is False
+    assert (LaurentPoly.x() == "x") is False
 
 
 def test_print_parse_round_trip_dps():
@@ -125,6 +182,12 @@ def test_semidegree_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["value"] == "2"
+
+
+def test_semidegree_of_zero_is_bad_input(capsys):
+    code, out, err = run_cli(capsys, "semidegree", "--phi", "x^(2/5)", "--r", "-6/5", "--f", "0")
+    assert (code, out) == (2, "")
+    assert "the semidegree of 0 is undefined" in err
 
 
 def test_cousin_command(capsys):

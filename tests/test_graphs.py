@@ -69,6 +69,11 @@ def test_s2_out_of_range():
         s2((7, 3), FormalPuiseuxPairs(((3, 7),)), 1)
 
 
+def test_semigroup_conditions_refuse_a_nonpositive_value():
+    with pytest.raises(GraphError, match="^semigroup conditions need positive essential values$"):
+        s1((5, -2, 3), BRANCH_PAIRS, 1)
+
+
 def test_classify_branch_pair_is_both():
     result = classify(BRANCH_PAIRS)
     assert result.kind == BOTH
@@ -226,6 +231,11 @@ def test_resolution_graph_interior_weights_match_the_minimal_resolution():
 def test_resolution_graph_rejects_degenerate_pair():
     with pytest.raises(NormalFormError):
         resolution_graph(FormalPuiseuxPairs(((3, 1),)))
+
+
+def test_candidate_graph_refuses_a_single_integer_pair():
+    with pytest.raises(GraphError, match="^a single integer pair carries no resolution graph$"):
+        candidate_graph(FormalPuiseuxPairs(((0, 1),)))
 
 
 def test_resolution_graph_rejects_non_compactification():

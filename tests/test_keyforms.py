@@ -58,6 +58,13 @@ def test_essential_values_branch_pair():
     assert essential_key_values(FormalPuiseuxPairs(((2, 5), (-6, 1)))) == (5, 2, 2)
 
 
+def test_multiplier_indices_start_at_one():
+    seq = compute_key_forms(D1)
+    assert seq.alpha(1) == seq.multipliers[0]
+    with pytest.raises(IndexError, match="^multiplier index 0 out of range$"):
+        seq.alpha(0)
+
+
 def test_essential_values_single_pair():
     assert essential_key_values(FormalPuiseuxPairs(((3, 7),))) == (7, 3)
 
