@@ -35,7 +35,9 @@ from .graphs import (
     resolution_graph,
 )
 from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms
-from .parsing import ParseError, dps_to_str, laurent_to_str, parse_dps, parse_laurent
+from .parsing import (
+    ParseError, dps_to_str, laurent_to_str, parse_dps, parse_laurent, parse_pairs, parse_rational,
+)
 from .puiseux import FormalPuiseuxPairs, GenericDPS, formal_pairs
 
 EXIT_OK = 0
@@ -61,38 +63,16 @@ def _error_text(error: Exception) -> str:
     return str(error)
 
 
-def _ascii(text: str) -> str:
-    """text, refused if it is not ASCII or holds ``_``: int() and Fraction() read both."""
-    if not text.isascii() or "_" in text:
-        raise ValueError("only ASCII digits, without _ separators")
-    return text
-
-
-def _parse_rational(text: str):
-    from fractions import Fraction
-
+def _flag(parse, args, dest: str):
+    """parse(args.<dest>), with the flag named in a ParseError's message."""
     try:
-        return Fraction(_ascii(text.strip()))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad rational {text!r}: {exc}", 0) from None
-
-
-def _parse_pairs(text: str) -> FormalPuiseuxPairs:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ParseError("empty pair", 0)
-        try:
-            q_text, slash, p_text = _ascii(chunk).partition("/")
-            pairs.append((int(q_text), int(p_text if slash else "1")))
-        except ValueError:
-            raise ParseError(f"bad pair {chunk!r}", 0) from None
-    return FormalPuiseuxPairs(tuple(pairs))
+        return parse(getattr(args, dest))
+    except ParseError as exc:
+        raise ParseError(f"--{dest}: {exc.message}", exc.position) from None
 
 
 def _generic_series(args) -> GenericDPS:
-    return GenericDPS(parse_dps(args.phi), _parse_rational(args.r))
+    return GenericDPS(parse_dps(args.phi), _flag(parse_rational, args, "r"))
 
 
 def _form_text(obj: object) -> str:
@@ -162,12 +142,12 @@ def _cmd_decide(args) -> dict:
 
 def _cmd_cousin(args) -> dict:
     psi = parse_dps(args.psi)
-    verdict = cousin_decide(psi, _parse_rational(args.r))
+    verdict = cousin_decide(psi, _flag(parse_rational, args, "r"))
     return _verdict_payload("cousin", verdict)
 
 
 def _cmd_classify(args) -> dict:
-    result = classify(_parse_pairs(args.pairs))
+    result = classify(_flag(parse_pairs, args, "pairs"))
     return {
         "command": "classify",
         "kind": result.kind,
@@ -179,7 +159,7 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_graph(args) -> dict | str:
-    graph = resolution_graph(_parse_pairs(args.pairs))
+    graph = resolution_graph(_flag(parse_pairs, args, "pairs"))
     if args.dot:
         return export_dot(graph)
     return {
@@ -192,7 +172,7 @@ def _cmd_graph(args) -> dict | str:
 
 
 def _cmd_witness(args) -> dict:
-    pairs = _parse_pairs(args.pairs)
+    pairs = _flag(parse_pairs, args, "pairs")
     build = algebraic_witness if args.kind == "algebraic" else nonalgebraic_witness
     seq = build(pairs)
     return {

@@ -113,7 +113,7 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
     for w in omegas:
         g = math.gcd(g, w)
         gcds.append(g)
-    if gcds[-1] != 1:
+    if g != 1:  # 0 for no values
         raise KeyFormError("essential values must have trivial overall gcd")
     ps = [gcds[k - 1] // gcds[k] for k in range(1, len(omegas))]
     qs = []
@@ -157,7 +157,7 @@ def represent(target, values: Sequence[int]) -> list[int]:
         alpha = gcds[i] // d
         beta[i] = remaining // d * pow(values[i] // d, -1, alpha) % alpha
         remaining -= beta[i] * values[i]
-    if remaining % values[0]:
+    if not values or remaining % values[0]:
         raise KeyFormError(f"{target} is not representable in the given values")
     beta[0] = remaining // values[0]
     return beta

@@ -8,12 +8,13 @@ fraction (``x^(5/3)``, ``x^(-13/6)``).  For Laurent polynomials a term is a
 x-exponents may be negative, y-exponents may not.  Printing is canonical
 and ``parse(print(value)) == value`` holds for every value.
 
-Both grammars read one token list: white space is skipped, and a token is
-a run of ASCII digits or any other one character.  A digit of another
-script (``²``, ``٣``) starts a number, as str.isdigit says, but is not one.
-A ParseError's position is where the offending token starts, after white
-space; ``zero denominator`` and ``negative y-exponent`` point just past the
-token that completes the bad value.
+Every grammar, the command line's ``r`` and pair lists included, reads one
+token list: white space is skipped, and a token is a run of ASCII digits or
+any other one character.  A digit of another script (``²``, ``٣``) starts a
+number, as str.isdigit says, but is not one, and a number longer than int()
+reads is refused.  A ParseError's position is where the offending token
+starts, after white space; ``zero denominator`` and ``negative y-exponent``
+point just past the token that completes the bad value.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ from math import gcd
 from operator import itemgetter
 
 from .algebra import LaurentPoly
-from .puiseux import DPuiseuxPoly
+from .puiseux import DPuiseuxPoly, FormalPuiseuxPairs
 
 
 class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 _TOKEN = re.compile(r"\s*([0-9]+|.|\Z)", re.S)
@@ -67,8 +68,19 @@ class _Tokens:
         token = self.peek()
         if not (token.isascii() and token.isdigit()):
             raise self.error("expected a number")
+        try:
+            value = int(token)
+        except ValueError:  # past sys.get_int_max_str_digits()
+            raise self.error(f"number too long: {len(token)} digits") from None
         self.i += 1
-        return int(token)
+        return value
+
+    def sign(self) -> int:
+        """-1 after a ``-``, else 1 after an optional ``+``."""
+        if self.take("-"):
+            return -1
+        self.take("+")
+        return 1
 
     def rational(self) -> Fraction:
         num = self.integer()
@@ -93,17 +105,12 @@ def _signed_sum(text: str, term) -> list:
     """The terms of ``[sign] term (sign term)*``, each read by
     ``term(tokens, sign)`` with its sign applied."""
     tokens = _Tokens(text)
-    terms = []
-    while True:
-        if tokens.take("-"):
-            sign = -1
-        elif tokens.take("+") or not terms:
-            sign = 1
-        else:
+    terms = [term(tokens, tokens.sign())]
+    while tokens.peek():
+        if tokens.peek() not in ("+", "-"):
             raise tokens.error("expected '+' or '-'")
-        terms.append(term(tokens, sign))
-        if tokens.peek() == "":
-            return terms
+        terms.append(term(tokens, tokens.sign()))
+    return terms
 
 
 def _dps_term(tokens: _Tokens, sign: int) -> tuple[int | Fraction, Fraction]:
@@ -144,6 +151,26 @@ def parse_dps(text: str) -> DPuiseuxPoly:
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse an element of Q[x, 1/x, y]."""
     return LaurentPoly(_signed_sum(text, _laurent_term))
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational: an optional ``+`` or ``-``, then an integer or ``p/q``."""
+    tokens = _Tokens(text)
+    value = tokens.sign() * tokens.rational()
+    if tokens.peek():
+        raise tokens.error("expected the end")
+    return value
+
+
+def parse_pairs(text: str) -> FormalPuiseuxPairs:
+    """Parse comma-separated pairs ``q/p``, ``q`` signed and ``/1`` implied."""
+    tokens = _Tokens(text)
+    pairs = []
+    while not pairs or tokens.take(","):
+        pairs.append((tokens.sign() * tokens.integer(), tokens.integer() if tokens.take("/") else 1))
+    if tokens.peek():
+        raise tokens.error("expected ','")
+    return FormalPuiseuxPairs(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------

@@ -797,8 +797,12 @@ class _Scanner:
         match = _DIGITS.match(self.text, self.pos)
         if match is None:
             raise ParseError("expected a number", self.pos)
+        try:
+            value = int(match.group())
+        except ValueError:  # more digits than the interpreter's int() limit
+            raise ParseError(f"number too long: {len(match.group())} digits", self.pos) from None
         self.pos = match.end()
-        return int(match.group())
+        return value
 
     def rational(self) -> Fraction:
         value = Fraction(self.integer())
@@ -889,3 +893,30 @@ def scanner_parse_laurent(text: str) -> LaurentPoly:
         if scanner.at_end():
             return LaurentPoly(terms)
         sign = scanner.sign(required=True)
+
+
+# ---------------------------------------------------------------------------
+# the number grammars of --r and --pairs as one regex, kept as the oracle of
+# parsing.parse_rational and parsing.parse_pairs: a signed integer, then an
+# optional unsigned /denominator, blanks allowed around every part
+
+
+_SIGNED_RATIO = re.compile(r"\s*([+-]?)\s*([0-9]+)\s*(?:/\s*([0-9]+)\s*)?")
+
+
+def _signed_ratio(text):
+    match = _SIGNED_RATIO.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not a signed ratio: {text!r}")
+    sign, num, den = match.groups()
+    return -int(num) if sign == "-" else int(num), int(den or "1")
+
+
+def regex_parse_rational(text: str) -> Fraction:
+    """A signed integer or p/q, by int() and Fraction() on the regex groups."""
+    return Fraction(*_signed_ratio(text))
+
+
+def regex_parse_pairs(text: str) -> tuple:
+    """The (q, p) of each comma-separated chunk, p = 1 when ``/p`` is missing."""
+    return tuple(_signed_ratio(chunk) for chunk in text.split(","))

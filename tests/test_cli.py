@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -110,7 +111,7 @@ def test_parse_errors_name_their_position(parse, text, message, position):
 PARSE_PIECES = list("0123456789") + ["x", "y", "x^", "y^", "^(", "^(-", "^-", "/", "/0", "*", "+", "-", ")"]
 PARSE_PIECES += ["(", "^", " ", "\t", "\u00a0", "\u2028", "\x1c", "²", "٣", "１"]
 PARSE_WEIGHTS = [2] * 10 + [6, 6, 3, 3, 2, 2, 2, 3, 1, 5, 4, 4, 3] + [1, 1, 4, 1, 1, 1, 1, 1, 1, 1]
-LONG_RUN = "1" * 5000  # past int()'s 4300-digit limit, a ValueError on both sides
+LONG_RUN = "1" * 5000  # past int()'s 4300-digit limit, too long on both sides
 
 
 def parse_outcome(parse, text):
@@ -255,6 +256,19 @@ def test_exit_code_oversized_pairs_is_quick(capsys):
     assert code == 2
     assert not out
     assert "essential values too large" in err
+
+
+def test_exponent_notation_is_refused_quickly(capsys):
+    # Fraction() expands exponent notation in full: this --r once ran for minutes
+    argv = ("decide", "--phi", "x^(2/5)", "--r", "-1e-100000000")
+    message = "--r: expected the end (at position 2)"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", message + "\n")
+    start = time.perf_counter()
+    assert run_line(shlex.join(argv)) == (2, json.dumps({"error": message, "exit_code": "2"}))
+    assert time.perf_counter() - start < 1.0
 
 
 NON_ALGEBRAIC = ("decide", "--phi", "2*x^(5/2) - 2*x^-1", "--r", "-2")
@@ -565,35 +579,43 @@ def test_a_flag_value_of_double_dash_exits_2(capsys, argv):
     assert "internal error" not in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--pairs", "\u0662/\u0665,-6/1"),  # Arabic-Indic digits
-        ("classify", "--pairs", "2/5,-6_0/1"),
-        ("graph", "--pairs", "2/5,-6/\uff11"),  # a fullwidth 1
-        ("witness", "--pairs", "2_0/5,-6/1", "--kind", "algebraic"),
-        ("decide", "--phi", "x^(2/5)", "--r", "-\u0666/\u0665"),
-        ("decide", "--phi", "x^(2/5)", "--r", "-6/5_0"),
-        ("keyforms", "--phi", "x^(2/5)", "--r", "-1_2/10"),
-        ("cousin", "--psi", "x^(3/2) - x^5", "--r", "\u0668/3"),
-    ],
-)
-def test_numbers_in_flags_are_ascii_digits_only(capsys, argv):
-    from semidegree.cli import run_line
+# flag values with a digit of another script, a _ separator or more digits
+# than int() reads, and their refusals
+REFUSED_NUMBERS = {
+    ("classify", "--pairs", "\u0662/\u0665,-6/1"): "--pairs: expected a number (at position 0)",  # Arabic-Indic
+    ("classify", "--pairs", "2/5,-6_0/1"): "--pairs: expected ',' (at position 6)",
+    ("graph", "--pairs", "2/5,-6/\uff11"): "--pairs: expected a number (at position 7)",  # a fullwidth 1
+    ("witness", "--pairs", "2_0/5,-6/1", "--kind", "algebraic"): "--pairs: expected ',' (at position 1)",
+    ("decide", "--phi", "x^(2/5)", "--r", "-\u0666/\u0665"): "--r: expected a number (at position 1)",
+    ("decide", "--phi", "x^(2/5)", "--r", "-6/5_0"): "--r: expected the end (at position 4)",
+    ("keyforms", "--phi", "x^(2/5)", "--r", "-1_2/10"): "--r: expected the end (at position 2)",
+    ("cousin", "--psi", "x^(3/2) - x^5", "--r", "\u0668/3"): "--r: expected a number (at position 0)",
+    ("semidegree", "--phi", LONG_RUN, "--r", "-6/5", "--f", "y"): "number too long: 5000 digits (at position 0)",
+    ("semidegree", "--phi", "x^(2/5)", "--r", "-6/5", "--f", f"y^{LONG_RUN}"):
+        "number too long: 5000 digits (at position 2)",
+    ("cousin", "--psi", f"x^(3/{LONG_RUN})", "--r", "11/5"): "number too long: 5000 digits (at position 5)",
+    ("decide", "--phi", "x^(2/5)", "--r", f"-{LONG_RUN}/5"): "--r: number too long: 5000 digits (at position 1)",
+    ("classify", "--pairs", f"2/5,-{LONG_RUN}/1"): "--pairs: number too long: 5000 digits (at position 5)",
+}
 
+
+@pytest.mark.parametrize("argv", list(REFUSED_NUMBERS))
+def test_numbers_in_flags_are_ascii_digits_only(capsys, argv):
+    message = REFUSED_NUMBERS[argv]
     code, out, err = _exit_code(capsys, argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("bad ")
-    code, text = run_line(shlex.join(argv))
-    assert code == 2
-    assert json.loads(text)["error"] == err.rstrip("\n")
+    assert (code, out, err) == (2, "", message + "\n")
+    assert run_line(shlex.join(argv)) == (2, json.dumps({"error": message, "exit_code": "2"}))
 
 
 def test_ascii_numbers_in_flags_read_as_int_and_fraction_read_them(monkeypatch):
-    import semidegree.cli as cli
-    from semidegree.cli import _parse_pairs, _parse_rational
+    """parse_rational and parse_pairs against the regex grammar of helpers;
+    every text the readers they replaced took (Fraction() on --r, int() on
+    each side of each --pairs chunk) reads the same, unless it is decimal
+    or exponent notation or signs a pair's p, which int() also took."""
+    import semidegree.parsing as parsing
+    from helpers import regex_parse_pairs, regex_parse_rational
 
-    monkeypatch.setattr(cli, "FormalPuiseuxPairs", lambda pairs: pairs)  # compare the numbers read
+    monkeypatch.setattr(parsing, "FormalPuiseuxPairs", lambda pairs: pairs)  # compare the numbers read
 
     def outcome(parse, text):
         try:
@@ -607,17 +629,24 @@ def test_ascii_numbers_in_flags_read_as_int_and_fraction_read_them(monkeypatch):
             raise ValueError("empty pair")
         return tuple((int(q), int(p if slash else "1")) for q, slash, p in chunks)
 
+    signed_p = re.compile(r"/\s*[+-]")
     rng = random.Random(56)
     alphabet = "0123456789+-/., eE"
-    read = 0
+    read = kept = 0
     for _ in range(20000):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 9)))
-        rational = outcome(lambda t: F(t.strip()), text)
-        assert outcome(_parse_rational, text) == rational, repr(text)
-        pairs = outcome(pairs_by_int, text)
-        assert outcome(_parse_pairs, text) == pairs, repr(text)
+        rational = outcome(regex_parse_rational, text)
+        assert outcome(parsing.parse_rational, text) == rational, repr(text)
+        pairs = outcome(regex_parse_pairs, text)
+        assert outcome(parsing.parse_pairs, text) == pairs, repr(text)
         read += rational is not None and pairs is not None
-    assert read > 500
+        if not set(".eE") & set(text):
+            old_rational = outcome(lambda t: F(t.strip()), text)
+            assert old_rational in (None, rational), repr(text)
+            old_pairs = None if signed_p.search(text) else outcome(pairs_by_int, text)
+            assert old_pairs in (None, pairs), repr(text)
+            kept += old_rational is not None and old_pairs is not None
+    assert read > 4000 and kept > 4000
 
 
 def test_split_line_matches_shlex():

@@ -100,6 +100,9 @@ def test_represent_zero_target():
 def test_represent_unrepresentable():
     with pytest.raises(KeyFormError):
         represent(F(1, 2), [1, 2])
+    for target in (0, 3):  # no values represent nothing, not even 0
+        with pytest.raises(KeyFormError, match=f"^{target} is not representable in the given values$"):
+            represent(target, [])
 
 
 def test_represent_matches_brute_force():
@@ -383,6 +386,8 @@ def test_pairs_from_essential_values_round_trips_seeded_pairs(draw):
 def test_pairs_from_essential_values_refusals_and_a_small_case():
     with pytest.raises(KeyFormError, match="^essential values must have trivial overall gcd$"):
         pairs_from_essential_values((4, 6))
+    with pytest.raises(KeyFormError, match="^essential values must have trivial overall gcd$"):
+        pairs_from_essential_values(())
     with pytest.raises(PuiseuxError, match="^pair 1: denominator 1 out of range$"):
         pairs_from_essential_values((6, 12, 1))
     assert pairs_from_essential_values((6, 9, 4)).pairs == ((3, 2), (-5, 3))
