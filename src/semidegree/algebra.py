@@ -86,14 +86,9 @@ def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], 
     each sorted highest first, whose first exponent lies above ``cut``.
 
     A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
-    terms or more in each operand, is packed by :func:`_add_packed`: each
-    row of an operand becomes one integer and each pair of rows one big-int
-    product.  Its slots are as wide as the largest sum of products needs.
-    That path refuses, leaving ``out`` untouched, when its pairs of rows
-    average fewer than ``_PACK_MIN`` term pairs, or when an operand or the
-    output rows fill less than half of their slots on the lattice step
-    common to both operands.  Every other product goes through the term
-    loop, :func:`_add_term_products`.
+    terms or more in each operand, is offered to :func:`_add_packed`.  The
+    products it refuses, and all others, go through the term loop,
+    :func:`_add_term_products`.
     """
     if (
         len(left) * len(right) >= _PACK_PAIRS
@@ -131,22 +126,10 @@ def _line(terms: list) -> tuple[int, int] | None:
     return ((b2 - b1) // g, (a1 - a2) // g) if g else None
 
 
-def _rows(terms: list, u: int, v: int, p: int, q: int) -> dict[int, list[tuple[int, int]]]:
-    """The terms grouped by level L = u*a + v*b, each as (P, numerator)
-    with P = p*a + q*b its position in the level.  With v > 0, P rises as a
-    falls within a level, so terms sorted highest first give each row
-    lowest position first."""
-    rows: dict[int, list[tuple[int, int]]] = {}
-    for (a, b), n in terms:
-        rows.setdefault(u * a + v * b, []).append((p * a + q * b, n))
-    return rows
-
-
-def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> bool:
-    """:func:`_add_products` with each row of an operand packed into one
-    integer, or False, with ``out`` untouched, when the rows are too short
-    to pay for a big-int product each or the product is not dense on the
-    lattice it would be packed on.
+def _packed_layout(left: list, right: list, cut: int) -> tuple | None:
+    """Where :func:`_add_packed` puts the terms of a product in packed rows,
+    or None when the rows are too short to pay for a big-int product each
+    or the product is not dense on the lattice it would be packed on.
 
     Rows are the levels L = u*a + v*b of one of two linear forms: the
     second exponent, or the line through an operand's top term and its
@@ -162,26 +145,10 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
     slots of the row pairs that meet in them, so that pairs far apart in
     one output row cannot make it long.
 
-    A row is the integer sum(n * 2^(w*i)) over its slots i, and a slot of
-    w bits holds any signed sum the product can reach:
-    |n| <= max|n1| * max|n2| * min(len), since a key of the product is hit
-    by at most one term pair per term of either operand.  That bound is
-    what keeps every slot exact.  Each pair of rows is one big-int product,
-    summed into its output row while still packed; each output row is
-    unpacked once, in linear time, by adding a bias of 2^(w-1) to every
-    slot and slicing the bytes.  A biased row that is negative or overflows
-    its top slot raises :class:`InternalError`.  Terms whose products all
-    lie at or below ``cut`` are dropped first, and so are pairs of rows
-    whose products all do; the keys of the product at or below the cut are
-    not unpacked.
+    Returns (rows1, rows2, s, pairs, outputs, keys, along): the arguments
+    of :func:`_packed_products`, the key of each output row's slot 0, and
+    what one slot up adds to a key.
     """
-    if not left or not right:
-        return True
-    top1, top2 = left[0][0][0], right[0][0][0]
-    left = [t for t in left if t[0][0] + top2 > cut]
-    right = [t for t in right if t[0][0] + top1 > cut]
-    if not left or not right:
-        return True
     square = left == right  # then a pair of distinct rows is taken once, doubled
 
     def row_pairs(form: tuple[int, int]) -> int:
@@ -191,9 +158,14 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
     u, v = min({(0, 1), _line(left), _line(right)} - {None}, key=row_pairs)
     q = pow(u, -1, v)
     p = (u * q - 1) // v
-    rows1, rows2 = _rows(left, u, v, p, q), _rows(right, u, v, p, q)
+    # each term as (P, numerator) in its row; with v > 0, P rises as a falls
+    # within a level, so terms sorted highest first give rows lowest P first
+    rows1, rows2 = {}, {}
+    for terms, rows in ((left, rows1), (right, rows2)):
+        for (a, b), n in terms:
+            rows.setdefault(u * a + v * b, []).append((p * a + q * b, n))
     if len(rows1) * len(rows2) * _PACK_MIN > len(left) * len(right):
-        return False
+        return None
 
     # the step, then the output rows: the lowest position of each and the highest
     step = 0
@@ -211,7 +183,7 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
             # q*L - v*P is the first exponent at position P of output row L
             if (q * L - cut - 1) // v < lo:
                 continue  # the whole pair lies at or below the cut
-            pairs.append((L1, L2, lo, hi))
+            pairs.append((L1, L2, L, lo, hi))
             if L in low:
                 step = math.gcd(step, lo - low[L])
                 low[L], high[L] = min(low[L], lo), max(high[L], hi)
@@ -220,50 +192,80 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
     step = step or 1
     for terms, spans in ((left, span1), (right, span2)):
         if 2 * len(terms) < sum((hi - lo) // step + 1 for lo, hi in spans.values()):
-            return False
+            return None
     if sum((high[L] - low[L]) // step + 1 for L in low) > 2 * sum((hi - lo) // step + 1 for *_, lo, hi in pairs):
-        return False
+        return None
+    # a = q*L - v*P falls as P rises, so the slots above the cut come first
+    outputs = {L: ((high[L] - lo) // step + 1, ((q * L - cut - 1) // v - lo) // step + 1) for L, lo in low.items()}
+    keys = {L: (q * L - v * lo, u * lo - p * L) for L, lo in low.items()}
+    pairs = [(L1, L2, L, (lo - low[L]) // step, square and L1 != L2) for L1, L2, L, lo, _ in pairs]
+    return rows1, rows2, step, pairs, outputs, keys, (-v * step, u * step)
 
-    bound = max(abs(n) for _, n in left) * max(abs(n) for _, n in right) * min(len(left), len(right))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot, with room for the sign
+
+def _packed_products(rows1: dict, rows2: dict, step: int, pairs: list, outputs: dict, width: int) -> Iterator:
+    """Each output row L -> (slots, last) of ``outputs`` with the numerators
+    of its slots below ``last``: the sum over ``pairs`` (L1, L2, L, offset,
+    twice) of rows1[L1] * rows2[L2] moved up ``offset`` slots, doubled when
+    ``twice``.  A row lists (position, numerator) lowest first, one slot per
+    ``step``; it is packed, in linear time, as sum(n * 2^(8*width*i)) over
+    its slots i.  Products of rows add while packed, and an output row is
+    unpacked once, by adding 2^(8*width - 1) to each slot and slicing the
+    bytes.  A biased row that is negative or overflows its top slot raises
+    :class:`InternalError`.
+    """
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")
-    biases: dict[int, int] = {}
-
-    def bias(slots: int) -> int:
+    biases: dict[int, int] = {}  # the bias of each number of slots
+    packed: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for side, rows in enumerate((rows1, rows2)):
+        for L in {pair[side] for pair in pairs}:
+            row, lo = rows[L], rows[L][0][0]
+            slots = [zero] * ((row[-1][0] - lo) // step + 1)
+            for P, n in row:
+                slots[(P - lo) // step] = (n + half).to_bytes(width, "little")
+            if len(slots) not in biases:
+                biases[len(slots)] = int.from_bytes(zero * len(slots), "little")
+            packed[side][L] = int.from_bytes(b"".join(slots), "little") - biases[len(slots)]
+    sums: dict[int, int] = {}
+    for L1, L2, L, offset, twice in pairs:
+        shift = offset * 8 * width + twice
+        sums[L] = sums.get(L, 0) + (packed[0][L1] * packed[1][L2] << shift)
+    for L, (slots, last) in outputs.items():
         if slots not in biases:
             biases[slots] = int.from_bytes(zero * slots, "little")
-        return biases[slots]
-
-    def pack(row: list) -> int:
-        lo = row[0][0]
-        slots = [zero] * ((row[-1][0] - lo) // step + 1)
-        for P, n in row:
-            slots[(P - lo) // step] = (n + half).to_bytes(width, "little")
-        return int.from_bytes(b"".join(slots), "little") - bias(len(slots))
-
-    packed1 = {L: pack(rows1[L]) for L in {pair[0] for pair in pairs}}
-    packed2 = {L: pack(rows2[L]) for L in {pair[1] for pair in pairs}}
-    sums: dict[int, int] = {}
-    for L1, L2, lo, _ in pairs:
-        L = L1 + L2
-        shift = (lo - low[L]) // step * 8 * width + (square and L1 != L2)
-        sums[L] = sums.get(L, 0) + (packed1[L1] * packed2[L2] << shift)
-
-    for L, total in sums.items():
-        slots = (high[L] - low[L]) // step + 1
-        total += bias(slots)
+        total = sums[L] + biases[slots]
         if total < 0 or total >> (8 * width * slots):
             raise InternalError("a packed row overflowed its slots; this is a bug")
-        data = total.to_bytes(width * slots, "little")
-        # a = q*L - v*P falls as P rises, so the keys above the cut come first
-        last = min(slots, ((q * L - cut - 1) // v - low[L]) // step + 1)
-        a, b = q * L - v * low[L], u * low[L] - p * L  # the key of slot 0
-        biased = [int.from_bytes(data[j : j + width], "little") for j in range(0, last * width, width)]
-        for i, n in enumerate(biased):
-            if n != half:
-                key = (a - i * v * step, b + i * u * step)
-                out[key] = out.get(key, 0) + n - half
+        data = total.to_bytes(width * slots, "little")[: width * last]
+        yield L, [int.from_bytes(data[j : j + width], "little") - half for j in range(0, len(data), width)]
+
+
+def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> bool:
+    """:func:`_add_products` on packed rows: the terms with a product above
+    ``cut``, laid out by :func:`_packed_layout` and multiplied by
+    :func:`_packed_products`; or False, with ``out`` untouched, when the
+    layout is refused."""
+    if not left or not right:
+        return True
+    top1, top2 = left[0][0][0], right[0][0][0]
+    left = [t for t in left if t[0][0] + top2 > cut]
+    right = [t for t in right if t[0][0] + top1 > cut]
+    if not left or not right:
+        return True
+    layout = _packed_layout(left, right, cut)
+    if layout is None:
+        return False
+    rows1, rows2, step, pairs, outputs, keys, (da, db) = layout
+    # a key of the product is hit by at most one term pair per term of either
+    # operand, so no slot sum passes this bound, and every slot stays exact
+    bound = max(abs(n) for _, n in left) * max(abs(n) for _, n in right) * min(len(left), len(right))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot, with room for the sign
+    for L, numerators in _packed_products(rows1, rows2, step, pairs, outputs, width):
+        a, b = keys[L]
+        for i, n in enumerate(numerators):
+            if n:
+                key = (a + i * da, b + i * db)
+                out[key] = out.get(key, 0) + n
     return True
 
 
