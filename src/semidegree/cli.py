@@ -1,12 +1,14 @@
 """Command-line surface: parse expressions, run decisions, emit JSON or DOT.
 
-Exit codes: 0 success; 2 parse or validation error; 3 the input does not
-define a compactification; 4 an operation precondition failed (for example
-the requested witness kind is unavailable); 5 an internal error (a failed
-consistency check, :class:`~semidegree.puiseux.InternalError`, or any other
-exception: a bug), which in ``batch`` fails its own line only; a ``batch``
-input file that cannot be read is exit 2.  All numbers inside JSON payloads
-are decimal strings, never floats.
+Exit codes: 0 success; 1 stdout was closed by its reader, which ends the
+run with nothing on stderr; 2 parse or validation error, naming the flag
+whose text is refused; 3 the input does not define a compactification; 4
+an operation precondition failed (for example the requested witness kind
+is unavailable); 5 an internal error (a failed consistency check,
+:class:`~semidegree.puiseux.InternalError`, or any other exception: a
+bug), which in ``batch`` fails its own line only; a ``batch`` input file
+that cannot be read is exit 2.  All numbers inside JSON payloads are
+decimal strings, never floats, printed whole however many digits they have.
 
 Output is streamed: a key form's text is made only as the JSON encoder
 reaches it, and ``batch`` writes each line as soon as it is known, so no
@@ -36,11 +38,12 @@ from .graphs import (
 )
 from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms
 from .parsing import (
-    ParseError, dps_to_str, laurent_to_str, parse_dps, parse_laurent, parse_pairs, parse_rational,
+    ParseError, dps_to_str, laurent_to_str, number_to_str, parse_dps, parse_laurent, parse_pairs, parse_rational,
 )
 from .puiseux import FormalPuiseuxPairs, GenericDPS, formal_pairs
 
 EXIT_OK = 0
+EXIT_STDOUT_CLOSED = 1
 EXIT_INVALID = 2
 EXIT_NOT_COMPACTIFICATION = 3
 EXIT_PRECONDITION = 4
@@ -72,7 +75,7 @@ def _flag(parse, args, dest: str):
 
 
 def _generic_series(args) -> GenericDPS:
-    return GenericDPS(parse_dps(args.phi), _flag(parse_rational, args, "r"))
+    return GenericDPS(_flag(parse_dps, args, "phi"), _flag(parse_rational, args, "r"))
 
 
 def _form_text(obj: object) -> str:
@@ -86,15 +89,15 @@ def _form_text(obj: object) -> str:
 def _sequence_payload(seq: KeyFormSeq) -> dict:
     return {
         "key_forms": list(seq.forms),  # printed by _form_text
-        "values": [str(v) for v in seq.values],
-        "multipliers": [str(a) for a in seq.multipliers],
-        "essential_indices": [str(j) for j in seq.essential_indices],
-        "essential_values": [str(v) for v in seq.essential_values()],
+        "values": [number_to_str(v) for v in seq.values],
+        "multipliers": [number_to_str(a) for a in seq.multipliers],
+        "essential_indices": [number_to_str(j) for j in seq.essential_indices],
+        "essential_values": [number_to_str(v) for v in seq.essential_values()],
     }
 
 
 def _pairs_payload(pairs: FormalPuiseuxPairs) -> list[list[str]]:
-    return [[str(q), str(p)] for q, p in pairs.pairs]
+    return [[number_to_str(q), number_to_str(p)] for q, p in pairs.pairs]
 
 
 def _cmd_keyforms(args) -> dict:
@@ -103,7 +106,7 @@ def _cmd_keyforms(args) -> dict:
     return {
         "command": "keyforms",
         "phi": dps_to_str(g.phi),
-        "r": str(g.r),
+        "r": number_to_str(g.r),
         "formal_pairs": _pairs_payload(formal_pairs(g)),
         **_sequence_payload(seq),
     }
@@ -111,13 +114,13 @@ def _cmd_keyforms(args) -> dict:
 
 def _cmd_semidegree(args) -> dict:
     g = _generic_series(args)
-    f = parse_laurent(args.f)
+    f = _flag(parse_laurent, args, "f")
     return {
         "command": "semidegree",
         "f": laurent_to_str(f),
         "phi": dps_to_str(g.phi),
-        "r": str(g.r),
-        "value": str(semidegree_value(f, g)),
+        "r": number_to_str(g.r),
+        "value": number_to_str(semidegree_value(f, g)),
     }
 
 
@@ -129,10 +132,10 @@ def _verdict_payload(command: str, verdict) -> dict:
     }
     if verdict.is_algebraic:
         payload["curve"] = laurent_to_str(verdict.curve)
-        payload["embedding_weights"] = [str(w) for w in verdict.embedding_weights]
-        payload["essential_weights"] = [str(w) for w in verdict.essential_weights]
+        payload["embedding_weights"] = [number_to_str(w) for w in verdict.embedding_weights]
+        payload["essential_weights"] = [number_to_str(w) for w in verdict.essential_weights]
     else:
-        payload["witness_index"] = str(verdict.witness_index)
+        payload["witness_index"] = number_to_str(verdict.witness_index)
     return payload
 
 
@@ -141,7 +144,7 @@ def _cmd_decide(args) -> dict:
 
 
 def _cmd_cousin(args) -> dict:
-    psi = parse_dps(args.psi)
+    psi = _flag(parse_dps, args, "psi")
     verdict = cousin_decide(psi, _flag(parse_rational, args, "r"))
     return _verdict_payload("cousin", verdict)
 
@@ -151,10 +154,10 @@ def _cmd_classify(args) -> dict:
     return {
         "command": "classify",
         "kind": result.kind,
-        "essential_values": [str(v) for v in result.essential_values],
-        "s1_failures": [str(k) for k in result.s1_failures],
-        "s2_failures": [str(k) for k in result.s2_failures],
-        "s2_witnesses": [{"k": str(k), "t": str(t)} for k, t in result.s2_witnesses],
+        "essential_values": [number_to_str(v) for v in result.essential_values],
+        "s1_failures": [number_to_str(k) for k in result.s1_failures],
+        "s2_failures": [number_to_str(k) for k in result.s2_failures],
+        "s2_witnesses": [{"k": number_to_str(k), "t": number_to_str(t)} for k, t in result.s2_witnesses],
     }
 
 
@@ -165,7 +168,7 @@ def _cmd_graph(args) -> dict | str:
     return {
         "command": "graph",
         "vertices": [
-            {"name": v.name, "weight": str(v.weight), "mark": v.mark} for v in graph.vertices
+            {"name": v.name, "weight": number_to_str(v.weight), "mark": v.mark} for v in graph.vertices
         ],
         "edges": [[a, b] for a, b in graph.edges],
     }
@@ -377,7 +380,13 @@ def _line_results(lines: list[str], workers: int) -> Iterator[tuple[int, str]]:
                         result = EXIT_INTERNAL, _error_line(
                             "internal error: a batch worker process died", EXIT_INTERNAL
                         )
-                    yield result
+                    try:
+                        yield result
+                    except GeneratorExit:
+                        # the writer stopped, as on a closed stdout: run no
+                        # line that has not started
+                        pool.shutdown(cancel_futures=True)
+                        raise
             return
     yield from map(run_line, lines)
 
@@ -406,9 +415,25 @@ def main(argv: list[str] | None = None) -> int:
     if [] in vars(args).values():  # argparse 3.11 reads a value of -- as []
         _PARSER.error("a flag's value may not be --")
     try:
+        code = _run(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: as the signal module's note on SIGPIPE
+        # does, point stdout at devnull, so that the flush at exit cannot
+        # fail again, and end with no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_STDOUT_CLOSED
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run a parsed command line and write its output; its exit code."""
+    try:
         if args.command == "batch":
             return _cmd_batch(args)
         result = _HANDLERS[args.command](args)
+    except BrokenPipeError:
+        raise  # a batch line's write: main ends the run
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
         print(_error_text(exc), file=sys.stderr)
         return _exit_code(exc)

@@ -6,7 +6,9 @@ and exponent ``e`` an integer (``x^3``, ``x^-1``) or a parenthesized
 fraction (``x^(5/3)``, ``x^(-13/6)``).  For Laurent polynomials a term is a
 ``*``-separated product of a coefficient and powers of ``x`` and ``y``;
 x-exponents may be negative, y-exponents may not.  Printing is canonical
-and ``parse(print(value)) == value`` holds for every value.
+and ``parse(print(value)) == value`` holds for every value whose numbers
+the parser reads: an integer past the interpreter's digit limit is
+printed, but not read back.
 
 Every grammar, the command line's ``r`` and pair lists included, reads one
 token list: white space is skipped, and a token is a run of ASCII digits or
@@ -177,6 +179,25 @@ def parse_pairs(text: str) -> FormalPuiseuxPairs:
 # canonical printers
 
 
+def number_to_str(value: int | Fraction) -> str:
+    """str(value) for an int or a Fraction, also past the interpreter's limit
+    on the digits of str(int), sys.get_int_max_str_digits().  A longer
+    integer is split by a power of ten into halves, as CPython 3.12's
+    Lib/_pylong.py does, with integers only and no process-wide setting.
+    Such a number is printed but not read back: the parsers refuse it."""
+    try:
+        return str(value)
+    except ValueError:
+        num, den = value.numerator, value.denominator
+    if den != 1:
+        return f"{number_to_str(num)}/{number_to_str(den)}"
+    if num < 0:
+        return "-" + number_to_str(-num)
+    k = num.bit_length() * 3 // 20  # about half its digits: log10(2) is just over 3/10
+    high, low = divmod(num, 10**k)
+    return number_to_str(high) + number_to_str(low).zfill(k)
+
+
 def _x_power(exponent: Fraction) -> str | None:
     if exponent == 0:
         return None
@@ -195,11 +216,11 @@ def dps_to_str(poly: DPuiseuxPoly) -> str:
         power = _x_power(exponent)
         magnitude = abs(coeff)
         if power is None:
-            body = str(magnitude)
+            body = number_to_str(magnitude)
         elif magnitude == 1:
             body = power
         else:
-            body = f"{magnitude}*{power}"
+            body = f"{number_to_str(magnitude)}*{power}"
         pieces.append((coeff < 0, body))
     return _join_signed(pieces)
 
@@ -219,7 +240,7 @@ def laurent_to_str(poly: LaurentPoly) -> str:
         n = terms[key]
         g = gcd(n, den)
         num, d = abs(n) // g, den // g
-        coeff = f"{num}/{d}" if d > 1 else str(num)
+        coeff = f"{number_to_str(num)}/{number_to_str(d)}" if d > 1 else number_to_str(num)
         factors = [coeff] if coeff != "1" else []
         if a != 0:
             factors.append(f"x^{a}" if a != 1 else "x")

@@ -23,6 +23,7 @@ from semidegree import (
 )
 from semidegree import algebra, cli
 from semidegree.algebra import AlgebraError, XiSeries, series_of
+from semidegree.puiseux import InternalError
 
 from helpers import oracle_substitute, random_generic, random_laurent
 
@@ -410,6 +411,40 @@ def test_a_packed_slot_holds_the_largest_sum(n, width, rows):
         product = _packed(left, right, -1)
         assert product == _loop(left, right, -1)
         assert max(map(abs, product.values())) == bound
+
+
+def _times_one(row, width, last=None, twice=(False,)):
+    """The slot codec's output for one row, on positions 2 apart, times the
+    one-term row 1, once per flag of ``twice`` (doubled where it is True):
+    [(output row, numerators of its slots below ``last``)]."""
+    rows1 = {3: [(2 * i - 5, n) for i, n in enumerate(row)]}
+    rows2 = {4: [(5, 1)]}
+    pairs = [(3, 4, 7, 0, doubled) for doubled in twice]
+    outputs = {7: (len(row), len(row) if last is None else last)}
+    return list(algebra._packed_products(rows1, rows2, 2, pairs, outputs, width))
+
+
+@pytest.mark.parametrize("width", range(1, 10))
+def test_the_slot_codec_unpacks_a_packed_row_at_the_slot_bound(width):
+    # +-(2^(8 * width - 1) - 1), the widest numerators a slot holds, at both
+    # ends of the row, around zeros and numbers drawn inside the bound
+    bound = (1 << 8 * width - 1) - 1
+    rng = random.Random(width)
+    row = [bound, -bound, 0, *(rng.randint(-bound, bound) for _ in range(20)), 0, -bound, bound]
+    assert _times_one(row, width) == [(7, row)]
+    assert _times_one(row, width, last=5) == [(7, row[:5])]
+
+
+@pytest.mark.parametrize("twice", [(True,), (False, False)], ids=["doubled pair", "two pairs"])
+@pytest.mark.parametrize("width", [1, 2, 9])
+@pytest.mark.parametrize("sign", [1, -1], ids=["over the top slot", "negative"])
+def test_a_slot_sum_past_its_width_raises_an_internal_error(sign, width, twice):
+    # twice the top slot's numerator +-bound passes the slot: positive, the
+    # biased total overflows its top slot; negative, it falls below zero.
+    # The check is a raise, not an assert, so it holds under python -O.
+    bound = (1 << 8 * width - 1) - 1
+    with pytest.raises(InternalError, match="overflowed its slots"):
+        _times_one([1, -1, sign * bound], width, twice=twice)
 
 
 @pytest.fixture

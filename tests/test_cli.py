@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import random
@@ -13,8 +14,9 @@ import pytest
 
 from semidegree import LaurentPoly, parse_dps, parse_laurent
 from semidegree.cli import main, run_line
-from semidegree.parsing import ParseError, dps_to_str, laurent_to_str
+from semidegree.parsing import ParseError, dps_to_str, laurent_to_str, number_to_str
 
+from check_large_output import child_env
 from helpers import random_dps, random_laurent, scanner_parse_dps, scanner_parse_laurent
 
 BIG = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
@@ -590,10 +592,11 @@ REFUSED_NUMBERS = {
     ("decide", "--phi", "x^(2/5)", "--r", "-6/5_0"): "--r: expected the end (at position 4)",
     ("keyforms", "--phi", "x^(2/5)", "--r", "-1_2/10"): "--r: expected the end (at position 2)",
     ("cousin", "--psi", "x^(3/2) - x^5", "--r", "\u0668/3"): "--r: expected a number (at position 0)",
-    ("semidegree", "--phi", LONG_RUN, "--r", "-6/5", "--f", "y"): "number too long: 5000 digits (at position 0)",
+    ("semidegree", "--phi", LONG_RUN, "--r", "-6/5", "--f", "y"): "--phi: number too long: 5000 digits (at position 0)",
     ("semidegree", "--phi", "x^(2/5)", "--r", "-6/5", "--f", f"y^{LONG_RUN}"):
-        "number too long: 5000 digits (at position 2)",
-    ("cousin", "--psi", f"x^(3/{LONG_RUN})", "--r", "11/5"): "number too long: 5000 digits (at position 5)",
+        "--f: number too long: 5000 digits (at position 2)",
+    ("semidegree", "--phi", "x", "--r", "-1", "--f", "2/0"): "--f: zero denominator (at position 3)",
+    ("cousin", "--psi", f"x^(3/{LONG_RUN})", "--r", "11/5"): "--psi: number too long: 5000 digits (at position 5)",
     ("decide", "--phi", "x^(2/5)", "--r", f"-{LONG_RUN}/5"): "--r: number too long: 5000 digits (at position 1)",
     ("classify", "--pairs", f"2/5,-{LONG_RUN}/1"): "--pairs: number too long: 5000 digits (at position 5)",
 }
@@ -754,3 +757,55 @@ def test_laurent_printer_matches_the_items_oracle():
         cases.append(LaurentPoly(terms))
     for poly in cases:
         assert laurent_to_str(poly) == items_laurent_to_str(poly)
+
+
+# ---------------------------------------------------------------------------
+# integers past the interpreter's limit on the digits of str(int)
+
+SEVENS = "7" * 3000  # a coefficient the parser reads; its square passes the limit
+LONG_P, OTHER_P = 10**2200 + 1, 10**2200 + 3  # omega_0 = LONG_P * OTHER_P has 4401 digits
+PAST_THE_LIMIT = [
+    ("keyforms", "--phi", f"x^(5/2)+{SEVENS}*x^(9/4)", "--r", "5/4"),
+    ("decide", "--phi", f"x^(5/2)+{SEVENS}*x^(9/4)", "--r", "5/4"),
+    ("classify", "--pairs", f"3/{LONG_P},-1/{OTHER_P}"),
+]
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """str(int) with no limit on digits, as before the limit existed."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10 before 3.10.7 has none
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_number_to_str_matches_str_without_the_limit():
+    rng = random.Random(57)
+    numbers = [0, 1, -1, 10**4299, 10**4300, -(10**4300), 10**8600 - 1]
+    for digits in (4299, 4300, 4301, 4302, 8600, 8601, 9000, 30000):
+        numbers += [rng.randrange(10 ** (digits - 1), 10**digits) for _ in range(3)]
+        numbers += [-numbers[-1], numbers[-1] * 10 ** (digits // 2)]  # a run of zeros at a split
+    numbers += [F(numbers[-1], 3), F(7, numbers[-4]), F(-numbers[-2], numbers[-6])]
+    printed = [number_to_str(n) for n in numbers]
+    with _no_digit_limit():
+        assert printed == [str(n) for n in numbers]
+
+
+@pytest.mark.parametrize("argv", PAST_THE_LIMIT, ids=lambda argv: argv[0])
+def test_numbers_past_the_digit_limit_are_printed_whole(capsys, argv):
+    code, out, err = _exit_code(capsys, argv)
+    line = run_line(shlex.join(argv))
+    child = subprocess.run([sys.executable, "-m", "semidegree.cli", *argv], capture_output=True, env=child_env(), timeout=120)
+    assert (code, err, line[0]) == (0, "", 0)
+    assert (child.returncode, child.stderr, child.stdout.decode()) == (0, b"", out)
+    with _no_digit_limit():
+        assert _exit_code(capsys, argv) == (0, out, "")
+        assert run_line(shlex.join(argv)) == line
+    if hasattr(sys, "get_int_max_str_digits"):
+        assert max(map(len, re.findall(r"\d+", out))) > sys.get_int_max_str_digits()

@@ -4,8 +4,9 @@ Single commands write their JSON with ``json.dump`` and print each key form
 only when the encoder reaches it; ``batch`` writes each line as soon as it
 is known.  These tests pin that the bytes did not change, that the
 process pool is loaded only for ``--jobs``, that a dead ``--jobs`` worker
-fails only the lines it lost, and that a large output no longer costs a
-multiple of its size in memory.
+fails only the lines it lost, that a large output no longer costs a
+multiple of its size in memory, and that a reader who closes stdout early
+ends the run quietly.
 """
 
 import functools
@@ -229,3 +230,26 @@ def test_a_large_output_costs_less_than_four_times_its_size(tmp_path):
     data = out.read_bytes()
     assert (len(data), hashlib.md5(data).hexdigest()) == (DEPTH7_SIZE, DEPTH7_MD5)
     assert peak - baseline < 4 * len(data), (peak, baseline, len(data))
+
+
+def _closed_after_100_bytes(argv) -> tuple[int, bytes]:
+    """(exit code, stderr) of a process whose reader closes its stdout after
+    the first 100 bytes, as ``| head -c 100`` does."""
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()) as child:
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=300)
+    return child.returncode, err
+
+
+def test_a_closed_stdout_ends_a_large_keyforms_output_quietly():
+    assert _closed_after_100_bytes(dyadic_keyforms_argv(7)) == (1, b"")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_closed_stdout_ends_a_large_batch_quietly(jobs, tmp_path):
+    # about 0.4 MB of output, far past what a pipe and stdout's buffer hold
+    path = tmp_path / "requests.txt"
+    path.write_text(f"{CLASSIFY_LINE}\n" * 3000)
+    argv = [sys.executable, "-m", "semidegree.cli", "batch", "--input", str(path), "--jobs", jobs]
+    assert _closed_after_100_bytes(argv) == (1, b"")
