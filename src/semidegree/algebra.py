@@ -63,7 +63,7 @@ class PrecisionLost(Exception):
     """A read reached an expansion's precision floor.
 
     Not a ValueError: it never means bad input.  :func:`certified` catches
-    it and retries with a wider band.
+    it and retries with a wider band.  Its argument is the floor, unprinted.
     """
 
 
@@ -312,14 +312,15 @@ class _Sparse:
     never negative.  Results are built by :meth:`_like`, the one place that
     drops zeros and reduces, which a subclass carrying more state than the
     map extends; two operands combine only when their :meth:`_ring` agrees.
-    ``floor`` is the precision floor on the first exponent and ``band`` the
-    depth below its top that a product keeps, both None (exact) unless a
-    subclass tracks them.
+    ``floor`` is the precision floor on the first exponent, ``band`` the
+    depth below its top that a product keeps and ``den`` the denominator of
+    x's exponents, all None (exact, integer) unless a subclass tracks them.
     """
 
     __slots__ = ("_terms", "_den")
     floor: int | None = None
     band: int | None = None
+    den: int | None = None
 
     def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]] = ()):
         acc: dict[tuple[int, int], Fraction] = {}
@@ -347,11 +348,11 @@ class _Sparse:
         out._den = den // g
         return out
 
-    def _ring(self) -> str:
-        return type(self).__name__
+    def _ring(self) -> tuple:
+        return type(self).__name__, self.den, self.band
 
     def _check(self, other: _Sparse) -> None:
-        if other._ring() != self._ring():
+        if other._ring() != self._ring():  # printed only here: den may be long
             raise AlgebraError(f"cannot combine {self._ring()} with {other._ring()}")
 
     @property
@@ -478,10 +479,6 @@ class XiSeries(_Sparse):
         out.floor = floor
         return out
 
-    def _ring(self) -> str:
-        ring = f"expansions in x^(1/{self.den})"
-        return ring if self.band is None else f"{ring} kept to {self.band} below each top"
-
     def above(self, floor: int) -> XiSeries:
         """The same expansion, known only above X^floor if that is higher
         than its own floor."""
@@ -493,7 +490,7 @@ class XiSeries(_Sparse):
         :class:`PrecisionLost` when no term is known above the floor."""
         top = max(self._terms) if self._terms else None
         if self.floor is not None and (top is None or top[0] <= self.floor):
-            raise PrecisionLost(f"no term is known above X^{self.floor}")
+            raise PrecisionLost(self.floor)
         return top
 
     @property
@@ -510,7 +507,7 @@ class XiSeries(_Sparse):
 
     def _coefficient_at(self, top: int) -> XiPoly:
         if self.floor is not None and top <= self.floor:
-            raise PrecisionLost(f"X^{top} lies at or below the floor X^{self.floor}")
+            raise PrecisionLost(self.floor)
         return _dense({b: Fraction(n, self._den) for (a, b), n in self._terms.items() if a == top})
 
     @property

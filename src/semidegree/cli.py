@@ -1,14 +1,16 @@
 """Command-line surface: parse expressions, run decisions, emit JSON or DOT.
 
-Exit codes: 0 success; 1 stdout was closed by its reader, which ends the
-run with nothing on stderr; 2 parse or validation error, naming the flag
-whose text is refused; 3 the input does not define a compactification; 4
-an operation precondition failed (for example the requested witness kind
-is unavailable); 5 an internal error (a failed consistency check,
-:class:`~semidegree.puiseux.InternalError`, or any other exception: a
-bug), which in ``batch`` fails its own line only; a ``batch`` input file
-that cannot be read is exit 2.  All numbers inside JSON payloads are
-decimal strings, never floats, printed whole however many digits they have.
+One reader reads the process's argv and each ``batch`` line against one
+command table, whose help strings ``-h`` prints.  Exit codes: 0 success;
+1 stdout was closed by its reader, which ends the run with nothing on
+stderr; 2 the package refused its input (an unreadable ``batch`` file
+included), naming the command or flag at fault; 3 the input does not
+define a compactification; 4 an operation precondition failed (for
+example the requested witness kind is unavailable); 5 an internal error (a
+failed consistency check, :class:`~semidegree.puiseux.InternalError`, or
+any other exception: a bug), which in ``batch`` fails its own line only.
+All numbers inside JSON payloads are decimal strings, never floats,
+printed whole however many digits they have.
 
 Output is streamed: a key form's text is made only as the JSON encoder
 reaches it, and ``batch`` writes each line as soon as it is known, so no
@@ -17,18 +19,19 @@ command holds its whole output text in memory.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import shlex
 import sys
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple
 
-from .algebra import LaurentPoly
+from .algebra import AlgebraError, LaurentPoly
 from .algebra import semidegree as semidegree_value
 from .decide import NotACompactificationError, cousin_decide, decide_algebraic
 from .graphs import (
+    GraphError,
     WitnessError,
     algebraic_witness,
     classify,
@@ -38,9 +41,10 @@ from .graphs import (
 )
 from .keyforms import KeyFormError, KeyFormSeq, compute_key_forms
 from .parsing import (
-    ParseError, dps_to_str, laurent_to_str, number_to_str, parse_dps, parse_laurent, parse_pairs, parse_rational,
+    ParseError, dps_to_str, laurent_to_str, number_to_str, parse_count, parse_dps, parse_laurent, parse_pairs,
+    parse_rational,
 )
-from .puiseux import FormalPuiseuxPairs, GenericDPS, formal_pairs
+from .puiseux import FormalPuiseuxPairs, GenericDPS, PuiseuxError, formal_pairs
 
 EXIT_OK = 0
 EXIT_STDOUT_CLOSED = 1
@@ -50,12 +54,16 @@ EXIT_PRECONDITION = 4
 EXIT_INTERNAL = 5
 
 
+class UsageError(ValueError):
+    """A refused command line; its text names the command or flag at fault."""
+
+
 def _exit_code(error: Exception) -> int:
     if isinstance(error, NotACompactificationError):
         return EXIT_NOT_COMPACTIFICATION
     if isinstance(error, (WitnessError, KeyFormError)):
         return EXIT_PRECONDITION
-    if isinstance(error, ValueError):
+    if isinstance(error, (ParseError, PuiseuxError, AlgebraError, GraphError, UsageError)):
         return EXIT_INVALID
     return EXIT_INTERNAL
 
@@ -186,20 +194,38 @@ def _cmd_witness(args) -> dict:
     }
 
 
-# Each line command's handler and flags: value flags (dest -> help, every
-# one required), switches (dest -> help) and the allowed values of choice
-# flags.  argparse is built from this table for the process's own argv;
-# batch lines are read against it directly by _line_args.
+def _cmd_batch(args) -> int:
+    try:
+        with open(args.input, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle if line.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise UsageError(f"cannot read {args.input}: {reason}") from None
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are cores or lines
+    workers = min(_flag(parse_count, args, "jobs"), os.cpu_count() or 1, len(lines))
+    code = EXIT_OK
+    for line_code, text in _line_results(lines, workers):
+        sys.stdout.write(text + "\n")
+        code = code or line_code  # the first failing line's code
+    return code
+
+
+# Each command's handler and flags: value flags (dest -> help, every one
+# required unless it has a default), switches (dest -> help) and the
+# allowed values of choice flags.  _line_args reads every command line
+# against this table, and _usage prints it.
 _SERIES = {"phi": "descending Puiseux polynomial", "r": "generic exponent (rational)"}
 _PAIRS = {"pairs": "comma-separated q/p pairs"}
 
 
 class _Command(NamedTuple):
     help: str
-    run: Callable[[argparse.Namespace], dict | str]
+    run: Callable[[SimpleNamespace], dict | str | int]
     values: dict[str, str]
     switches: dict[str, str] = {}
     choices: dict[str, tuple[str, ...]] = {}
+    defaults: dict[str, str] = {}
 
 
 _COMMANDS = {
@@ -223,53 +249,29 @@ _COMMANDS = {
         {**_PAIRS, "kind": "witness kind"},
         choices={"kind": ("algebraic", "nonalgebraic")},
     ),
+    "batch": _Command(
+        "run one command per line of a file",
+        _cmd_batch,
+        {"input": "file of command lines", "jobs": "parallel workers, 1 if not given"},
+        defaults={"jobs": "1"},
+    ),
 }
 
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="semidegree",
-        description="Key forms, algebraicity decisions and resolution dual graphs "
-        "for valuations at infinity on the plane.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, command in _COMMANDS.items():
-        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
-        for dest, text in command.values.items():
-            p.add_argument(f"--{dest}", required=True, help=text, choices=command.choices.get(dest))
-        for dest, text in command.switches.items():
-            p.add_argument(f"--{dest}", action="store_true", help=text)
-
-    p = sub.add_parser("batch", help="run one command per line of a file", allow_abbrev=False)
-    p.add_argument("--input", required=True, help="file of command lines")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
-
-    return parser
-
-
-_PARSER = _build_parser()
 
 # commands run through this index, whose entries perfbench's self-test patches
 _HANDLERS = {name: command.run for name, command in _COMMANDS.items()}
 
-_VALUE_FLAGS = {"--input", "--jobs"} | {f"--{dest}" for c in _COMMANDS.values() for dest in c.values}
 
-
-def _merge_flag_values(argv: list[str]) -> list[str]:
-    """Join value flags with their argument so values like -6/5 survive
-    argparse's option detection."""
-    out = []
-    i = 0
-    while i < len(argv):
-        token = argv[i]
-        if token in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{token}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(token)
-            i += 1
-    return out
+def _usage() -> str:
+    """The text of -h: each command and each of its flags, with its help."""
+    rows = []
+    for name, command in _COMMANDS.items():
+        rows.append((name, command.help))
+        rows += [(f"  --{dest} " + "|".join(command.choices.get(dest, [dest.upper()])), text)
+                 for dest, text in command.values.items()]
+        rows += [(f"  --{dest}", text) for dest, text in command.switches.items()]
+    width = max(len(left) for left, _ in rows) + 2
+    return "usage: semidegree COMMAND FLAGS\n\n" + "".join(f"{left:<{width}}{text}\n" for left, text in rows)
 
 
 # POSIX shell words, as shlex.split reads them: blanks are space, tab, CR
@@ -298,36 +300,41 @@ def _split_line(line: str) -> list[str]:
     return [_QUOTED.sub(_unquote, word) for word in _WORD.findall(line)]
 
 
-def _line_args(argv: list[str]) -> argparse.Namespace | None:
-    """The Namespace _PARSER would give for argv, or None where it would
-    refuse argv or print help.  Flags are exact, ``--flag value`` or
-    ``--flag=value``; a repeated flag keeps its last value."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    if command is None:
+def _line_args(argv: list[str]) -> SimpleNamespace | None:
+    """argv read against _COMMANDS: a command, then its flags, exact, as
+    ``--flag value`` or ``--flag=value``, the last of a repeated flag kept;
+    None for -h or --help where a flag may stand.  Raises UsageError naming
+    the command or flag at fault."""
+    name = argv[0] if argv else ""
+    if name in ("-h", "--help"):
         return None
-    found: dict[str, object] = dict.fromkeys(command.switches, False)
-    i = 1
-    while i < len(argv):
-        token = argv[i]
-        name, joined, value = token.partition("=")
-        dest = name[2:] if name.startswith("--") else None
+    command = _COMMANDS.get(name)
+    if command is None:
+        raise UsageError(f"unknown command {name!r}; the commands are {', '.join(_COMMANDS)}")
+    found: dict[str, object] = {**dict.fromkeys(command.switches, False), **command.defaults}
+    words = iter(argv[1:])
+    for token in words:
+        flag, joined, value = token.partition("=")
+        dest = flag[2:] if flag.startswith("--") else None
         if dest in command.values:
             if not joined:
-                if i + 1 == len(argv):
-                    return None
-                i += 1
-                value = argv[i]
-            if value not in command.choices.get(dest, (value,)):
-                return None
+                value = next(words, None)
+                if value is None:
+                    raise UsageError(f"{name}: {flag} needs a value")
+            allowed = command.choices.get(dest, (value,))
+            if value not in allowed:
+                raise UsageError(f"{name}: {flag} must be {' or '.join(allowed)}")
             found[dest] = value
         elif dest in command.switches and not joined:
             found[dest] = True
-        else:
+        elif token in ("-h", "--help"):
             return None
-        i += 1
-    if any(dest not in found for dest in command.values):
-        return None
-    return argparse.Namespace(command=argv[0], **found)
+        else:
+            raise UsageError(f"{name}: unknown flag {token!r}")
+    missing = [f"--{dest}" for dest in command.values if dest not in found]
+    if missing:
+        raise UsageError(f"{name}: missing {', '.join(missing)}")
+    return SimpleNamespace(command=name, **found)
 
 
 def _error_line(text: str, code: int) -> str:
@@ -338,18 +345,23 @@ def run_line(line: str) -> tuple[int, str]:
     """Run one command line; returns (exit code, single-line JSON or error)."""
     try:
         argv = _split_line(line)
+    except ValueError as exc:  # shlex's refusal of a malformed line
+        return EXIT_INVALID, _error_line(str(exc), EXIT_INVALID)
+    try:
         if argv and argv[0] == "batch":
             raise ParseError("batch lines may not nest", 0)
         args = _line_args(argv)
-        if args is None:
-            return EXIT_INVALID, _error_line("bad arguments", EXIT_INVALID)
+        if args is None:  # help: a batch line's only output is its result
+            raise UsageError("-h")
         result = _HANDLERS[args.command](args)
+        if isinstance(result, str):
+            return EXIT_INVALID, _error_line("dot output is not available in batch mode", EXIT_INVALID)
+        return EXIT_OK, json.dumps(result, separators=(",", ":"), default=_form_text)
+    except UsageError:
+        return EXIT_INVALID, _error_line("bad arguments", EXIT_INVALID)
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(exc)
         return code, _error_line(_error_text(exc), code)
-    if isinstance(result, str):
-        return EXIT_INVALID, _error_line("dot output is not available in batch mode", EXIT_INVALID)
-    return EXIT_OK, json.dumps(result, separators=(",", ":"), default=_form_text)
 
 
 def _line_results(lines: list[str], workers: int) -> Iterator[tuple[int, str]]:
@@ -391,31 +403,9 @@ def _line_results(lines: list[str], workers: int) -> Iterator[tuple[int, str]]:
     yield from map(run_line, lines)
 
 
-def _cmd_batch(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except (OSError, UnicodeDecodeError) as exc:
-        reason = getattr(exc, "strerror", None) or exc
-        raise ValueError(f"cannot read {args.input}: {reason}") from None
-    # the pool forks all its workers at the first submit, so never ask for
-    # more than there are cores or lines
-    workers = min(args.jobs, os.cpu_count() or 1, len(lines))
-    code = EXIT_OK
-    for line_code, text in _line_results(lines, workers):
-        sys.stdout.write(text + "\n")
-        code = code or line_code  # the first failing line's code
-    return code
-
-
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _PARSER.parse_args(_merge_flag_values(list(argv)))
-    if [] in vars(args).values():  # argparse 3.11 reads a value of -- as []
-        _PARSER.error("a flag's value may not be --")
     try:
-        code = _run(args)
+        code = _run(sys.argv[1:] if argv is None else list(argv))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout: as the signal module's note on SIGPIPE
@@ -426,22 +416,23 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
-def _run(args: argparse.Namespace) -> int:
-    """Run a parsed command line and write its output; its exit code."""
+def _run(argv: list[str]) -> int:
+    """Read and run a command line and write its output; its exit code."""
     try:
-        if args.command == "batch":
-            return _cmd_batch(args)
-        result = _HANDLERS[args.command](args)
+        args = _line_args(argv)
+        result = _usage() if args is None else _HANDLERS[args.command](args)
+        if isinstance(result, int):  # batch, whose lines are written
+            return result
+        if isinstance(result, str):
+            sys.stdout.write(result)
+        else:  # a key form is printed only here, as the encoder reaches it
+            json.dump(result, sys.stdout, indent=2, default=_form_text)
+            sys.stdout.write("\n")
     except BrokenPipeError:
-        raise  # a batch line's write: main ends the run
+        raise  # main ends the run
     except Exception as exc:  # noqa: BLE001 - mapped to exit codes
         print(_error_text(exc), file=sys.stderr)
         return _exit_code(exc)
-    if isinstance(result, str):
-        sys.stdout.write(result)
-    else:
-        json.dump(result, sys.stdout, indent=2, default=_form_text)
-        sys.stdout.write("\n")
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import LaurentPoly
 from .keyforms import KeyFormSeq, compute_key_forms, essential_key_values
+from .parsing import number_to_str
 from .puiseux import DPuiseuxPoly, GenericDPS, InternalError, formal_pairs, from_local
 
 ALGEBRAIC = "algebraic"
@@ -67,7 +68,7 @@ def decide_algebraic(g: GenericDPS) -> Verdict:
     last = _last_value(g)
     if last <= 0:
         raise NotACompactificationError(
-            f"no compactification: the last key-form value is {last} <= 0"
+            f"no compactification: the last key-form value is {number_to_str(last)} <= 0"
         )
     return _verdict_from_sequence(compute_key_forms(g))
 

@@ -337,7 +337,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         if not terms:
             if floor is None:
                 raise InternalError("expansion vanished; this is a bug")
-            raise PrecisionLost(f"no term is known above X^{floor}")
+            raise PrecisionLost(floor)
         w, xi = max(terms)  # every key lies above the floor
         values.append(w)
         if xi > 0:  # the generic indeterminate reached the top

@@ -77,6 +77,12 @@ class _Tokens:
         self.i += 1
         return value
 
+    def end(self, value, expected: str = "the end"):
+        """value, once no token is left."""
+        if self.peek():
+            raise self.error(f"expected {expected}")
+        return value
+
     def sign(self) -> int:
         """-1 after a ``-``, else 1 after an optional ``+``."""
         if self.take("-"):
@@ -158,10 +164,13 @@ def parse_laurent(text: str) -> LaurentPoly:
 def parse_rational(text: str) -> Fraction:
     """Parse a rational: an optional ``+`` or ``-``, then an integer or ``p/q``."""
     tokens = _Tokens(text)
-    value = tokens.sign() * tokens.rational()
-    if tokens.peek():
-        raise tokens.error("expected the end")
-    return value
+    return tokens.end(tokens.sign() * tokens.rational())
+
+
+def parse_count(text: str) -> int:
+    """Parse a count: an integer with no sign."""
+    tokens = _Tokens(text)
+    return tokens.end(tokens.integer())
 
 
 def parse_pairs(text: str) -> FormalPuiseuxPairs:
@@ -170,9 +179,7 @@ def parse_pairs(text: str) -> FormalPuiseuxPairs:
     pairs = []
     while not pairs or tokens.take(","):
         pairs.append((tokens.sign() * tokens.integer(), tokens.integer() if tokens.take("/") else 1))
-    if tokens.peek():
-        raise tokens.error("expected ','")
-    return FormalPuiseuxPairs(tuple(pairs))
+    return FormalPuiseuxPairs(tokens.end(tuple(pairs), "','"))
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +211,8 @@ def _x_power(exponent: Fraction) -> str | None:
     if exponent == 1:
         return "x"
     if exponent.denominator == 1:
-        return f"x^{exponent}"
-    return f"x^({exponent})"
+        return "x^" + number_to_str(exponent)
+    return f"x^({number_to_str(exponent)})"
 
 
 def dps_to_str(poly: DPuiseuxPoly) -> str:
@@ -243,9 +250,9 @@ def laurent_to_str(poly: LaurentPoly) -> str:
         coeff = f"{number_to_str(num)}/{number_to_str(d)}" if d > 1 else number_to_str(num)
         factors = [coeff] if coeff != "1" else []
         if a != 0:
-            factors.append(f"x^{a}" if a != 1 else "x")
+            factors.append("x^" + number_to_str(a) if a != 1 else "x")
         if b != 0:
-            factors.append(f"y^{b}" if b != 1 else "y")
+            factors.append("y^" + number_to_str(b) if b != 1 else "y")
         pieces.append((n < 0, "*".join(factors) or "1"))
     return _join_signed(pieces)
 

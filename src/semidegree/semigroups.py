@@ -25,6 +25,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .puiseux import PuiseuxError
+
 # Largest Apéry table a membership test may allocate.
 MAX_APERY_SIZE = 10**6
 
@@ -50,14 +52,14 @@ def apery_set(generators: Sequence[int]) -> tuple[int, list[int]]:
     has an entry.
 
     Generators must be positive integers, and the table may not exceed
-    ``MAX_APERY_SIZE`` entries.
+    ``MAX_APERY_SIZE`` entries, or it raises PuiseuxError.
     """
     for g in generators:
         if g <= 0:
-            raise ValueError(f"semigroup generators must be positive, got {g}")
+            raise PuiseuxError(f"semigroup generators must be positive, got {g}")
     a = apery_size(generators)
     if a > MAX_APERY_SIZE:
-        raise ValueError(f"semigroup table of {a} entries exceeds the bound of {MAX_APERY_SIZE}")
+        raise PuiseuxError(f"semigroup table of {a} entries exceeds the bound of {MAX_APERY_SIZE}")
     d = math.gcd(*generators)
     # unreached classes read as infinity until a generator reaches them
     table: list[float] = [math.inf] * a

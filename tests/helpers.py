@@ -1,5 +1,8 @@
 """Shared random generators and independent oracles for the test suite."""
 
+import contextlib
+import functools
+import io
 import re
 from fractions import Fraction
 
@@ -920,3 +923,54 @@ def regex_parse_rational(text: str) -> Fraction:
 def regex_parse_pairs(text: str) -> tuple:
     """The (q, p) of each comma-separated chunk, p = 1 when ``/p`` is missing."""
     return tuple(_signed_ratio(chunk) for chunk in text.split(","))
+
+
+# ---------------------------------------------------------------------------
+# the argparse reading of a command line, built from cli._COMMANDS: the
+# reader cli.main used for its argv before cli._line_args read every line
+
+
+@functools.cache
+def _argparse_parser():
+    """The parser, and the value flags whose argument it must get joined."""
+    import argparse
+
+    from semidegree.cli import _COMMANDS
+
+    parser = argparse.ArgumentParser(prog="semidegree", allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for dest, text in command.values.items():
+            p.add_argument(
+                f"--{dest}", help=text, choices=command.choices.get(dest),
+                required=dest not in command.defaults, default=command.defaults.get(dest),
+            )
+        for dest, text in command.switches.items():
+            p.add_argument(f"--{dest}", action="store_true", help=text)
+    value_flags = {f"--{dest}" for command in _COMMANDS.values() for dest in command.values}
+    return parser, value_flags
+
+
+def argparse_line_args(argv):
+    """The flags argparse reads from argv, the command's name under
+    "command"; None where it refuses argv or prints help.  Each value flag
+    is joined to its argument first, so that values like -6/5 survive
+    argparse's option detection."""
+    parser, value_flags = _argparse_parser()
+    joined = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in value_flags and i + 1 < len(argv):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            args = parser.parse_args(joined)
+        except SystemExit:
+            return None
+    # argparse strips a value of "--" to []; the reader keeps the text
+    return {key: "--" if value == [] else value for key, value in vars(args).items()}

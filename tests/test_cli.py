@@ -20,6 +20,7 @@ from check_large_output import child_env
 from helpers import random_dps, random_laurent, scanner_parse_dps, scanner_parse_laurent
 
 BIG = "x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)"
+GOLDEN_BATCH = str(Path(__file__).resolve().parent / "golden" / "batch.txt")
 
 
 def run_cli(capsys, *args):
@@ -403,18 +404,6 @@ def test_batch_workers_are_clamped_to_cores_and_lines(tmp_path, capsys, monkeypa
     assert requested == []
 
 
-def test_batch_lines_reuse_one_parser(monkeypatch):
-    import semidegree.cli as cli
-
-    def refuse():
-        raise AssertionError("the parser is built once, at import")
-
-    monkeypatch.setattr(cli, "_build_parser", refuse)
-    for line in ('classify --pairs "2/5,-6/1"', 'witness --pairs "2/5,-6/1" --kind algebraic'):
-        code, text = cli.run_line(line)
-        assert code == 0, text
-
-
 def test_keyforms_with_a_huge_denominator_is_quick(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, "keyforms", "--phi", "x^(1/1000000007)", "--r", "-1")
@@ -539,24 +528,129 @@ def test_bad_batch_lines_print_nothing_but_their_error(tmp_path, capsys):
 
 
 def test_flags_are_never_abbreviated(capsys):
-    with pytest.raises(SystemExit) as stopped:
-        main(["classify", "--pair", "2/5,-6/1"])
-    assert stopped.value.code == 2
-    assert "required: --pairs" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "classify", "--pair", "2/5,-6/1")
+    assert (code, out, err) == (2, "", "classify: unknown flag '--pair'\n")
 
 
-def _exit_code(capsys, argv):
-    """(exit code, stdout, stderr) of main(argv), whether it returns or
-    argparse stops it."""
-    try:
-        code = main(list(argv))
-    except SystemExit as stopped:
-        code = stopped.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+@pytest.mark.parametrize(
+    "argv",
+    [("-h",), ("--help",), ("keyforms", "--help"), ("witness", "--pairs", "2/5", "-h"), ("batch", "-h", "--bogus")],
+    ids=" ".join,
+)
+def test_help_prints_every_command_and_flag(capsys, argv):
+    from semidegree.cli import _COMMANDS
+
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: semidegree COMMAND FLAGS\n")
+    for name, command in _COMMANDS.items():
+        assert f"\n{name} " in out and command.help in out
+        for dest, text in {**command.values, **command.switches}.items():
+            assert f"  --{dest}" in out and text in out
+    assert "--kind algebraic|nonalgebraic" in out
+    if argv[0] != "batch":  # a batch line may not nest
+        assert run_line(shlex.join(argv)) == (2, json.dumps({"error": "bad arguments", "exit_code": "2"}))
 
 
-GOLDEN_BATCH = str(Path(__file__).resolve().parent / "golden" / "batch.txt")
+COMMAND_LIST = "keyforms, semidegree, decide, cousin, classify, graph, witness, batch"
+# command lines the reader refuses, and the one line each prints on stderr
+REFUSED_LINES = {
+    (): f"unknown command ''; the commands are {COMMAND_LIST}",
+    ("frob",): f"unknown command 'frob'; the commands are {COMMAND_LIST}",
+    ("--phi", "x", "keyforms"): f"unknown command '--phi'; the commands are {COMMAND_LIST}",
+    ("keyforms", "--phi", "x"): "keyforms: missing --r",
+    ("semidegree", "--r", "1"): "semidegree: missing --phi, --f",
+    ("decide", "--phi", "x", "--r"): "decide: --r needs a value",
+    ("keyforms", "--phi", "x", "-6/5"): "keyforms: unknown flag '-6/5'",
+    ("witness", "--pairs", "2/5,-6/1", "--kind", "maybe"): "witness: --kind must be algebraic or nonalgebraic",
+    ("graph", "--pairs", "2/5,-6/1", "--dot=1"): "graph: unknown flag '--dot=1'",
+    ("batch", "--jobs", "2"): "batch: missing --input",
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED_LINES), ids=lambda argv: " ".join(argv) or "nothing")
+def test_a_refused_command_line_names_its_fault(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", REFUSED_LINES[argv] + "\n")
+    if argv[:1] != ("batch",):  # a batch line may not nest
+        assert run_line(shlex.join(argv)) == (2, json.dumps({"error": "bad arguments", "exit_code": "2"}))
+
+
+@pytest.mark.parametrize(
+    "jobs, message",
+    [
+        ("\u0662", "expected a number (at position 0)"),
+        ("1_0", "expected the end (at position 1)"),
+        ("-4", "expected a number (at position 0)"),
+        ("+2", "expected a number (at position 0)"),
+        ("2.0", "expected the end (at position 1)"),
+        ("", "expected a number (at position 0)"),
+        (LONG_RUN, "number too long: 5000 digits (at position 0)"),
+    ],
+)
+def test_jobs_is_a_count_read_from_the_tokens(capsys, jobs, message):
+    code, out, err = run_cli(capsys, "batch", "--input", GOLDEN_BATCH, "--jobs", jobs)
+    assert (code, out, err) == (2, "", f"--jobs: {message}\n")
+
+
+@pytest.mark.parametrize("jobs", [" 1", "0", "01", "1 "])
+def test_jobs_of_at_most_one_runs_the_lines_in_order(capsys, jobs):
+    golden = (Path(GOLDEN_BATCH).parent / "batch.out").read_text(encoding="utf-8")
+    assert run_cli(capsys, "batch", "--input", GOLDEN_BATCH, "--jobs", jobs) == (3, golden, "")
+
+
+def test_only_the_packages_refusals_exit_2(tmp_path, capsys, monkeypatch):
+    import semidegree.cli as cli
+    from semidegree.algebra import AlgebraError
+    from semidegree.graphs import GraphError
+    from semidegree.puiseux import PuiseuxError
+
+    for refusal in (ParseError("x", 0), PuiseuxError(), AlgebraError(), GraphError(), cli.UsageError()):
+        assert cli._exit_code(refusal) == 2
+    for bug in (ValueError(), ZeroDivisionError(), OverflowError(), TypeError(), KeyError()):
+        assert cli._exit_code(bug) == 5
+
+    def broken(args):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+    expected = "internal error: ValueError: boom"
+    assert run_cli(capsys, "classify", "--pairs", "2/5,-6/1") == (5, "", expected + "\n")
+    # a key form's text is made while the JSON is written, after the handler
+    monkeypatch.setattr(cli, "laurent_to_str", broken)
+    assert run_cli(capsys, "keyforms", "--phi", "x^(2/5)", "--r", "-6/5")[::2] == (5, expected + "\n")
+    assert run_line('keyforms --phi "x^(2/5)" --r "-6/5"') == (5, json.dumps({"error": expected, "exit_code": "5"}))
+    batch = tmp_path / "requests.txt"
+    batch.write_text('classify --pairs "2/5,-6/1"\ngraph --pairs "2/5,-6/1"\n')
+    code, out, _ = run_cli(capsys, "batch", "--input", str(batch))
+    assert code == 5
+    assert out.splitlines()[0] == json.dumps({"error": expected, "exit_code": "5"})
+    assert json.loads(out.splitlines()[1])["command"] == "graph"
+
+
+@pytest.mark.parametrize("line, message", [('classify --pairs "2/5', "No closing quotation"), ("graph --pairs 2/5\\", "No escaped character")])
+def test_a_line_shlex_cannot_split_exits_2_with_its_message(line, message):
+    assert run_line(line) == (2, json.dumps({"error": message, "exit_code": "2"}))
+
+
+def _ladder_pairs(l):
+    """3/5, then q -> 2q-1 over 2, then the generic pair q-1 over 1."""
+    pairs = [(3, 5)]
+    for _ in range(l - 1):
+        pairs.append((2 * pairs[-1][0] - 1, 2))
+    pairs.append((pairs[-1][0] - 1, 1))
+    return ",".join(f"{q}/{p}" for q, p in pairs)
+
+
+@pytest.mark.parametrize("kind", ["algebraic", "nonalgebraic"])
+def test_witness_past_the_table_bound_is_refused_up_front(capsys, kind):
+    # the table count is witness's only size refusal: l = 11 already ran
+    # past 100 s, so a witness that builds past it is an unbounded run
+    argv = ("witness", "--pairs", _ladder_pairs(20), "--kind", kind)
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+    assert run_line(shlex.join(argv))[0] == 2
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize(
@@ -576,7 +670,7 @@ GOLDEN_BATCH = str(Path(__file__).resolve().parent / "golden" / "batch.txt")
     ids=lambda argv: " ".join(argv),
 )
 def test_a_flag_value_of_double_dash_exits_2(capsys, argv):
-    code, out, err = _exit_code(capsys, argv)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert "internal error" not in err
 
@@ -605,7 +699,7 @@ REFUSED_NUMBERS = {
 @pytest.mark.parametrize("argv", list(REFUSED_NUMBERS))
 def test_numbers_in_flags_are_ascii_digits_only(capsys, argv):
     message = REFUSED_NUMBERS[argv]
-    code, out, err = _exit_code(capsys, argv)
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", message + "\n")
     assert run_line(shlex.join(argv)) == (2, json.dumps({"error": message, "exit_code": "2"}))
 
@@ -710,33 +804,34 @@ def _mutations(rng, argv):
     return argv
 
 
+# the batch command lines of the README and of the benchmark, which main reads
+BATCH_LINES = ["batch --input requests.txt --jobs 4", "batch --input chunk.txt --jobs 1", "batch --input requests.txt"]
+
+
 def test_line_args_matches_argparse():
-    import argparse
-    import contextlib
-    import io
+    """The one reader of every command line, main's argv and batch lines,
+    against argparse built from the same command table."""
+    from helpers import argparse_line_args
 
-    from semidegree.cli import _PARSER, _line_args, _merge_flag_values, _split_line
+    from semidegree.cli import UsageError, _line_args, _split_line
 
-    def by_argparse(argv):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                args = _PARSER.parse_args(_merge_flag_values(argv))
-            except SystemExit:
-                return None
-        # argparse strips a value of "--" to [] (and the command then fails
-        # as an internal error); a batch line keeps the text
-        return argparse.Namespace(**{k: "--" if v == [] else v for k, v in vars(args).items()})
+    def by_reader(argv):
+        try:
+            args = _line_args(argv)
+        except UsageError:
+            return None
+        return None if args is None else vars(args)  # None: help
 
     rng = random.Random(54)
-    lines = GOLDEN_LINES + [" ".join(map(shlex.quote, argv)) for argv in README_EXAMPLES] + BENCH_LINES
+    lines = GOLDEN_LINES + [" ".join(map(shlex.quote, argv)) for argv in README_EXAMPLES] + BENCH_LINES + BATCH_LINES
     accepted = refused = 0
     for line in lines:
         argv = _split_line(line)
-        assert _line_args(argv) == by_argparse(argv) is not None, line
+        assert by_reader(argv) == argparse_line_args(argv) is not None, line
         for _ in range(150):
             mutant = _mutations(rng, argv)
-            expected = by_argparse(mutant)
-            assert _line_args(mutant) == expected, mutant
+            expected = argparse_line_args(mutant)
+            assert by_reader(mutant) == expected, mutant
             accepted += expected is not None
             refused += expected is None
     assert accepted > 300 and refused > 2000
@@ -764,10 +859,15 @@ def test_laurent_printer_matches_the_items_oracle():
 
 SEVENS = "7" * 3000  # a coefficient the parser reads; its square passes the limit
 LONG_P, OTHER_P = 10**2200 + 1, 10**2200 + 3  # omega_0 = LONG_P * OTHER_P has 4401 digits
+NINES = "9" * 4300
 PAST_THE_LIMIT = [
     ("keyforms", "--phi", f"x^(5/2)+{SEVENS}*x^(9/4)", "--r", "5/4"),
     ("decide", "--phi", f"x^(5/2)+{SEVENS}*x^(9/4)", "--r", "5/4"),
     ("classify", "--pairs", f"3/{LONG_P},-1/{OTHER_P}"),
+    # exponents of 4300 digits: the rings, the floors and the printed
+    # exponents of their runs all pass the limit
+    ("keyforms", "--phi", f"x^({NINES}/2) + x^({int(NINES) - 2}/4)", "--r", "-1"),
+    ("decide", "--phi", f"x^({NINES}/2) + x^({int(NINES) - 2}/4)", "--r", "-1"),
 ]
 
 
@@ -797,15 +897,15 @@ def test_number_to_str_matches_str_without_the_limit():
         assert printed == [str(n) for n in numbers]
 
 
-@pytest.mark.parametrize("argv", PAST_THE_LIMIT, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", PAST_THE_LIMIT, ids=["keyforms", "decide", "classify", "keyforms-exponents", "decide-exponents"])
 def test_numbers_past_the_digit_limit_are_printed_whole(capsys, argv):
-    code, out, err = _exit_code(capsys, argv)
+    code, out, err = run_cli(capsys, *argv)
     line = run_line(shlex.join(argv))
     child = subprocess.run([sys.executable, "-m", "semidegree.cli", *argv], capture_output=True, env=child_env(), timeout=120)
     assert (code, err, line[0]) == (0, "", 0)
     assert (child.returncode, child.stderr, child.stdout.decode()) == (0, b"", out)
     with _no_digit_limit():
-        assert _exit_code(capsys, argv) == (0, out, "")
+        assert run_cli(capsys, *argv) == (0, out, "")
         assert run_line(shlex.join(argv)) == line
     if hasattr(sys, "get_int_max_str_digits"):
         assert max(map(len, re.findall(r"\d+", out))) > sys.get_int_max_str_digits()

@@ -80,7 +80,7 @@ def forked_pool(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    probe = "import sys, semidegree, semidegree.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    probe = "import sys, semidegree, semidegree.cli; print(sorted({'argparse', 'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
     done = subprocess.run(
         [sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True, check=True, timeout=60
     )
@@ -92,7 +92,7 @@ SINGLE = [case for case in CASES if case[0] != "batch"]
 
 @pytest.mark.parametrize("name, argv, code", SINGLE, ids=[case[0] for case in SINGLE])
 def test_streamed_output_equals_the_whole_text(name, argv, code, capsys):
-    args = cli._PARSER.parse_args(cli._merge_flag_values(argv))
+    args = cli._line_args(argv)
     expected = _whole_text(cli._HANDLERS[args.command](args))
     assert _run_main(capsys, argv) == (code, expected)
 
