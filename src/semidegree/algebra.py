@@ -16,7 +16,9 @@ denominator; a coefficient becomes a Fraction only where it is read.
 
 Every product, of two elements or inside a substitution, goes through one
 kernel, :func:`_add_products`.  It multiplies small or sparse operands one
-pair of terms at a time.  A large product of operands that are dense on
+pair of terms at a time: an exact product, which has no cut, in the order
+its operands' terms are stored, and a square takes each pair of terms once,
+doubled (Monagan-Pearce 2010).  A large product of operands that are dense on
 their lattice is packed instead (Kronecker substitution: Fateman 2005,
 Harvey 2009): each row of an operand, a level of the second exponent or of
 the weighted degree through its extreme terms, becomes one integer with a
@@ -81,27 +83,49 @@ _PACK_PAIRS = 1 << 13
 _PACK_MIN = 16
 
 
-def _add_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
+def _add_products(left: list, right: list, cut: int | None, out: dict[tuple[int, int], int]) -> None:
     """Add to ``out`` the products of two rows of (key, integer numerator),
     each sorted highest first, whose first exponent lies above ``cut``.
+    With ``cut`` None every product is kept and the rows may come in any
+    order; the same list as both rows is a square.
 
     A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
-    terms or more in each operand, is offered to :func:`_add_packed`.  The
-    products it refuses, and all others, go through the term loop,
-    :func:`_add_term_products`.
+    terms or more in each operand, is offered to :func:`_add_packed`, on
+    sorted rows.  The products it refuses, and all others, go through the
+    term loop, :func:`_add_term_products`.
     """
-    if (
-        len(left) * len(right) >= _PACK_PAIRS
-        and min(len(left), len(right)) >= _PACK_MIN
-        and _add_packed(left, right, cut, out)
-    ):
-        return
+    if len(left) * len(right) >= _PACK_PAIRS and min(len(left), len(right)) >= _PACK_MIN:
+        if cut is None:
+            # sorted rows, and a cut below every product, which drops nothing
+            rows1 = sorted(left, reverse=True)
+            rows2 = rows1 if right is left else sorted(right, reverse=True)
+            packed = _add_packed(rows1, rows2, rows1[-1][0][0] + rows2[-1][0][0] - 1, out)
+        else:
+            packed = _add_packed(left, right, cut, out)
+        if packed:
+            return
     _add_term_products(left, right, cut, out)
 
 
-def _add_term_products(left: list, right: list, cut: int, out: dict[tuple[int, int], int]) -> None:
-    """:func:`_add_products` one pair of terms at a time; each inner row
-    stops at the cut."""
+def _add_term_products(left: list, right: list, cut: int | None, out: dict[tuple[int, int], int]) -> None:
+    """:func:`_add_products` one pair of terms at a time.  With a cut each
+    inner row stops at it; with none, a square takes each unordered pair of
+    terms once and doubles it."""
+    if cut is None:
+        if left is right:
+            for i, ((a1, b1), n1) in enumerate(left):
+                key = (a1 + a1, b1 + b1)
+                out[key] = out.get(key, 0) + n1 * n1
+                n1 += n1
+                for (a2, b2), n2 in left[i + 1 :]:
+                    key = (a1 + a2, b1 + b2)
+                    out[key] = out.get(key, 0) + n1 * n2
+        else:
+            for (a1, b1), n1 in left:
+                for (a2, b2), n2 in right:
+                    key = (a1 + a2, b1 + b2)
+                    out[key] = out.get(key, 0) + n1 * n2
+        return
     if not right:
         return
     top2 = right[0][0][0]
@@ -398,6 +422,13 @@ class _Sparse:
         self._check(other)
         if self.is_zero or other.is_zero:
             return self._like({}, 1)
+        out: dict[tuple[int, int], int] = {}
+        if self.band is None and self.floor is None and other.floor is None:
+            # exact: no cut, so no sort; equal operands are a square
+            left = list(self._terms.items())
+            right = left if other is self or other._terms == self._terms else list(other._terms.items())
+            _add_products(left, right, None, out)
+            return self._like(out, self._den * other._den)
         left = sorted(self._terms.items(), reverse=True)
         right = sorted(other._terms.items(), reverse=True)
         top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
@@ -410,7 +441,6 @@ class _Sparse:
         if other.floor is not None:
             cuts.append(other.floor + top1)
         floor = max(cuts, default=None)
-        out: dict[tuple[int, int], int] = {}
         _add_products(left, right, low1 + low2 - 1 if floor is None else floor, out)
         return self._like(out, self._den * other._den, floor)
 

@@ -9,12 +9,17 @@ then two families of semigroup conditions on the essential values decide
 whether the compactifications it carries are algebraic, non-algebraic, or
 both.  Both are tested in one pass over k: while the first holds, the
 essential values so far are telescopic, so membership is one closed-form
-representation and the second needs no search above the largest gap;
+representation, which on a pair list also answers whether they stay
+telescopic, and the second needs no search above the largest gap;
 Apéry tables serve only what the closed forms leave.  Explicit witness
-key-form sequences are constructed for each non-trivial answer.
-Contractibility is negative definiteness of the intersection matrix,
-tested by exact symmetric elimination leaves first, which takes O(n)
-pivots on these trees.
+key-form sequences are constructed for each non-trivial answer, each
+witness testing only what it needs: the algebraic one only the first
+condition, the non-algebraic one up to the first failure of either.
+A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
+any chain is expanded: each chain's length is read off a continued
+fraction by Euclid.  Contractibility is negative definiteness of the
+intersection matrix, tested by exact symmetric elimination leaves first,
+which takes O(n) pivots on these trees.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ ALGEBRAIC_ONLY = "algebraic_only"
 NON_ALGEBRAIC_ONLY = "non_algebraic_only"
 BOTH = "both"
 NOT_A_COMPACTIFICATION = "not_a_compactification"
+
+# Most vertices a resolution graph may have; a larger one is refused
+# before any chain is expanded.
+MAX_GRAPH_VERTICES = 10**5
 
 
 class GraphError(ValueError):
@@ -80,6 +89,17 @@ def hj_expansion(a: int, b: int) -> list[int]:
         a, b = b, remainder
 
 
+def _chain_pair_length(a: int, b: int) -> int:
+    """len(hj_expansion(a, b)) + len(hj_expansion(b, a)) in O(log) steps:
+    one more than the sum of the partial quotients of the regular continued
+    fraction of a/b, by Euclid (the two chains are Riemenschneider dual)."""
+    total = 1
+    while b:
+        total += a // b
+        a, b = b, a % b
+    return total
+
+
 def is_normal_form(pairs: FormalPuiseuxPairs) -> bool:
     q1, p1 = pairs.pairs[0]
     return q1 < p1 and (pairs.l == 0 or q1 > 1)
@@ -115,14 +135,20 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
         prefix *= ps[i]
         tilde_q.append(prefix - qs[i])
 
-    u_chains: list[list[int]] = []
-    v_chains: list[list[int]] = []
+    # L, a head per later block, each pair of chains but their first entries,
+    # and E* with, when p_last = 1, the cap and the S-tail before it
+    size = blocks + (1 if ps[-1] > 1 else tail + 2)
+    q_primes = []
     for i in range(blocks):
         q_prime = tilde_q[0] if i == 0 else tilde_q[i] - tilde_q[i - 1] * ps[i]
         if q_prime <= 0:
             raise GraphError(f"block {i + 1}: nonpositive chain parameter {q_prime}")
-        u_chains.append(hj_expansion(ps[i], q_prime))
-        v_chains.append(hj_expansion(q_prime, ps[i]))
+        q_primes.append(q_prime)
+        size += _chain_pair_length(ps[i], q_prime) - 2
+    if size > MAX_GRAPH_VERTICES:
+        raise GraphError(f"pair list too large: its resolution graph has more than {MAX_GRAPH_VERTICES} vertices")
+    u_chains = [hj_expansion(p, q) for p, q in zip(ps, q_primes)]
+    v_chains = [hj_expansion(q, p) for p, q in zip(ps, q_primes)]
 
     vertices: list[Vertex] = []
     edges: list[tuple[str, str]] = []
@@ -316,7 +342,9 @@ def _least_gap(values, above: int, below: int) -> int | None:
     return None if least is None else d * least
 
 
-def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tuple[int, int]]]:
+def _conditions(
+    omegas, pairs: FormalPuiseuxPairs, windows: bool = True, first: bool = False
+) -> tuple[list[int], list[tuple[int, int]]]:
     """S1 and S2 for k = 1..l in one pass: the k where S1 fails, and (k,
     least violator) where S2 fails.
 
@@ -325,22 +353,33 @@ def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tupl
     is one representation, and every group member above
     F_k = sum_{i=1..k} (n_i - 1) * omega_i - omega_0, the largest gap, is
     in the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.
-    An Apéry table serves the rest: S2 windows reaching below F_k, and every
-    prefix from the first one that is not telescopic.
+    On a pair list n_k = p_k, so S1 at k is the telescopic test of
+    omega_k itself and one representation answers both.  An Apéry table
+    serves the rest: S2 windows reaching below F_k, and every prefix from
+    the first one that is not telescopic.
+
+    With ``windows`` False only S1 is tested.  With ``first`` True the pass
+    stops at the first S1 failure and opens no S2 window after the first
+    violator: all that a witness needs.
     """
     _check_condition_args(omegas, pairs)
     s1_failures, s2_witnesses = [], []
     d, frobenius, telescopic = omegas[0], -omegas[0], True
     for k, (_, p) in enumerate(pairs.pairs[: pairs.l], start=1):
         w, head = omegas[k], omegas[:k]
-        holds = (_in_telescopic if telescopic else in_semigroup)(p * w, head)
-        if not holds:
-            s1_failures.append(k)
         n = d // gcd(d, w)
         d //= n
         frobenius += (n - 1) * w
-        telescopic = telescopic and _in_telescopic(n * w, head)
-        if not telescopic or omegas[k + 1] < frobenius:
+        if telescopic:
+            holds = _in_telescopic(p * w, head)
+            telescopic = holds if n == p else _in_telescopic(n * w, head)
+        else:
+            holds = in_semigroup(p * w, head)
+        if not holds:
+            s1_failures.append(k)
+            if first:
+                break
+        if windows and not (first and s2_witnesses) and (not telescopic or omegas[k + 1] < frobenius):
             least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
             if least is not None:
                 s2_witnesses.append((k, least))
@@ -355,7 +394,7 @@ def _check_index(pairs: FormalPuiseuxPairs, k: int) -> None:
 def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
     """Is p_k * omega_k a nonnegative combination of the earlier values?"""
     _check_index(pairs, k)
-    return k not in _conditions(omegas, pairs)[0]
+    return k not in _conditions(omegas, pairs, windows=False)[0]
 
 
 def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
@@ -405,7 +444,7 @@ def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
     omegas = _compactification_values(pairs)
-    s1_failures, _ = _conditions(omegas, pairs)
+    s1_failures, _ = _conditions(omegas, pairs, windows=False, first=True)
     if s1_failures:
         raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
     return key_forms_with_values(omegas)
@@ -414,7 +453,7 @@ def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence with a non-polynomial form realizing the graph."""
     omegas = _compactification_values(pairs)
-    s1_failures, s2_witnesses = _conditions(omegas, pairs)
+    s1_failures, s2_witnesses = _conditions(omegas, pairs, first=True)
     if s1_failures:
         # the base sequence itself is non-polynomial from the failure onward
         return key_forms_with_values(omegas)

@@ -132,6 +132,22 @@ def random_normal_pairs(rng, max_drop=15):
     return FormalPuiseuxPairs(tuple(pairs))
 
 
+def four_pairs(rng):
+    """A normal-form pair list 2/p_1, q_2/2, q_3/2, q_4/p_4, each q the last
+    q times p minus 1..11, so that S1 can fail at k = 2 before the last k."""
+    import math
+
+    from semidegree import FormalPuiseuxPairs
+
+    pairs = [(2, rng.choice((3, 5)))]
+    for p in (2, 2, rng.randrange(1, 3)):
+        q = pairs[-1][0] * p - rng.randrange(1, 12)
+        while math.gcd(abs(q), p) != 1:
+            q -= 1
+        pairs.append((q, p))
+    return FormalPuiseuxPairs(tuple(pairs))
+
+
 # ---------------------------------------------------------------------------
 # slow exact oracles for the fast classification kernels
 
@@ -350,6 +366,32 @@ def loop_witness(pairs, kind):
     multipliers = tuple(ps[:k]) + (1,) + tuple(ps[k:])
     essential = tuple(range(k + 1)) + tuple(range(k + 2, l + 3))
     return KeyFormSeq(tuple(forms), values, multipliers, essential)
+
+
+def conditions_witness(pairs, kind):
+    """The algebraic or non-algebraic witness read off the whole
+    ``graphs._conditions`` pass, S2 windows included for every k: the
+    builders the witnesses had before each answered only its own
+    question."""
+    from semidegree.graphs import WitnessError, _compactification_values, _conditions, _in_telescopic
+    from semidegree.keyforms import key_forms_with_values, represent
+    from semidegree.puiseux import InternalError
+
+    omegas = _compactification_values(pairs)
+    s1_failures, s2_witnesses = _conditions(omegas, pairs)
+    if kind == "algebraic":
+        if s1_failures:
+            raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
+        return key_forms_with_values(omegas)
+    if s1_failures:
+        return key_forms_with_values(omegas)
+    if not s2_witnesses:
+        raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
+    k, witness_value = s2_witnesses[0]
+    if _in_telescopic(witness_value, omegas[: k + 1]):
+        beta = represent(witness_value, omegas[: k + 1])
+        raise InternalError(f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug")
+    return key_forms_with_values(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 
 
 def loop_key_forms(g, certify=False):

@@ -509,6 +509,62 @@ def test_packed_substitution_matches_the_term_loop(packing):
 
 
 # ---------------------------------------------------------------------------
+# exact products: no sort, and a square takes each pair of terms once
+
+
+def _random_numerators(rng, size):
+    """Up to ``size`` terms with negative and positive x-exponents."""
+    return {(rng.randrange(-9, 10), rng.randrange(0, 5)): _coefficient(rng) for _ in range(size)}
+
+
+def _exact_operands(rng, size):
+    """Two Laurent polynomials and two expansions over denominators > 1,
+    and a twin of the first of each: equal, but another object."""
+    out = []
+    for build in (
+        lambda terms, den: LaurentPoly((key, F(n, den)) for key, n in terms.items()),
+        lambda terms, den: XiSeries([(key, F(n, den)) for key, n in terms.items()], 3),
+    ):
+        s = build(_random_numerators(rng, size), rng.choice((1, 2, 6, 35)))
+        t = build(_random_numerators(rng, size), rng.choice((1, 3, 10)))
+        twin = build({key: n * 4 for key, n in s._terms.items()}, s._den * 4)
+        assert twin == s and twin is not s
+        out.append((s, t, twin))
+    return out
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 16, 40])
+def test_exact_products_match_the_sorted_term_loop(monkeypatch, size):
+    rng = random.Random(size)
+    add_term_products = algebra._add_term_products
+    squares = []
+
+    def recording(left, right, cut, out):
+        squares.append(cut is None and left is right)
+        add_term_products(left, right, cut, out)
+
+    for _ in range(20):
+        for s, t, twin in _exact_operands(rng, size):
+            for left, right in ((s, t), (t, s), (s, s), (s, twin), (twin, s), (t, t)):
+                # the sorted term loop with a cut below every product
+                expected = _loop(_sorted(left._terms), _sorted(right._terms), -100)
+                with monkeypatch.context() as m:
+                    m.setattr(algebra, "_add_term_products", recording)
+                    product = left * right
+                assert product == left._like(expected, left._den * right._den)
+                assert squares.pop() == (left._terms == right._terms) and not squares
+
+
+def test_packed_exact_squares_match_the_term_loop(packing):
+    rng = random.Random(34)
+    f = LaurentPoly((key, F(n, 7)) for key, n in _rows(rng, range(3), 12, shift=-20).items())
+    g = LaurentPoly((key, F(n, 3)) for key, n in _rows(rng, range(2), 9, shift=-4).items())
+    twin = LaurentPoly(f.items())
+    first, second, packed = packing(lambda: (f * f, f * twin, twin * f, f * g, f ** 3, g ** 4))
+    assert first == second and packed == 8
+
+
+# ---------------------------------------------------------------------------
 # which products are packed
 
 

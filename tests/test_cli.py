@@ -654,6 +654,19 @@ def test_witness_past_the_table_bound_is_refused_up_front(capsys, kind):
 
 
 @pytest.mark.parametrize(
+    "pairs",
+    [f"2/{10**2200 + 1},-3/{10**2200 + 3}", "2/2000001,1/1"],
+    ids=["2200 digits", "a million vertices"],
+)
+def test_a_graph_past_the_vertex_bound_is_refused_at_once(capsys, pairs):
+    message = "pair list too large: its resolution graph has more than 100000 vertices"
+    start = time.perf_counter()
+    assert run_cli(capsys, "graph", "--pairs", pairs) == (2, "", message + "\n")
+    assert run_line(shlex.join(("graph", "--pairs", pairs, "--dot"))) == (2, json.dumps({"error": message, "exit_code": "2"}))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("classify", "--pairs", "--"),

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+from pathlib import Path
 from fractions import Fraction as F
 
 import pytest
@@ -19,10 +21,12 @@ from semidegree import (
     resolution_graph,
     verify_key_properties,
 )
+from semidegree import graphs, semigroups
 from semidegree.graphs import (
     ALGEBRAIC_ONLY,
     BOTH,
     NOT_A_COMPACTIFICATION,
+    NON_ALGEBRAIC_ONLY,
     GraphError,
     NormalFormError,
     WitnessError,
@@ -31,7 +35,7 @@ from semidegree.graphs import (
     s2,
 )
 
-from helpers import hj_evaluate, loop_witness, random_normal_pairs
+from helpers import conditions_witness, four_pairs, hj_evaluate, loop_witness, random_normal_pairs
 
 BRANCH_PAIRS = FormalPuiseuxPairs(((2, 5), (-6, 1)))
 
@@ -313,6 +317,82 @@ def test_witnesses_match_the_loop_construction(kind, build):
         else:
             seen.add(1 in outcome.multipliers[:-1])  # True: an s2 violation was spliced in
     assert seen == {NotACompactificationError, WitnessError, False, kind == "nonalgebraic"}
+
+
+@pytest.mark.parametrize("kind", ["algebraic", "nonalgebraic"])
+def test_witnesses_match_the_whole_conditions_pass(kind):
+    # every non-algebraic-only list drawn here has an S2 violator before its
+    # first S1 failure, where stopping at the violator would be wrong
+    build = algebraic_witness if kind == "algebraic" else nonalgebraic_witness
+    rng = random.Random(64)
+    kinds = set()
+    for draw in [lambda: random_normal_pairs(rng, max_drop=40)] * 600 + [lambda: four_pairs(rng)] * 600:
+        pairs = draw()
+        outcome = _witness_outcome(build, pairs)
+        assert outcome == _witness_outcome(conditions_witness, pairs, kind)
+        result = classify(pairs)
+        if result.kind == NON_ALGEBRAIC_ONLY:
+            assert result.s2_witnesses and result.s2_witnesses[0][0] < result.s1_failures[0]
+        kinds.add(result.kind)
+    assert kinds == {NOT_A_COMPACTIFICATION, ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY}
+
+
+def test_the_algebraic_witness_builds_no_apery_table(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    inputs = workloads.parse_items("classify", workloads.input_lines("classify", 0))
+    tables = []
+    apery_set = semigroups.apery_set
+
+    def counting(generators):
+        tables.append(generators)
+        return apery_set(generators)
+
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "apery_set", counting)
+        m.setattr(semigroups, "apery_set", counting)
+        kinds = [classify(pairs).kind for pairs in inputs]
+    assert tables  # the classification of these inputs needs tables
+
+    def refused(generators):
+        raise AssertionError(f"an Apéry table was built for {generators}")
+
+    monkeypatch.setattr(graphs, "apery_set", refused)
+    monkeypatch.setattr(semigroups, "apery_set", refused)
+    built = 0
+    for pairs, kind in zip(inputs, kinds):
+        if kind in (ALGEBRAIC_ONLY, BOTH):
+            assert verify_key_properties(algebraic_witness(pairs)).ok
+            built += 1
+        else:
+            assert isinstance(_witness_outcome(algebraic_witness, pairs), tuple)
+    assert built > 30
+
+
+def test_the_vertex_count_is_exact(monkeypatch):
+    # a bound at a graph's own size passes it, one less refuses it
+    rng = random.Random(65)
+    pairs = [random_normal_pairs(rng) for _ in range(300)] + [FormalPuiseuxPairs(((2, 20001), (1, 1)))]
+    sizes = {}
+    for pair_list in pairs:
+        with contextlib.suppress(GraphError):
+            sizes[pair_list] = len(candidate_graph(pair_list).vertices)
+    assert len(sizes) > 200 and sizes[pairs[-1]] == 10004
+    for pair_list, size in sizes.items():
+        monkeypatch.setattr(graphs, "MAX_GRAPH_VERTICES", size)
+        assert len(candidate_graph(pair_list).vertices) == size
+        monkeypatch.setattr(graphs, "MAX_GRAPH_VERTICES", size - 1)
+        with pytest.raises(GraphError, match=f"^pair list too large: its resolution graph has more than {size - 1} vertices$"):
+            candidate_graph(pair_list)
+
+
+def test_a_pair_of_dual_chains_is_one_longer_than_the_partial_quotients():
+    rng = random.Random(66)
+    cases = [(a, b) for a in range(1, 80) for b in range(1, 80)]
+    cases += [(rng.randrange(1, 10**9), rng.randrange(1, 10**9)) for _ in range(2000)]
+    for a, b in cases:
+        assert graphs._chain_pair_length(a, b) == len(hj_expansion(a, b)) + len(hj_expansion(b, a))
 
 
 def test_export_dot_is_deterministic_and_wellformed():

@@ -22,6 +22,7 @@ from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
 from helpers import (
     dp_apery_set,
     dp_in_semigroup,
+    four_pairs,
     minors_negative_definite,
     random_normal_pairs,
     sweep_negative_definite,
@@ -184,24 +185,12 @@ def test_one_pass_matches_the_dp_and_the_window_scan(data):
         assert s1(omegas, pairs, k) == (k not in expected[0])
 
 
-def _four_pairs(rng):
-    """A normal-form pair list 2/p_1, q_2/2, q_3/2, q_4/p_4, each q the last
-    q times p minus 1..11, so that S1 can fail at k = 2 before the last k."""
-    pairs = [(2, rng.choice((3, 5)))]
-    for p in (2, 2, rng.randrange(1, 3)):
-        q = pairs[-1][0] * p - rng.randrange(1, 12)
-        while math.gcd(abs(q), p) != 1:
-            q -= 1
-        pairs.append((q, p))
-    return FormalPuiseuxPairs(tuple(pairs))
-
-
 def test_one_pass_matches_the_dp_on_pair_lists_that_fail_s1():
     # after an S1 failure at k < l the later k read Apéry tables
     rng = random.Random(63)
     failed_early = 0
     while failed_early < 25:
-        pairs = _four_pairs(rng)
+        pairs = four_pairs(rng)
         omegas = essential_key_values(pairs)
         if omegas[-1] <= 0:
             continue
