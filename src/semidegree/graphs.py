@@ -18,16 +18,20 @@ condition, the non-algebraic one up to the first failure of either.
 A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
 any chain is expanded: each chain's length is read off a continued
 fraction by Euclid.  Contractibility is negative definiteness of the
-intersection matrix, tested by exact symmetric elimination leaves first,
-which takes O(n) pivots on these trees.
+intersection matrix, refused past ``MAX_MATRIX_VERTICES`` kept vertices
+before any row is allocated, and tested by exact symmetric elimination
+leaves first: on these trees that is O(n) pivots over flat integer lists,
+with no fill-in, after one scan of the dense rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
 from operator import lt
+from typing import NamedTuple
 
 from .decide import NotACompactificationError
 from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent
@@ -46,6 +50,10 @@ NOT_A_COMPACTIFICATION = "not_a_compactification"
 # before any chain is expanded.
 MAX_GRAPH_VERTICES = 10**5
 
+# Most kept vertices an intersection matrix may have: its n^2 cells stay
+# under 10^7, about 72 MB of row slots.
+MAX_MATRIX_VERTICES = 3000
+
 
 class GraphError(ValueError):
     pass
@@ -59,8 +67,7 @@ class WitnessError(GraphError):
     """The requested witness kind is ruled out by the classification."""
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     name: str
     weight: int
     mark: str | None = None
@@ -150,11 +157,11 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     u_chains = [hj_expansion(p, q) for p, q in zip(ps, q_primes)]
     v_chains = [hj_expansion(q, p) for p, q in zip(ps, q_primes)]
 
-    vertices: list[Vertex] = []
+    vertices: list[tuple[str, int, str | None]] = []
     edges: list[tuple[str, str]] = []
 
     def add(name: str, weight: int, attach: str | None, mark: str | None = None) -> str:
-        vertices.append(Vertex(name, weight, mark))
+        vertices.append((name, weight, mark))
         if attach is not None:
             edges.append((attach, name))
         return name
@@ -183,7 +190,9 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
             spine = add(f"S{j}", -2, spine)
         add(MARK_ESTAR, -1, spine, mark=MARK_ESTAR)
 
-    return DualGraph(tuple(vertices), tuple(edges))
+    # tuple.__new__ types each triple as a Vertex without the Python-level
+    # __new__ of a NamedTuple, as Vertex._make does
+    return DualGraph(tuple(map(tuple.__new__, repeat(Vertex), vertices)), tuple(edges))
 
 
 def _compactification_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
@@ -208,30 +217,26 @@ def resolution_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
 
 
 def intersection_matrix(graph: DualGraph, exclude_estar: bool = False) -> list[list[int]]:
-    names = [v.name for v in graph.vertices if not (exclude_estar and v.mark == MARK_ESTAR)]
-    index = {name: i for i, name in enumerate(names)}
-    n = len(names)
-    matrix = [[0] * n for _ in range(n)]
-    for v in graph.vertices:
-        if v.name in index:
-            matrix[index[v.name]][index[v.name]] = v.weight
+    """The symmetric matrix of the graph's vertices in construction order:
+    weights on the diagonal, 1 for each edge; with ``exclude_estar`` the E*
+    vertex is left out.  Raises `GraphError`, before any row is allocated,
+    on a graph of more than ``MAX_MATRIX_VERTICES`` kept vertices."""
+    kept = [v for v in graph.vertices if not (exclude_estar and v.mark == MARK_ESTAR)]
+    n = len(kept)
+    if n > MAX_MATRIX_VERTICES:
+        raise GraphError(
+            f"graph too large for an intersection matrix: {n} vertices, more than {MAX_MATRIX_VERTICES}"
+        )
+    matrix = [[0] * n for _ in kept]
+    index = {}
+    for i, (name, weight, _) in enumerate(kept):
+        index[name] = i
+        matrix[i][i] = weight
     for a, b in graph.edges:
-        if a in index and b in index:
-            matrix[index[a]][index[b]] = 1
-            matrix[index[b]][index[a]] = 1
+        i, j = index.get(a), index.get(b)
+        if i is not None and j is not None:
+            matrix[i][j] = matrix[j][i] = 1
     return matrix
-
-
-def _schur(x, a, b, d):
-    """The Schur-complement entry x - a*b/d on (numerator, positive
-    denominator) pairs, in lowest terms."""
-    (xn, xm), (an, am), (bn, bm), (dn, dm) = x, a, b, d
-    num = xn * am * bm * dn - an * bn * dm * xm
-    den = xm * am * bm * dn
-    if den < 0:
-        num, den = -num, -den
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
@@ -240,50 +245,98 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     A symmetric matrix is negative definite exactly when a diagonal pivot d
     is negative and its Schur complement is, whichever vertex is taken, so
     the order of elimination is free.  A vertex with at most one neighbour u
-    goes first: removing it only turns u's weight w into w - a^2/d, with no
-    fill, so a forest costs O(n) pivots (Parter 1961).  Only when no such
-    vertex is left does the loop take one of least degree, whose removal
-    subtracts a_u * a_w / d from the entry of every pair u, w of its
-    neighbours.  Entries are exact (numerator, denominator) pairs; the first
-    pivot >= 0 answers False.  Raises `GraphError` on a matrix that is not
-    square or not symmetric.
+    goes first: removing it only turns u's pivot w into w - a^2/d, with no
+    fill, so a forest costs O(n) pivots (Parter 1961).  Until no such vertex
+    is left every off-diagonal entry is still the matrix's own integer, so
+    this phase keeps only flat integer lists: each pivot as a numerator and
+    a positive denominator in lowest terms, each vertex's count of
+    remaining neighbours, and the XOR of their indices, which names the last
+    one.  What remains then is a 2-core, left to
+    :func:`_eliminate_with_fill`.  The first pivot >= 0 answers False.
+    Raises `GraphError` on a matrix that is not square or not symmetric.
     """
     n = len(matrix)
     short = next((i for i, row in enumerate(matrix) if len(row) != n), None)
     if short is not None:
         raise GraphError(f"matrix is not square: row {short} has {len(matrix[short])} entries, not {n}")
     span = range(n)
-    pivots, links = [], []
+    num, degree, others = [], [], []
     for i, row in enumerate(matrix):
-        near = {}
+        count = xor = 0
         # an asymmetric pair has a nonzero side, so comparing each nonzero
         # entry with its mirror finds every one
         for j in compress(span, row):
             if matrix[j][i] != row[j]:
                 raise GraphError(f"matrix is not symmetric: row {i} differs from column {i}")
-            near[j] = (row[j], 1)
-        pivots.append(near.pop(i, (0, 1)))
-        links.append(near)
-    leaves = [v for v, near in enumerate(links) if len(near) <= 1]
-    for _ in span:
+            count += 1
+            xor ^= j
+        w = row[i]
+        if w:
+            count -= 1
+            xor ^= i
+        num.append(w)
+        degree.append(count)
+        others.append(xor)
+    den = [1] * n
+    # a vertex is stacked once, when its degree first drops to 1 or below
+    leaves = [v for v in span if degree[v] <= 1]
+    left = n
+    while leaves:
+        v = leaves.pop()
+        dn = num[v]
+        if dn >= 0:
+            return False
+        left -= 1
+        if degree[v]:
+            u = others[v]
+            a, ud = matrix[v][u], den[u]
+            # w - a^2 / d over the positive denominator -ud * dn
+            top, bottom = a * a * den[v] * ud - num[u] * dn, -ud * dn
+            g = gcd(top, bottom)
+            num[u], den[u] = top // g, bottom // g
+            degree[u] -= 1
+            others[u] ^= v
+            if degree[u] == 1:
+                leaves.append(u)
+    return not left or _eliminate_with_fill(matrix, num, den, degree)
+
+
+def _eliminate_with_fill(matrix, num, den, degree) -> bool:
+    """The elimination of the vertices of degree >= 2 that the leaves left,
+    on pivots ``num / den``, taking one of least degree whenever no leaf is
+    left; its removal also subtracts a_u * a_w / d from the entry of every
+    pair u, w of its neighbours, which may make an entry a `Fraction`."""
+    span = range(len(matrix))
+    core = [v for v in span if degree[v] > 1]
+    links = [None] * len(matrix)
+    for v in core:
+        row = matrix[v]
+        links[v] = {j: row[j] for j in compress(span, row) if j != v and degree[j] > 1}
+    leaves = []
+    for _ in core:
         while leaves and links[leaves[-1]] is None:
             leaves.pop()  # eliminated since it was stacked
         if leaves:
             v = leaves.pop()
         else:
             v = min((u for u, near in enumerate(links) if near is not None), key=lambda u: len(links[u]))
-        near, d = links[v], pivots[v]
-        if d[0] >= 0:
+        near, dn, dd = links[v], num[v], den[v]
+        if dn >= 0:
             return False
         links[v] = None
         while near:
             u, a = near.popitem()
             row = links[u]
             del row[v]
-            pivots[u] = _schur(pivots[u], a, a, d)
+            # w - a^2 / d over the positive denominator -ud * sd * dn
+            square = a * a
+            sn, sd, ud = square.numerator, square.denominator, den[u]
+            top, bottom = sn * dd * ud - num[u] * sd * dn, -ud * sd * dn
+            g = gcd(top, bottom)
+            num[u], den[u] = top // g, bottom // g
             for w, b in near.items():
-                x = _schur(row.get(w, (0, 1)), a, b, d)
-                if x[0]:
+                x = row.get(w, 0) - Fraction(a * b * dd, dn)
+                if x:
                     row[w] = links[w][u] = x
                 elif w in row:
                     del row[w], links[w][u]

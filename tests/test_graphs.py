@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import tracemalloc
 from pathlib import Path
 from fractions import Fraction as F
 
@@ -29,6 +30,7 @@ from semidegree.graphs import (
     NON_ALGEBRAIC_ONLY,
     GraphError,
     NormalFormError,
+    Vertex,
     WitnessError,
     candidate_graph,
     s1,
@@ -255,6 +257,36 @@ def test_intersection_matrix_and_definiteness():
     assert not is_negative_definite(intersection_matrix(graph, exclude_estar=False))
     assert is_negative_definite([[-1]])
     assert not is_negative_definite([[0]])
+
+
+def test_an_intersection_matrix_past_its_bound_is_refused_before_it_is_built(monkeypatch):
+    # the bound counts the kept vertices, so leaving E* out can bring a
+    # graph back under it
+    graph = resolution_graph(BRANCH_PAIRS)
+    monkeypatch.setattr(graphs, "MAX_MATRIX_VERTICES", 12)
+    assert len(intersection_matrix(graph, exclude_estar=True)) == 12
+    with pytest.raises(GraphError, match="^graph too large for an intersection matrix: 13 vertices, more than 12$"):
+        intersection_matrix(graph)
+    monkeypatch.undo()
+    # 3002 vertices: about 9 * 10^6 cells, refused with no row allocated
+    graph = resolution_graph(FormalPuiseuxPairs(((2, 5997), (1, 1))))
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="^graph too large for an intersection matrix: 3002 vertices, more than 3000$"):
+            intersection_matrix(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_a_vertex_is_an_immutable_tuple():
+    vertex = resolution_graph(BRANCH_PAIRS).vertices[0]
+    assert vertex == ("L", -1, "L") and Vertex("S1", -2).mark is None
+    for field in ("name", "weight", "mark"):
+        with pytest.raises(AttributeError):
+            setattr(vertex, field, None)
+    assert vertex == ("L", -1, "L")
 
 
 def test_grauert_cross_check_randomized():

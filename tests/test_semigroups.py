@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -273,14 +274,72 @@ def test_definiteness_examples(matrix, expected):
 @pytest.mark.parametrize(
     "matrix, message",
     [
-        ([[-1, 5], [0, -1]], "not symmetric"),  # -x^2 + 5xy - y^2 is indefinite
-        ([[-1, 0, 0]], "not square"),
-        ([[-1], [0]], "not square"),
+        # -x^2 + 5xy - y^2 is indefinite; each side names the row of its nonzero
+        ([[-1, 5], [0, -1]], "matrix is not symmetric: row 0 differs from column 0"),
+        ([[-1, 0, 0]], "matrix is not square: row 0 has 3 entries, not 1"),
+        ([[-1], [0]], "matrix is not square: row 0 has 1 entries, not 2"),
+        ([[-1, 0], [5, -1]], "matrix is not symmetric: row 1 differs from column 1"),
     ],
+    ids=["matrix0-not symmetric", "matrix1-not square", "matrix2-not square", "matrix3-not symmetric"],
 )
 def test_definiteness_rejects_malformed_matrices(matrix, message):
-    with pytest.raises(GraphError, match=message):
+    with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
         is_negative_definite(matrix)
+
+
+def _shaped_matrix(rng, shape, n):
+    """A symmetric matrix over a forest, a forest with a few extra edges
+    (cycles), or dense blocks joined by single edges, with off-diagonal
+    entries and pivots up to 10^3 in size.  Each pivot is minus its row's
+    off-diagonal load less a slack, often 0, so many matrices sit on the
+    edge of definiteness, where a wrong fill-in entry changes the answer;
+    half of them get one negative slack."""
+    if shape == "dense":
+        edges, start = [], 0
+        while start < n:
+            block = range(start, min(n, start + rng.randint(2, 8)))
+            edges += [(i, j) for i in block for j in block if i < j and rng.random() < 0.8]
+            if start:
+                edges.append((rng.randrange(start), start))
+            start = block.stop
+    else:
+        edges = [(rng.randrange(v), v) for v in range(1, n) if rng.random() < 0.9]
+        if shape == "cycles":
+            edges += [(i, j) for i, j in ((rng.randrange(n), rng.randrange(n)) for _ in range(3)) if i != j]
+    big = rng.choice((1, 10, 100, 1000))
+    m = [[0] * n for _ in range(n)]
+    for i, j in edges:
+        m[i][j] = m[j][i] = rng.choice((-1, 1)) * rng.randint(1, big)
+    slack = [rng.choice((0, 0, 1, big)) for _ in m]
+    if n and rng.random() < 0.5:
+        slack[rng.randrange(n)] = -rng.randint(1, big)
+    for i, row in enumerate(m):
+        row[i] = max(-1000, -sum(map(abs, row)) - slack[i])
+    return m
+
+
+@pytest.mark.parametrize("shape, seed", [("forest", 67), ("cycles", 68), ("dense", 69)])
+def test_elimination_matches_both_oracles_up_to_forty_vertices(shape, seed, monkeypatch):
+    # forests end in the leaf phase; cycles and dense blocks leave a core
+    # for the fill-in path, which must run to both answers
+    cores = []
+    eliminate_with_fill = graphs._eliminate_with_fill
+
+    def counting(*args):
+        cores.append(eliminate_with_fill(*args))
+        return cores[-1]
+
+    monkeypatch.setattr(graphs, "_eliminate_with_fill", counting)
+    rng = random.Random(seed)
+    answers = []
+    for _ in range(100):
+        matrix = _shaped_matrix(rng, shape, rng.randint(1, 40))
+        before = [row[:] for row in matrix]
+        answers.append(is_negative_definite(matrix))
+        assert answers[-1] == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
+        assert matrix == before
+    assert set(answers) == {False, True}
+    assert set(cores) == (set() if shape == "forest" else {False, True})
 
 
 def _weighted_graph(weights, edges):
