@@ -15,15 +15,18 @@ denominator; a coefficient becomes a Fraction only where it is read.
   (X-exponent, xi-exponent).  Its top X-exponent is the semidegree value.
 
 Every product, of two elements or inside a substitution, goes through one
-kernel, :func:`_add_products`.  It multiplies small or sparse operands one
-pair of terms at a time: an exact product, which has no cut, in the order
-its operands' terms are stored, and a square takes each pair of terms once,
-doubled (Monagan-Pearce 2010).  A large product of operands that are dense on
+kernel, :func:`_add_products`, whose cut None keeps every product.  It
+multiplies small or sparse operands one pair of terms at a time: with no
+cut, in the order its operands' terms are stored, and a square, equal
+operands in any ring, takes each pair of terms once, doubled
+(Monagan-Pearce 2010).  A large product of operands that are dense on
 their lattice is packed instead (Kronecker substitution: Fateman 2005,
 Harvey 2009): each row of an operand, a level of the second exponent or of
 the weighted degree through its extreme terms, becomes one integer with a
 signed slot per lattice point, each pair of rows is one big-int product,
 and each output row is unpacked once.  Both give the same numerators.
+Every sum and difference is one call of the subtraction routine,
+:func:`_subtract_row`, which the cancellation also runs in place.
 
 Only the top of an expansion is ever read, so an expansion may carry an
 absolute precision floor: an O(X^floor) term.  Every stored term lies
@@ -84,47 +87,42 @@ _PACK_MIN = 16
 
 
 def _add_products(left: list, right: list, cut: int | None, out: dict[tuple[int, int], int]) -> None:
-    """Add to ``out`` the products of two rows of (key, integer numerator),
-    each sorted highest first, whose first exponent lies above ``cut``.
-    With ``cut`` None every product is kept and the rows may come in any
-    order; the same list as both rows is a square.
+    """Add to ``out`` the products of two rows of (key, integer numerator)
+    whose first exponent lies above ``cut``, each row sorted highest first
+    when there is a cut.  ``cut`` None, the one spelling of "keep every
+    product", lets the rows come in any order; the same list as both rows
+    is a square.
 
     A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
-    terms or more in each operand, is offered to :func:`_add_packed`, on
-    sorted rows.  The products it refuses, and all others, go through the
-    term loop, :func:`_add_term_products`.
+    terms or more in each operand, is offered to :func:`_add_packed` on
+    sorted rows and an integer cut, for ``cut`` None one below every
+    product: the only place that such a cut is made.  The products it
+    refuses, and all others, go through :func:`_add_term_products`.
     """
     if len(left) * len(right) >= _PACK_PAIRS and min(len(left), len(right)) >= _PACK_MIN:
-        if cut is None:
-            # sorted rows, and a cut below every product, which drops nothing
-            rows1 = sorted(left, reverse=True)
-            rows2 = rows1 if right is left else sorted(right, reverse=True)
-            packed = _add_packed(rows1, rows2, rows1[-1][0][0] + rows2[-1][0][0] - 1, out)
-        else:
-            packed = _add_packed(left, right, cut, out)
-        if packed:
+        rows1 = sorted(left, reverse=True)
+        rows2 = rows1 if right is left else sorted(right, reverse=True)
+        if _add_packed(rows1, rows2, rows1[-1][0][0] + rows2[-1][0][0] - 1 if cut is None else cut, out):
             return
     _add_term_products(left, right, cut, out)
 
 
 def _add_term_products(left: list, right: list, cut: int | None, out: dict[tuple[int, int], int]) -> None:
     """:func:`_add_products` one pair of terms at a time.  With a cut each
-    inner row stops at it; with none, a square takes each unordered pair of
-    terms once and doubles it."""
+    inner row stops at it.  With none, every pair is kept, in one loop
+    whose square case takes each term's own product and then each
+    unordered pair of terms once, doubled."""
     if cut is None:
-        if left is right:
-            for i, ((a1, b1), n1) in enumerate(left):
+        square = left is right
+        for i, ((a1, b1), n1) in enumerate(left, 1):
+            if square:
                 key = (a1 + a1, b1 + b1)
                 out[key] = out.get(key, 0) + n1 * n1
                 n1 += n1
-                for (a2, b2), n2 in left[i + 1 :]:
-                    key = (a1 + a2, b1 + b2)
-                    out[key] = out.get(key, 0) + n1 * n2
-        else:
-            for (a1, b1), n1 in left:
-                for (a2, b2), n2 in right:
-                    key = (a1 + a2, b1 + b2)
-                    out[key] = out.get(key, 0) + n1 * n2
+                right = left[i:]
+            for (a2, b2), n2 in right:
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0) + n1 * n2
         return
     if not right:
         return
@@ -403,16 +401,12 @@ class _Sparse:
         return self._combine(other, -1)
 
     def _combine(self, other, sign: int):
-        """self + sign * other in one pass over both maps."""
+        """self + sign * other, known above the larger floor: other's row
+        subtracted, times -sign, from a copy of self's."""
         self._check(other)
-        den = math.lcm(self._den, other._den)
-        s, t = den // self._den, sign * (den // other._den)
-        out = {key: n * s for key, n in self._terms.items()}
-        for key, n in other._terms.items():
-            out[key] = out.get(key, 0) + n * t
         floor = _larger(self.floor, other.floor)
-        if floor is not None:
-            out = {key: n for key, n in out.items() if key[0] > floor}
+        out = {key: n for key, n in self._terms.items() if floor is None or key[0] > floor}
+        den = _subtract_row(out, self._den, floor, other._terms, Fraction(-sign, other._den), 0)
         return self._like(out, den, floor)
 
     def __neg__(self):
@@ -422,26 +416,25 @@ class _Sparse:
         self._check(other)
         if self.is_zero or other.is_zero:
             return self._like({}, 1)
+        # equal operands, in any ring, are a square: one list as both rows
+        left = list(self._terms.items())
+        right = left if other is self or other._terms == self._terms else list(other._terms.items())
+        floor = None
+        if self.band is not None or self.floor is not None or other.floor is not None:
+            left.sort(reverse=True)
+            right.sort(reverse=True)  # a square's one list: a linear pass, already sorted
+            top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
+            top2, low2 = (right[0][0][0], right[-1][0][0]) if right else (other.floor, other.floor)
+            cuts = []  # a band reaching below every product cuts nothing
+            if self.band is not None and top1 + top2 - self.band >= low1 + low2:
+                cuts.append(top1 + top2 - self.band)
+            if self.floor is not None:
+                cuts.append(self.floor + top2)
+            if other.floor is not None:
+                cuts.append(other.floor + top1)
+            floor = max(cuts, default=None)
         out: dict[tuple[int, int], int] = {}
-        if self.band is None and self.floor is None and other.floor is None:
-            # exact: no cut, so no sort; equal operands are a square
-            left = list(self._terms.items())
-            right = left if other is self or other._terms == self._terms else list(other._terms.items())
-            _add_products(left, right, None, out)
-            return self._like(out, self._den * other._den)
-        left = sorted(self._terms.items(), reverse=True)
-        right = sorted(other._terms.items(), reverse=True)
-        top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
-        top2, low2 = (right[0][0][0], right[-1][0][0]) if right else (other.floor, other.floor)
-        cuts = []
-        if self.band is not None and top1 + top2 - self.band >= low1 + low2:
-            cuts.append(top1 + top2 - self.band)
-        if self.floor is not None:
-            cuts.append(self.floor + top2)
-        if other.floor is not None:
-            cuts.append(other.floor + top1)
-        floor = max(cuts, default=None)
-        _add_products(left, right, low1 + low2 - 1 if floor is None else floor, out)
+        _add_products(left, right, floor, out)
         return self._like(out, self._den * other._den, floor)
 
     def __pow__(self, n: int):
@@ -732,8 +725,7 @@ def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiS
         power, row = powers[b]
         scale = den // power._den
         left = sorted(((key, n * scale) for key, n in part), reverse=True)
-        cut = left[-1][0][0] + row[-1][0][0] - 1 if floor is None else floor
-        _add_products(left, row, cut, out)
+        _add_products(left, row, floor, out)
     return base._like(out, f._den * den, floor)
 
 

@@ -83,9 +83,9 @@ class DualGraph:
 
 def hj_expansion(a: int, b: int) -> list[int]:
     """Continued fraction a/b = c0 - 1/(c1 - 1/(... - 1/ct)) with cj >= 2
-    for j >= 1, by repeated ceiling division."""
-    if a <= 0 or b <= 0:
-        raise GraphError(f"continued fraction needs positive inputs, got {a}/{b}")
+    for j >= 1, by repeated ceiling division, of two positive ints."""
+    if type(a) is not int or type(b) is not int or a <= 0 or b <= 0:
+        raise GraphError(f"continued fraction needs positive integers, got {a!r}/{b!r}")
     out = []
     while True:
         c = -(-a // b)
@@ -253,7 +253,8 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     remaining neighbours, and the XOR of their indices, which names the last
     one.  What remains then is a 2-core, left to
     :func:`_eliminate_with_fill`.  The first pivot >= 0 answers False.
-    Raises `GraphError` on a matrix that is not square or not symmetric.
+    Raises `GraphError` on a matrix that is not square, not symmetric or
+    not of ints.
     """
     n = len(matrix)
     short = next((i for i, row in enumerate(matrix) if len(row) != n), None)
@@ -266,11 +267,16 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
         # an asymmetric pair has a nonzero side, so comparing each nonzero
         # entry with its mirror finds every one
         for j in compress(span, row):
-            if matrix[j][i] != row[j]:
+            x = row[j]
+            if type(x) is not int:
+                raise GraphError(f"matrix entry ({i}, {j}) is a {type(x).__name__}, not an int")
+            if matrix[j][i] != x:
                 raise GraphError(f"matrix is not symmetric: row {i} differs from column {i}")
             count += 1
             xor ^= j
         w = row[i]
+        if type(w) is not int:  # a zero on the diagonal, which the scan skips
+            raise GraphError(f"matrix entry ({i}, {i}) is a {type(w).__name__}, not an int")
         if w:
             count -= 1
             xor ^= i

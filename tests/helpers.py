@@ -731,6 +731,16 @@ def _fraction_series_mul(s, t):
     )
 
 
+def oracle_series_sum(s, t, scale=1, shift=0):
+    """s + scale * X^shift * t for two expansions in one ring, from their
+    items(), as a dict {Fraction x-exponent: dense xi-tuple}, known above
+    the larger of their floors, t's moved up by ``shift``."""
+    step = Fraction(shift, s.den)
+    total = _fraction_series_add(dict(s.items()), {e + step: tuple(scale * c for c in p) for e, p in t.items()})
+    floors = [f for f in (s.floor, None if t.floor is None else t.floor + shift) if f is not None]
+    return {e: p for e, p in total.items() if not floors or e * s.den > max(floors)}
+
+
 def oracle_substitute(f, g):
     """f(x, g) as a dict {Fraction x-exponent: dense xi-tuple}."""
     base = _fraction_series_add({e: (c,) for e, c in g.phi.items()}, {g.r: (Fraction(0), Fraction(1))})

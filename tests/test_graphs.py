@@ -1,6 +1,7 @@
 import contextlib
 import math
 import random
+import re
 import tracemalloc
 from pathlib import Path
 from fractions import Fraction as F
@@ -178,6 +179,13 @@ def test_hj_expansion_rejects_nonpositive():
         hj_expansion(0, 3)
     with pytest.raises(GraphError):
         hj_expansion(3, -1)
+
+
+@pytest.mark.parametrize("a, b, text", [(2.5, 1, "2.5/1"), (5, F(3), "5/Fraction(3, 1)"), (True, 2, "True/2")])
+def test_hj_expansion_rejects_what_is_not_an_int(a, b, text):
+    # a float used to be expanded: hj_expansion(2.5, 1) was [3.0, 2.0]
+    with pytest.raises(GraphError, match=f"^continued fraction needs positive integers, got {re.escape(text)}$"):
+        hj_expansion(a, b)
 
 
 def test_hj_round_trip_and_entry_bounds():

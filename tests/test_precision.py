@@ -28,10 +28,12 @@ from semidegree import (
 from semidegree.algebra import AlgebraError, PrecisionLost, series_of
 
 from helpers import (
+    _fraction_series_mul,
     approximate_root,
     check_approximate_roots,
     constructor_series_of,
     loop_key_forms,
+    oracle_series_sum,
     oracle_substitute,
     random_contractible,
     random_generic,
@@ -149,12 +151,30 @@ def test_first_band_comes_from_the_pairs(bands):
     assert bands[0] == 2 * (2 * 1195 - 2358)
 
 
-def test_a_band_covering_every_product_is_the_exact_engine():
+def test_a_band_covering_every_product_is_the_exact_engine(monkeypatch):
     g = dyadic_chain(3)
     wide = series_of(g, 10**6)
     for s in (wide ** 7, wide ** 3 * wide - wide.scale(2)):
         assert s.floor is None
     assert dict((wide ** 7).items()) == dict((series_of(g) ** 7).items())
+    # such a product reaches the term loop with no cut, a square (equal
+    # operands, the same object or not) as one list for both rows
+    exact = series_of(g)
+    cube, twin, exact_cube = wide ** 3, series_of(g, 10**6) ** 3, exact ** 3
+    cases = [(cube, cube, exact_cube * exact_cube), (cube, twin, exact_cube ** 2), (cube, wide, exact_cube * exact)]
+    calls = []
+    add_term_products = algebra._add_term_products
+
+    def recording(left, right, cut, out):
+        calls.append((cut, left is right))
+        add_term_products(left, right, cut, out)
+
+    monkeypatch.setattr(algebra, "_add_term_products", recording)
+    for s, t, expected in cases:
+        product = s * t
+        assert calls.pop() == (None, t is not wide) and not calls
+        assert product.floor is None and dict(product.items()) == dict(expected.items())
+        assert dict(product.items()) == _fraction_series_mul(dict(s.items()), dict(t.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +350,11 @@ def test_a_difference_is_the_sum_with_the_negation(g, f, h, c, n, band):
         pairs += [(s, t), (t, s), (s, s), (s * t, s.scale(c))]
     for a, b in pairs:
         assert a - b == a + (-b)
+        if isinstance(a, algebra.XiSeries):
+            # floors, when there are, and unequal denominators: against the Fraction oracle
+            floor = algebra._larger(a.floor, b.floor)
+            for total, sign in ((a + b, 1), (a - b, -1)):
+                assert total.floor == floor and dict(total.items()) == oracle_series_sum(a, b, sign)
 
 
 @FAST
@@ -346,7 +371,7 @@ def test_subtracting_a_row_in_place_is_the_difference_of_series(g, f, h, c, shif
                 a = a.above(floor)
             out = dict(a._terms)
             den = algebra._subtract_row(out, a._den, a.floor, b._terms, c / b._den, shift)
-            assert a._like(out, den, a.floor) == a - b.x_shift(shift).scale(c)
+            assert dict(a._like(out, den, a.floor).items()) == oracle_series_sum(a, b, -c, shift)
 
 
 def test_a_monomial_not_known_down_to_the_floor_is_an_internal_error(monkeypatch):

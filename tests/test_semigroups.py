@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -279,8 +280,23 @@ def test_definiteness_examples(matrix, expected):
         ([[-1, 0, 0]], "matrix is not square: row 0 has 3 entries, not 1"),
         ([[-1], [0]], "matrix is not square: row 0 has 1 entries, not 2"),
         ([[-1, 0], [5, -1]], "matrix is not symmetric: row 1 differs from column 1"),
+        # each nonzero entry is checked in the scan that reads it, and each
+        # diagonal entry, which is read even when zero
+        ([[-0.5]], "matrix entry (0, 0) is a float, not an int"),
+        ([[Fraction(-1, 2)]], "matrix entry (0, 0) is a Fraction, not an int"),
+        ([[-2, 0.5], [0.5, -3]], "matrix entry (0, 1) is a float, not an int"),
+        ([[-2, 1, 0], [1, 0.0, 1], [0, 1, -2]], "matrix entry (1, 1) is a float, not an int"),
     ],
-    ids=["matrix0-not symmetric", "matrix1-not square", "matrix2-not square", "matrix3-not symmetric"],
+    ids=[
+        "matrix0-not symmetric",
+        "matrix1-not square",
+        "matrix2-not square",
+        "matrix3-not symmetric",
+        "a float pivot",
+        "a Fraction pivot",
+        "a float off the diagonal",
+        "a float zero pivot",
+    ],
 )
 def test_definiteness_rejects_malformed_matrices(matrix, message):
     with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
