@@ -21,13 +21,13 @@ fraction by Euclid.  Contractibility is negative definiteness of the
 intersection matrix, refused past ``MAX_MATRIX_VERTICES`` kept vertices
 before any row is allocated, and tested by exact symmetric elimination
 leaves first: on these trees that is O(n) pivots over flat integer lists,
-with no fill-in, after one scan of the dense rows.
+with no fill-in, after one scan of the dense rows.  Forests only: a matrix
+whose nonzero entries form a cycle is refused.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
 from operator import lt
@@ -35,6 +35,7 @@ from typing import NamedTuple
 
 from .decide import NotACompactificationError
 from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent
+from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
 
@@ -85,7 +86,8 @@ def hj_expansion(a: int, b: int) -> list[int]:
     """Continued fraction a/b = c0 - 1/(c1 - 1/(... - 1/ct)) with cj >= 2
     for j >= 1, by repeated ceiling division, of two positive ints."""
     if type(a) is not int or type(b) is not int or a <= 0 or b <= 0:
-        raise GraphError(f"continued fraction needs positive integers, got {a!r}/{b!r}")
+        a_text, b_text = (number_to_str(x) if type(x) is int else repr(x) for x in (a, b))
+        raise GraphError(f"continued fraction needs positive integers, got {a_text}/{b_text}")
     out = []
     while True:
         c = -(-a // b)
@@ -149,7 +151,7 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     for i in range(blocks):
         q_prime = tilde_q[0] if i == 0 else tilde_q[i] - tilde_q[i - 1] * ps[i]
         if q_prime <= 0:
-            raise GraphError(f"block {i + 1}: nonpositive chain parameter {q_prime}")
+            raise GraphError(f"block {i + 1}: nonpositive chain parameter {number_to_str(q_prime)}")
         q_primes.append(q_prime)
         size += _chain_pair_length(ps[i], q_prime) - 2
     if size > MAX_GRAPH_VERTICES:
@@ -240,21 +242,21 @@ def intersection_matrix(graph: DualGraph, exclude_estar: bool = False) -> list[l
 
 
 def is_negative_definite(matrix: list[list[int]]) -> bool:
-    """Exact symmetric elimination over the nonzero pattern, leaves first.
+    """Exact symmetric elimination from the leaves, on a matrix whose
+    nonzero pattern is a forest, as every resolution graph is.
 
     A symmetric matrix is negative definite exactly when a diagonal pivot d
     is negative and its Schur complement is, whichever vertex is taken, so
     the order of elimination is free.  A vertex with at most one neighbour u
     goes first: removing it only turns u's pivot w into w - a^2/d, with no
-    fill, so a forest costs O(n) pivots (Parter 1961).  Until no such vertex
-    is left every off-diagonal entry is still the matrix's own integer, so
-    this phase keeps only flat integer lists: each pivot as a numerator and
-    a positive denominator in lowest terms, each vertex's count of
-    remaining neighbours, and the XOR of their indices, which names the last
-    one.  What remains then is a 2-core, left to
-    :func:`_eliminate_with_fill`.  The first pivot >= 0 answers False.
-    Raises `GraphError` on a matrix that is not square, not symmetric or
-    not of ints.
+    fill, so a forest costs O(n) pivots (Parter 1961), kept in flat integer
+    lists: each pivot as a numerator and a positive denominator in lowest
+    terms, each vertex's count of remaining neighbours, and the XOR of their
+    indices, which names the last one.  The first pivot >= 0 answers False,
+    which holds for any symmetric matrix.  Forests only: on a pattern with a
+    cycle the leaves run out with vertices left, and that is refused with
+    `GraphError`, so such a matrix never answers True.  Raises `GraphError`
+    also on a matrix that is not square, not symmetric or not of ints.
     """
     n = len(matrix)
     short = next((i for i, row in enumerate(matrix) if len(row) != n), None)
@@ -304,50 +306,8 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
             others[u] ^= v
             if degree[u] == 1:
                 leaves.append(u)
-    return not left or _eliminate_with_fill(matrix, num, den, degree)
-
-
-def _eliminate_with_fill(matrix, num, den, degree) -> bool:
-    """The elimination of the vertices of degree >= 2 that the leaves left,
-    on pivots ``num / den``, taking one of least degree whenever no leaf is
-    left; its removal also subtracts a_u * a_w / d from the entry of every
-    pair u, w of its neighbours, which may make an entry a `Fraction`."""
-    span = range(len(matrix))
-    core = [v for v in span if degree[v] > 1]
-    links = [None] * len(matrix)
-    for v in core:
-        row = matrix[v]
-        links[v] = {j: row[j] for j in compress(span, row) if j != v and degree[j] > 1}
-    leaves = []
-    for _ in core:
-        while leaves and links[leaves[-1]] is None:
-            leaves.pop()  # eliminated since it was stacked
-        if leaves:
-            v = leaves.pop()
-        else:
-            v = min((u for u, near in enumerate(links) if near is not None), key=lambda u: len(links[u]))
-        near, dn, dd = links[v], num[v], den[v]
-        if dn >= 0:
-            return False
-        links[v] = None
-        while near:
-            u, a = near.popitem()
-            row = links[u]
-            del row[v]
-            # w - a^2 / d over the positive denominator -ud * sd * dn
-            square = a * a
-            sn, sd, ud = square.numerator, square.denominator, den[u]
-            top, bottom = sn * dd * ud - num[u] * sd * dn, -ud * sd * dn
-            g = gcd(top, bottom)
-            num[u], den[u] = top // g, bottom // g
-            for w, b in near.items():
-                x = row.get(w, 0) - Fraction(a * b * dd, dn)
-                if x:
-                    row[w] = links[w][u] = x
-                elif w in row:
-                    del row[w], links[w][u]
-            if len(row) <= 1:
-                leaves.append(u)
+    if left:
+        raise GraphError("definiteness is tested on forests only: the matrix has a cycle of nonzero entries")
     return True
 
 

@@ -257,6 +257,27 @@ def sweep_negative_definite(matrix):
     return True
 
 
+def is_forest(matrix):
+    """Does the nonzero off-diagonal pattern of a symmetric matrix have no
+    cycle?  By union-find: an entry joining two vertices already joined
+    closes one."""
+    root = list(range(len(matrix)))
+
+    def find(v):
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    for i, row in enumerate(matrix):
+        for j in range(i + 1, len(row)):
+            if row[j]:
+                a, b = find(i), find(j)
+                if a == b:
+                    return False
+                root[a] = b
+    return True
+
+
 # ---------------------------------------------------------------------------
 # slow oracles for the closed-form representation and the witnesses
 

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -168,6 +169,26 @@ def test_nonalgebraic_witness_refused_when_algebraic_only():
         nonalgebraic_witness(FormalPuiseuxPairs(((3, 7),)))
 
 
+def test_essential_values_are_computed_once_per_pair_list(monkeypatch):
+    # classify, the graph and both witnesses share one computation per pair
+    # list object; equal lists built apart each compute their own
+    cached = FormalPuiseuxPairs.__dict__["essential_values"]
+    compute, computed = cached.func, []
+    monkeypatch.setattr(cached, "func", lambda pairs: computed.append(pairs) or compute(pairs))
+    pair_lists = [FormalPuiseuxPairs(p) for p in (BRANCH_PAIRS.pairs, ((3, 7),), ((2, 3), (-7, 2), (-8, 1)))]
+    pair_lists.append(FormalPuiseuxPairs(BRANCH_PAIRS.pairs))
+    for pairs in pair_lists:
+        assert classify(pairs).essential_values == essential_key_values(pairs) == compute(pairs)
+        resolution_graph(pairs)
+        for witness in (algebraic_witness, nonalgebraic_witness):
+            with contextlib.suppress(WitnessError):
+                witness(pairs)
+    assert len(computed) == len(pair_lists) and all(map(operator.is_, computed, pair_lists))
+    # not a field: equality and hashing read the pairs alone
+    assert pair_lists[0] == pair_lists[-1] and hash(pair_lists[0]) == hash(pair_lists[-1])
+    assert "essential_values" not in repr(pair_lists[0])
+
+
 def test_hj_expansion_examples():
     assert hj_expansion(5, 3) == [2, 3]
     assert hj_expansion(3, 5) == [1, 3, 2]
@@ -179,6 +200,12 @@ def test_hj_expansion_rejects_nonpositive():
         hj_expansion(0, 3)
     with pytest.raises(GraphError):
         hj_expansion(3, -1)
+
+
+def test_hj_expansion_refusal_prints_an_int_past_the_digit_limit():
+    # str() of such an int raised ValueError from inside the refusal
+    with pytest.raises(GraphError, match="^continued fraction needs positive integers, got -10{5000}/1$"):
+        hj_expansion(-(10**5000), 1)
 
 
 @pytest.mark.parametrize("a, b, text", [(2.5, 1, "2.5/1"), (5, F(3), "5/Fraction(3, 1)"), (True, 2, "True/2")])

@@ -25,6 +25,7 @@ from helpers import (
     dp_apery_set,
     dp_in_semigroup,
     four_pairs,
+    is_forest,
     minors_negative_definite,
     random_normal_pairs,
     sweep_negative_definite,
@@ -220,11 +221,32 @@ def symmetric_matrices(draw):
     return m
 
 
+NOT_A_FOREST = "definiteness is tested on forests only: the matrix has a cycle of nonzero entries"
+
+
+def _against_both_oracles(matrix):
+    """is_negative_definite checked against both oracles: on a forest it
+    gives their answer; on a pattern with a cycle it gives False, and so do
+    they, or it is refused.  Returns its answer, or None when refused."""
+    expected = minors_negative_definite(matrix)
+    assert sweep_negative_definite(matrix) is expected
+    if is_forest(matrix):
+        assert is_negative_definite(matrix) is expected
+        return expected
+    try:
+        answer = is_negative_definite(matrix)
+    except GraphError as error:
+        assert str(error) == NOT_A_FOREST
+        return None
+    assert answer is expected is False
+    return answer
+
+
 @FAST
 @given(symmetric_matrices())
 def test_elimination_matches_both_oracles(matrix):
     before = [row[:] for row in matrix]
-    assert is_negative_definite(matrix) == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
+    _against_both_oracles(matrix)
     assert matrix == before
 
 
@@ -236,10 +258,11 @@ def test_elimination_matches_both_oracles(matrix):
         ([[-1, 1], [1, -1]], False),  # zero second minor
         ([[-2, 1, 0], [1, -2, 1], [0, 1, -2]], True),  # A_3 chain
         ([[-1, 2], [2, -1]], False),  # second minor negative
+        # the rest have cycles, which are refused: expected is the oracles' answer
         ([[-2, 1, 1], [1, -2, 1], [1, 1, -2]], False),  # -2 triangle: singular
         ([[-3, 1, 1], [1, -3, 1], [1, 1, -3]], True),  # -3 triangle
-        # a cycle in one component and trees in the others: no count of
-        # edges against vertices says whether leaves alone finish the work
+        # a cycle in one component and trees in the others: the leaves
+        # answer nothing, and the cycle is refused
         (
             [
                 [-5, 0, -3, 0, 0, 0, 0, 0, 0],
@@ -267,9 +290,13 @@ def test_elimination_matches_both_oracles(matrix):
     ],
 )
 def test_definiteness_examples(matrix, expected):
-    assert is_negative_definite(matrix) is expected
     assert minors_negative_definite(matrix) is expected
     assert sweep_negative_definite(matrix) is expected
+    if is_forest(matrix):
+        assert is_negative_definite(matrix) is expected
+    else:
+        with pytest.raises(GraphError, match=f"^{NOT_A_FOREST}$"):
+            is_negative_definite(matrix)
 
 
 @pytest.mark.parametrize(
@@ -308,8 +335,8 @@ def _shaped_matrix(rng, shape, n):
     (cycles), or dense blocks joined by single edges, with off-diagonal
     entries and pivots up to 10^3 in size.  Each pivot is minus its row's
     off-diagonal load less a slack, often 0, so many matrices sit on the
-    edge of definiteness, where a wrong fill-in entry changes the answer;
-    half of them get one negative slack."""
+    edge of definiteness, where a wrong pivot changes the answer; half of
+    them get one negative slack."""
     if shape == "dense":
         edges, start = [], 0
         while start < n:
@@ -335,27 +362,19 @@ def _shaped_matrix(rng, shape, n):
 
 
 @pytest.mark.parametrize("shape, seed", [("forest", 67), ("cycles", 68), ("dense", 69)])
-def test_elimination_matches_both_oracles_up_to_forty_vertices(shape, seed, monkeypatch):
-    # forests end in the leaf phase; cycles and dense blocks leave a core
-    # for the fill-in path, which must run to both answers
-    cores = []
-    eliminate_with_fill = graphs._eliminate_with_fill
-
-    def counting(*args):
-        cores.append(eliminate_with_fill(*args))
-        return cores[-1]
-
-    monkeypatch.setattr(graphs, "_eliminate_with_fill", counting)
+def test_elimination_matches_both_oracles_up_to_forty_vertices(shape, seed):
+    # forests run to both answers; cycles and dense blocks are refused or,
+    # when a leaf's pivot is >= 0, answered False
     rng = random.Random(seed)
-    answers = []
+    answers, cyclic = [], []
     for _ in range(100):
         matrix = _shaped_matrix(rng, shape, rng.randint(1, 40))
         before = [row[:] for row in matrix]
-        answers.append(is_negative_definite(matrix))
-        assert answers[-1] == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
+        (answers if is_forest(matrix) else cyclic).append(_against_both_oracles(matrix))
         assert matrix == before
+    # a few extra edges or dense blocks still leave some matrices forests
     assert set(answers) == {False, True}
-    assert set(cores) == (set() if shape == "forest" else {False, True})
+    assert set(cyclic) == (set() if shape == "forest" else {False, None})
 
 
 def _weighted_graph(weights, edges):
@@ -383,9 +402,14 @@ def test_definiteness_of_stars(k):
 
 @pytest.mark.parametrize("n", [3, 4, 7, 50, 300])
 def test_definiteness_of_cycles(n):
+    # the -2 cycle has the all-ones kernel and the -3 cycle is definite, but
+    # neither has a leaf, so both are refused
     edges = [(i, (i + 1) % n) for i in range(n)]
-    assert not is_negative_definite(_weighted_graph([-2] * n, edges))  # all-ones kernel
-    assert is_negative_definite(_weighted_graph([-3] * n, edges))
+    for w in (2, 3):
+        with pytest.raises(GraphError, match=f"^{NOT_A_FOREST}$"):
+            is_negative_definite(_weighted_graph([-w] * n, edges))
+    # a leaf of pivot 0 answers False before the cycle is reached
+    assert not is_negative_definite(_weighted_graph([-3] * n + [0], edges + [(0, n)]))
 
 
 def _ladder_pairs(l):
@@ -409,18 +433,15 @@ def test_the_ladder_top_is_classified_with_no_semigroup_table(monkeypatch):
     assert result.s1_failures == result.s2_failures == ()
 
 
-def test_a_forest_is_eliminated_from_its_leaves_alone(monkeypatch):
-    # the least-degree search runs only when no vertex of degree <= 1 is left
-    def refuse(*args, **kwargs):
-        raise AssertionError("searched for a least-degree vertex")
-
+def test_a_forest_is_eliminated_from_its_leaves_alone():
+    # once no vertex of degree <= 1 is left, what remains has a cycle
     trees = [intersection_matrix(candidate_graph(_ladder_pairs(l)), exclude_estar=True) for l in (1, 5, 12)]
     star_and_chain = _weighted_graph([-3, -2, -2, -2, -2, -2], [(0, 1), (0, 2), (0, 3), (4, 5)])
-    triangle = _weighted_graph([-3] * 3, [(0, 1), (1, 2), (2, 0)])
-    monkeypatch.setattr(graphs, "min", refuse, raising=False)
     assert all(is_negative_definite(matrix) for matrix in trees + [star_and_chain])
-    with pytest.raises(AssertionError, match="least-degree"):
-        is_negative_definite(triangle)
+    # a -3 triangle with a -2 chain hanging from it: the chain goes, the triangle is refused
+    kite = _weighted_graph([-3, -3, -3, -2, -2], [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)])
+    with pytest.raises(GraphError, match=f"^{NOT_A_FOREST}$"):
+        is_negative_definite(kite)
 
 
 @pytest.mark.parametrize("l", range(1, 13))
@@ -430,6 +451,22 @@ def test_definiteness_matches_both_oracles_on_the_pair_ladder(l):
         matrix = intersection_matrix(graph, exclude_estar=exclude)
         assert is_negative_definite(matrix) == minors_negative_definite(matrix) == sweep_negative_definite(matrix)
         assert is_negative_definite(matrix) == exclude
+
+
+def test_every_candidate_graph_is_a_tree():
+    # the invariant that lets definiteness refuse cycles: each vertex after
+    # the first comes with one edge, from an earlier vertex to it
+    rng = random.Random(64)
+    pair_lists = [_ladder_pairs(l) for l in range(1, 13)] + [random_normal_pairs(rng) for _ in range(200)]
+    for pairs in pair_lists:
+        graph = candidate_graph(pairs)
+        names = [v.name for v in graph.vertices]
+        position = {name: i for i, name in enumerate(names)}
+        assert len(position) == len(names) and len(graph.edges) == len(names) - 1
+        for i, (a, b) in enumerate(graph.edges, start=1):
+            assert b == names[i] and position[a] < i
+        for exclude in (False, True):
+            assert is_forest(intersection_matrix(graph, exclude_estar=exclude))
 
 
 def test_definiteness_matches_the_minors_on_dual_graphs():

@@ -16,3 +16,22 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert PACKAGE.is_dir() and not found, f"assert statements in the package: {found}"
+
+
+def test_no_unused_module_level_import_in_the_package():
+    # what a deletion leaves behind: a module-level import that no name in
+    # the module reads and that __all__ does not export
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
+    assert PACKAGE.is_dir() and not found, f"unused imports in the package: {found}"
