@@ -35,11 +35,11 @@ expansion is exact.  A ring of expansions may also carry a band E, set by
 :func:`series_of`: a product then keeps only the terms above
 max(topA + topB - E, floorA + topB, floorB + topA), sums take the larger
 floor, and reading the top at or below the floor raises
-:class:`PrecisionLost`.  :func:`certified` runs a computation with the band
-doubled on every such loss; once the band covers a product's span nothing
-is dropped and the floor stays None, so the retried result is exact
-whatever the first band was.  No floats and no tolerances are involved:
-kept terms are exact, dropped ones are never read.
+:class:`PrecisionLost`.  :func:`certified` starts at band 1 + S, the least
+the cancellation needs (S sums the level drops below each power it
+raises), and doubles it on every loss; once it covers a product's span
+nothing is dropped and the floor stays None, so the result is exact
+whatever the first band was, with no floats and no tolerances.
 """
 
 from __future__ import annotations
@@ -671,12 +671,13 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:
-    """Twice the drop from the highest power the cancellation raises,
-    max p_k * omega_k, to the last value omega_last; at least 1."""
+    """1 + S, at least 1, S the sum of the level drops d_k = p_k * omega_k -
+    omega_{k+1}: y is exact; a banded product keeps the terms above top - E,
+    and raising keeps the known depth, so level k starts with E - (d_1 + ...
+    + d_{k-1}) known below the power it raises and reads d_k below it,
+    strictly above the floor; the last level needs E > S."""
     omegas = essential_key_values(pairs)
-    ps = [p for _, p in pairs.pairs]
-    top = max((p * w for p, w in zip(ps, omegas[1:-1])), default=omegas[-1])
-    return max(1, 2 * (top - omegas[-1]))
+    return max(1, 1 + sum(p * w - v for (_, p), w, v in zip(pairs.pairs, omegas[1:-1], omegas[2:])))
 
 
 _T = TypeVar("_T")

@@ -150,8 +150,6 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     q_primes = []
     for i in range(blocks):
         q_prime = tilde_q[0] if i == 0 else tilde_q[i] - tilde_q[i - 1] * ps[i]
-        if q_prime <= 0:
-            raise GraphError(f"block {i + 1}: nonpositive chain parameter {number_to_str(q_prime)}")
         q_primes.append(q_prime)
         size += _chain_pair_length(ps[i], q_prime) - 2
     if size > MAX_GRAPH_VERTICES:

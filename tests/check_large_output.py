@@ -1,19 +1,19 @@
-"""Run the keyforms CLI on a large input as a process and pin its stdout.
+"""Run the keyforms CLI on large inputs as processes and pin their stdout.
 
     python3 tests/check_large_output.py
 
-The input is the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON).
-The process must exit 0 and print exactly the pinned bytes (size and md5).
-Its peak RSS, read with ``resource.getrusage(RUSAGE_CHILDREN)``, is printed
-for the record; no bound is asserted on it.  Exits 1 with the reason when
-the run fails.
+The inputs are the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON)
+and the three-level input x^(1/7) + x^(1/11) + x^(1/13) with r = -1 (483
+values, 93.5 MB).  Each process must exit 0 and print exactly the pinned
+bytes (size and md5).  Its peak RSS, read with ``os.wait4``, is printed for
+the record; no bound is asserted on it.  Exits 1 with the reasons when a
+run fails.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +21,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 DEPTH7_SIZE = 7336946
 DEPTH7_MD5 = "d37f5ae3f8f121c95e2f673234bf8a7c"
+THREE_LEVEL_SIZE = 93490176
+THREE_LEVEL_MD5 = "a4ef2d07c402b004ebdb375588eb1d9a"
 
 
 def dyadic_keyforms_argv(depth: int) -> list[str]:
@@ -35,22 +37,40 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def main() -> int:
+def three_level_keyforms_argv() -> list[str]:
+    """The keyforms command on x^(1/7) + x^(1/11) + x^(1/13), r = -1."""
+    return [sys.executable, "-m", "semidegree.cli", "keyforms", "--phi", "x^(1/7)+x^(1/11)+x^(1/13)", "--r", "-1"]
+
+
+def pinned_run(name: str, argv: list[str], expected_size: int, expected_md5: str) -> bool:
+    """Run argv, print what it printed (exit, size, md5, peak RSS) and
+    whether that is the pinned output; True when it is."""
     digest, size = hashlib.md5(), 0
-    with subprocess.Popen(dyadic_keyforms_argv(7), stdout=subprocess.PIPE, env=child_env()) as child:
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, env=child_env()) as child:
         while chunk := child.stdout.read(1 << 20):
             digest.update(chunk)
             size += len(chunk)
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
     # ru_maxrss is in KiB on Linux and in bytes on macOS
-    peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    print(f"keyforms dyadic depth 7: exit {child.returncode}, {size} bytes, md5 {digest.hexdigest()}, peak RSS {peak:.1f} MB")
+    peak = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+    print(f"{name}: exit {child.returncode}, {size} bytes, md5 {digest.hexdigest()}, peak RSS {peak:.1f} MB")
     if child.returncode != 0:
         print(f"FAIL: exit {child.returncode}, expected 0")
-        return 1
-    if (size, digest.hexdigest()) != (DEPTH7_SIZE, DEPTH7_MD5):
-        print(f"FAIL: expected {DEPTH7_SIZE} bytes with md5 {DEPTH7_MD5}")
-        return 1
-    return 0
+        return False
+    if (size, digest.hexdigest()) != (expected_size, expected_md5):
+        print(f"FAIL: expected {expected_size} bytes with md5 {expected_md5}")
+        return False
+    return True
+
+
+def main() -> int:
+    runs = [
+        ("keyforms dyadic depth 7", dyadic_keyforms_argv(7), DEPTH7_SIZE, DEPTH7_MD5),
+        ("keyforms three-level", three_level_keyforms_argv(), THREE_LEVEL_SIZE, THREE_LEVEL_MD5),
+    ]
+    passed = [pinned_run(*run) for run in runs]
+    return 0 if all(passed) else 1
 
 
 if __name__ == "__main__":

@@ -498,11 +498,21 @@ def _dyadic_run(depth):
 
 
 @pytest.mark.parametrize(
-    "depth, digest", [(7, "66e429ea7ba5032f6343aad78f157c8a"), (8, "998cb2e32c17040e2a6ed99acbf9d908")]
+    "source, digest",
+    [
+        (7, "66e429ea7ba5032f6343aad78f157c8a"),
+        (8, "998cb2e32c17040e2a6ed99acbf9d908"),
+        # the frontier, r = -1: the three-level input and a wide two-level one
+        ("x^(1/7)+x^(1/11)+x^(1/13)", "e58db21dbfba33fffca0a967ca21454d"),
+        ("x^(1/31)+x^(1/37)", "ac0c433a880fc2244780869b46a974e5"),
+    ],
 )
-def test_dyadic_values_and_scalars_keep_their_digest(depth, digest):
-    # the md5 of repr((values, scalars)) as the term loop alone computed them
-    assert hashlib.md5(repr(_dyadic_run(depth)).encode()).hexdigest() == digest
+def test_dyadic_values_and_scalars_keep_their_digest(source, digest):
+    # the md5 of repr((values, scalars)) at a dyadic depth, as the term loop
+    # alone computed them, or on a series with r = -1, as a first band of
+    # 2 * (max p_k * omega_k - omega_last) computed them
+    run = _dyadic_run(source) if type(source) is int else _certified_run(GenericDPS(parse_dps(source), F(-1)))
+    assert hashlib.md5(repr(run).encode()).hexdigest() == digest
 
 
 def _product_bound(seq):

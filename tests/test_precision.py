@@ -144,11 +144,53 @@ def test_band_one_retries_to_the_exact_answers(seed):
 
 
 def test_first_band_comes_from_the_pairs(bands):
-    # pairs (5,2),(9,2),(17,2),(33,2),(65,2),(33,1): the highest power the
-    # loop raises is 2 * 1195 and the last value is 2358
+    # pairs (5,2),(9,2),(17,2),(33,2),(65,2),(33,1), essential values 32, 80,
+    # 152, 300, 598, 1195, 2358: the level drops p_k * omega_k - omega_{k+1}
+    # are 8, 4, 2, 1 and 32, and the first band, 48, is one more than their
+    # sum; it ends the run, so it is the only band tried
     g = dyadic_chain(5)
     compute_key_forms(g)
-    assert bands[0] == 2 * (2 * 1195 - 2358)
+    assert bands == [1 + (2 * 80 - 152) + (2 * 152 - 300) + (2 * 300 - 598) + (2 * 598 - 1195) + (2 * 1195 - 2358)]
+
+
+def _cancel_at(g, band):
+    return keyforms._cancel(series_of(g, band), keyforms.step_bound(g, formal_pairs(g)))
+
+
+def _assert_the_first_band_is_the_least(g):
+    """Band 1 + S ends the cancellation, and band S, when there is one,
+    loses precision."""
+    least = algebra._first_band(formal_pairs(g))
+    _cancel_at(g, least)
+    if least > 1:
+        with pytest.raises(PrecisionLost):
+            _cancel_at(g, least - 1)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [dyadic_chain(depth) for depth in range(2, 7)]
+    + [
+        GenericDPS(parse_dps(phi), F(r))
+        for phi, r in [
+            ("x^(1/3) + x^(1/5)", -1),
+            ("x^(1/7) + x^(1/11)", -1),
+            ("x^(1/5) + x^(1/7) + x^(1/11)", -1),
+            ("x^3 + x^2 + x^(5/3) + x + x^(-13/6) + x^(-7/3)", F(-8, 3)),
+            ("x^(2/5)", F(-6, 5)),
+            ("x^(2/5) + x^-1", F(-6, 5)),
+        ]
+    ],
+    ids=[f"dyadic{depth}" for depth in range(2, 7)] + ["1/3,1/5", "1/7,1/11", "1/5,1/7,1/11", "worked", "D1", "D2"],
+)
+def test_the_first_band_is_the_least_the_cancellation_needs(g):
+    _assert_the_first_band_is_the_least(g)
+
+
+def test_the_first_band_is_the_least_on_seeded_series():
+    rng = random.Random(0)
+    for _ in range(60):
+        _assert_the_first_band_is_the_least(random_generic(rng, max_terms=5))
 
 
 def test_a_band_covering_every_product_is_the_exact_engine(monkeypatch):
