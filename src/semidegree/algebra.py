@@ -360,11 +360,16 @@ class _Sparse:
     def _like(self, terms: dict[tuple[int, int], int], den: int, floor: int | None = None):
         """An element of the same ring with these numerators over the
         positive ``den``, all above ``floor``: zeros dropped, reduced to
-        lowest terms."""
+        lowest terms.
+
+        The caller hands ``terms`` over: when nothing is dropped or divided
+        the new element keeps that very map, so the caller must not change
+        it afterwards (every caller passes a map it built for the call, or
+        rebinds its name at once)."""
         g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
         if g == 1 and 0 not in terms.values():
-            out._terms = dict(terms)  # nothing to drop or divide
+            out._terms = terms  # nothing to drop or divide
         else:
             out._terms = {key: n // g for key, n in terms.items() if n}
         out._den = den // g
@@ -576,15 +581,15 @@ class LaurentPoly(_Sparse):
 
     @classmethod
     def one(cls) -> LaurentPoly:
-        return cls.term(0, 0)
+        return _ONE
 
     @classmethod
     def x(cls) -> LaurentPoly:
-        return cls.term(1, 0)
+        return _X
 
     @classmethod
     def y(cls) -> LaurentPoly:
-        return cls.term(0, 1)
+        return _Y
 
     def items(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
         """Terms ordered by y-exponent then x-exponent, both descending."""
@@ -624,6 +629,10 @@ class LaurentPoly(_Sparse):
         from .parsing import laurent_to_str
 
         return f"LaurentPoly({laurent_to_str(self)!r})"
+
+
+# built once: elements are never changed in place, so these can be shared
+_ONE, _X, _Y = LaurentPoly.term(0, 0), LaurentPoly.term(1, 0), LaurentPoly.term(0, 1)
 
 
 def monomial_product(forms: list[LaurentPoly], exponents: list[int]) -> LaurentPoly:

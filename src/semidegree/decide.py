@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .keyforms import KeyFormSeq, compute_key_forms, essential_key_values
+from .keyforms import KeyFormSeq, Steps, essential_key_values, key_forms_and_steps
 from .parsing import number_to_str
 from .puiseux import DPuiseuxPoly, GenericDPS, InternalError, formal_pairs, from_local
 
@@ -61,16 +61,21 @@ def decide_algebraic(g: GenericDPS) -> Verdict:
     """Decide algebraicity of the compactification defined by g.
 
     Refuses inputs whose last key-form value is not positive: there is no
-    surface to decide about.  The polynomiality of the last form must agree
-    with polynomiality of all forms, and this equivalence is checked on
-    every run.
+    surface to decide about.  The verdict is read off the run's step
+    record (:func:`_verdict_from_sequence`).  Every run checks it against
+    the forms themselves: on a positive verdict the last form has no
+    negative x-power; on a negative one the reported form has one, the form
+    before it has none, and the last form has one.  The run's own checks
+    (the essential values and multipliers against the Puiseux pairs, the
+    shape of each cancelling monomial) hold as for
+    :func:`~semidegree.keyforms.compute_key_forms`.
     """
     last = _last_value(g)
     if last <= 0:
         raise NotACompactificationError(
             f"no compactification: the last key-form value is {number_to_str(last)} <= 0"
         )
-    return _verdict_from_sequence(compute_key_forms(g))
+    return _verdict_from_sequence(*key_forms_and_steps(g))
 
 
 def cousin_decide(psi_local: DPuiseuxPoly, r_local) -> Verdict:
@@ -82,9 +87,25 @@ def cousin_decide(psi_local: DPuiseuxPoly, r_local) -> Verdict:
     return decide_algebraic(from_local(psi_local, r_local))
 
 
-def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
-    witness = next((i for i, form in enumerate(seq.forms) if not form.is_polynomial), None)
-    if witness is None:
+def _verdict_from_sequence(seq: KeyFormSeq, steps: Steps) -> Verdict:
+    """The verdict on key forms from their step record: the first form
+    with a negative x-power is j+1 for the first step j whose monomial has
+    beta_j0 < 0, and every form is a polynomial when there is no such step.
+
+    Proof, by induction on j: let g_0..g_j be polynomials and g_1..g_j
+    monic in y, as g_0 = x and g_1 = y are.  Step j subtracts
+    theta * x^beta_j0 * P from g_j^alpha_j, where
+    P = y^beta_j1 * prod g_e^beta_je is a product of polynomials monic in
+    y, so P is a polynomial whose top y-term is y^d alone.  As
+    beta_je < alpha_e, d < alpha_j * deg_y g_j, so g_{j+1} is monic in y
+    too.  If beta_j0 >= 0 the monomial, and so g_{j+1}, is a polynomial.
+    If beta_j0 < 0, g_{j+1} keeps the term x^beta_j0 * y^d: every term of
+    g_j^alpha_j has a nonnegative x-power, so none cancels it.
+    """
+    first = next((j + 1 for j, (_, beta) in enumerate(steps, start=1) if beta[0] < 0), None)
+    if first is None:
+        if not seq.last_form.is_polynomial:
+            raise InternalError("a polynomial verdict with a non-polynomial last form; this is a bug")
         return Verdict(
             kind=ALGEBRAIC,
             keyforms=seq,
@@ -92,8 +113,7 @@ def _verdict_from_sequence(seq: KeyFormSeq) -> Verdict:
             embedding_weights=(1, *seq.values),
             essential_weights=(1, *seq.essential_values()),
         )
-    if seq.last_form.is_polynomial:
-        raise InternalError(
-            "polynomiality of the last form does not match all forms; this is a bug"
-        )
-    return Verdict(kind=NON_ALGEBRAIC, keyforms=seq, witness_index=witness)
+    forms = seq.forms
+    if forms[first].is_polynomial or not forms[first - 1].is_polynomial or seq.last_form.is_polynomial:
+        raise InternalError(f"form {first} is not the first non-polynomial form; this is a bug")
+    return Verdict(kind=NON_ALGEBRAIC, keyforms=seq, witness_index=first)

@@ -34,7 +34,7 @@ from operator import lt
 from typing import NamedTuple
 
 from .decide import NotACompactificationError
-from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent
+from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent, steps_from_values
 from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
@@ -458,13 +458,18 @@ def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
 # witness key-form sequences
 
 
+def _witness(values: tuple[int, ...]) -> KeyFormSeq:
+    """The key forms of these values, every scalar 1."""
+    return key_forms_with_values(values, steps_from_values(values))
+
+
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
     omegas = _compactification_values(pairs)
     s1_failures, _ = _conditions(omegas, pairs, windows=False, first=True)
     if s1_failures:
         raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
-    return key_forms_with_values(omegas)
+    return _witness(omegas)
 
 
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
@@ -473,7 +478,7 @@ def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     s1_failures, s2_witnesses = _conditions(omegas, pairs, first=True)
     if s1_failures:
         # the base sequence itself is non-polynomial from the failure onward
-        return key_forms_with_values(omegas)
+        return _witness(omegas)
     if not s2_witnesses:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
 
@@ -484,7 +489,7 @@ def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
             f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
         )
     # the violation enters right after omega_k as a value with multiplier 1
-    return key_forms_with_values(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
+    return _witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 
 
 # ---------------------------------------------------------------------------

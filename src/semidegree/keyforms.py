@@ -15,12 +15,15 @@ of the current form's expansion:
 * the process stops as soon as the generic indeterminate reaches the
   leading coefficient.
 
-The loop keeps only expansions and records each value and scalar;
-:func:`key_forms_with_values`, which also builds the witnesses, turns them
-into forms.  The running expansion is one private map of integer
-numerators that each step updates in place, so a step costs the terms of
-its monomial; an expansion becomes an :class:`XiSeries` only at an
-essential step, where it is raised and kept for the later monomials.
+The loop keeps only expansions and records each value and scalar, and
+the step record: each step's power alpha_j with the exponents beta_j of
+its monomial.  :func:`key_forms_with_values` turns the values, the record
+and the scalars into forms; the witnesses, which have no loop, derive
+their record from their values (:func:`steps_from_values`).  The running
+expansion is one private map of integer numerators that each step updates
+in place, so a step costs the terms of its monomial; an expansion becomes
+an :class:`XiSeries` only at an essential step, where it is raised and
+kept for the later monomials.
 
 Both halves build the cancelling monomials from one table per run,
 :class:`_Products`.  The monomial of step j is x^beta_0 * prod g_i^beta_i
@@ -62,6 +65,10 @@ from .semigroups import in_group
 
 class KeyFormError(ValueError):
     """A precondition failed: the input determines no such key forms."""
+
+
+# the step record: (alpha_j, beta_j) for each step j = 1..n
+Steps = list[tuple[int, list[int]]]
 
 
 @dataclass(frozen=True)
@@ -203,21 +210,38 @@ class _Products:
         return kept
 
 
-def key_forms_with_values(
-    values: Sequence[int], scalars: Sequence[Fraction] | None = None
-) -> KeyFormSeq:
-    """The key forms a value sequence determines, from x and y onward.
+def steps_from_values(values: Sequence[int]) -> Steps:
+    """The step record a value sequence determines: for each step
+    j = 1..len(values) - 2, its multiplier alpha_j, the least power taking
+    values[j] into the group of the essential values before it
+    (:func:`_multiplier`), and the exponents beta_j :func:`represent` gives
+    for alpha_j * values[j] against those essential values.  The
+    cancellation loop records the same pairs as it goes."""
+    ess_values = [values[0]]  # the essential values before j
+    steps: Steps = []
+    for w in values[1:-1]:
+        alpha = _multiplier(w, ess_values)
+        steps.append((alpha, represent(alpha * w, ess_values)))
+        if alpha > 1:
+            ess_values.append(w)
+    return steps
 
-    Form j+1 is form j raised to its multiplier alpha_j, the least power
-    taking values[j] into the group of the essential values before it
-    (:func:`_multiplier`, the loop's power), minus the monomial
-    in the earlier forms with the exponents beta :func:`represent` gives for
-    alpha_j * values[j], that monomial scaled by ``scalars[j - 1]`` when
-    scalars are given.  The essential indices are 0, every j with
-    alpha_j > 1, and the last.
+
+def key_forms_with_values(
+    values: Sequence[int], steps: Steps, scalars: Sequence[Fraction] | None = None
+) -> KeyFormSeq:
+    """The key forms of a value sequence and its step record, from x and y
+    onward.
+
+    Form j+1 is form j raised to its multiplier alpha_j, minus the
+    monomial in the earlier forms with the exponents beta_j, that monomial
+    scaled by ``scalars[j - 1]`` when scalars are given; ``steps[j - 1]``
+    is (alpha_j, beta_j), as :func:`steps_from_values` derives them and
+    the cancellation loop records them.  The essential indices are 0, every
+    j with alpha_j > 1, and the last.
 
     Since beta_i < alpha_i, beta vanishes off the essential indices, so it
-    is represented against the essential values so far.  One exact
+    is given against the essential values so far.  One exact
     :class:`_Products` table gives the product P of the powers of the
     essential forms after y, and g_e^alpha_e, the top of the next form,
     with them.  Each form is then one pass over integer numerators: the
@@ -226,10 +250,9 @@ def key_forms_with_values(
     last = len(values) - 1
     forms = [LaurentPoly.x(), LaurentPoly.y()]
     products = _Products()
-    ess, ess_values = [0], [values[0]]  # the essential indices before j, with their values
+    ess = [0]  # the essential indices before j
     multipliers = []
-    for j in range(1, last):
-        alpha = _multiplier(values[j], ess_values)
+    for j, (alpha, exponents) in enumerate(steps, start=1):
         multipliers.append(alpha)
         if j == 1:
             top = LaurentPoly.term(0, alpha)
@@ -238,7 +261,7 @@ def key_forms_with_values(
             top = products.get(((j, alpha),), None)
         else:
             top = forms[j]
-        beta = dict(zip(ess, represent(alpha * values[j], ess_values)))
+        beta = dict(zip(ess, exponents))
         # the last form first: each product adds the shortest factor to its prefix
         factors = tuple((e, b) for e, b in reversed(beta.items()) if e >= 2 and b)
         mono = products.get(factors, None) if factors else LaurentPoly.one()
@@ -248,8 +271,7 @@ def key_forms_with_values(
         forms.append(top._like(terms, den))
         if alpha > 1:
             ess.append(j)
-            ess_values.append(values[j])
-    multipliers.append(_multiplier(values[last], ess_values))
+    multipliers.append(_multiplier(values[last], [values[e] for e in ess]))
     return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), (*ess, last))
 
 
@@ -295,21 +317,29 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
     the integer value of its form.  With d the gcd of the essential values,
     each step raises the expansion to power = d / gcd(d, w) and subtracts
     the scaled essential monomial that cancels its top; the forms follow
-    from the values and scalars.  Only tops are read, so the expansions are
-    truncated under a precision floor and the run is :func:`certified`.
-    A run needing more than :func:`step_bound` cancellations is a bug.
+    from the values, the step record and the scalars.  Only tops are read,
+    so the expansions are truncated under a precision floor and the run is
+    :func:`certified`.  A run needing more than :func:`step_bound`
+    cancellations is a bug.
     """
+    return key_forms_and_steps(g)[0]
+
+
+def key_forms_and_steps(g: GenericDPS) -> tuple[KeyFormSeq, Steps]:
+    """:func:`compute_key_forms` with the run's step record beside the
+    forms: (alpha_j, beta_j) for each step j, as in :func:`steps_from_values`."""
     pairs = formal_pairs(g)
     bound = step_bound(g, pairs)
-    values, scalars = certified(g, lambda expansion: _cancel(expansion, bound))
-    seq = key_forms_with_values(values, scalars)
+    values, scalars, steps = certified(g, lambda expansion: _cancel(expansion, bound))
+    seq = key_forms_with_values(values, steps, scalars)
     _check_run(seq, pairs)
-    return seq
+    return seq, steps
 
 
-def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]:
-    """The cancellation loop from the expansion of y: each value, and the
-    scalar of each cancelling monomial, after at most ``bound``
+def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction], Steps]:
+    """The cancellation loop from the expansion of y: each value, the
+    scalar of each cancelling monomial and each step's power and exponents
+    (the step record of :func:`steps_from_values`), after at most ``bound``
     cancellations.
 
     The running expansion is one private map from (X-exponent, xi-exponent)
@@ -332,6 +362,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
     ess, ess_values = [0], [delta_x]  # the essential indices so far, with their values
     values = [delta_x]
     scalars: list[Fraction] = []
+    steps: Steps = []
     products = _Products()
     for _ in range(bound + 1):
         if not terms:
@@ -341,13 +372,14 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction]]
         w, xi = max(terms)  # every key lies above the floor
         values.append(w)
         if xi > 0:  # the generic indeterminate reached the top
-            return values, scalars
+            return values, scalars, steps
 
         lead, lead_den = terms[w, 0], den
         power = _multiplier(w, ess_values)
         beta = represent(power * w, ess_values)
+        steps.append((power, beta))
         if power > 1:  # an essential form: keep its expansion for later monomials
-            snapshot = expansion._like(terms, den, floor)
+            snapshot = expansion._like(terms, den, floor)  # keeps the map: rebound below
             products.add(len(values) - 1, snapshot)
             ess.append(len(values) - 1)
             ess_values.append(w)

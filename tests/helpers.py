@@ -394,8 +394,8 @@ def conditions_witness(pairs, kind):
     ``graphs._conditions`` pass, S2 windows included for every k: the
     builders the witnesses had before each answered only its own
     question."""
-    from semidegree.graphs import WitnessError, _compactification_values, _conditions, _in_telescopic
-    from semidegree.keyforms import key_forms_with_values, represent
+    from semidegree.graphs import WitnessError, _compactification_values, _conditions, _in_telescopic, _witness
+    from semidegree.keyforms import represent
     from semidegree.puiseux import InternalError
 
     omegas = _compactification_values(pairs)
@@ -403,16 +403,16 @@ def conditions_witness(pairs, kind):
     if kind == "algebraic":
         if s1_failures:
             raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
-        return key_forms_with_values(omegas)
+        return _witness(omegas)
     if s1_failures:
-        return key_forms_with_values(omegas)
+        return _witness(omegas)
     if not s2_witnesses:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
     k, witness_value = s2_witnesses[0]
     if _in_telescopic(witness_value, omegas[: k + 1]):
         beta = represent(witness_value, omegas[: k + 1])
         raise InternalError(f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug")
-    return key_forms_with_values(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
+    return _witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 
 
 def loop_key_forms(g, certify=False):
@@ -623,6 +623,13 @@ def constructor_series_of(g, band=None):
 
 # ---------------------------------------------------------------------------
 # test-only routes kept out of the package
+
+
+def scan_witness_index(seq):
+    """The index of the first form with a negative x-power, or None, found
+    by scanning every term of every form: the verdict's index before it was
+    read off the step record."""
+    return next((i for i, form in enumerate(seq.forms) if not form.is_polynomial), None)
 
 
 def polynomial_prefixes_by_semigroup(seq):

@@ -64,3 +64,36 @@ def test_the_library_writes_nothing(capfd):
         algebraic_witness(pairs)
         nonalgebraic_witness(pairs)
     assert capfd.readouterr() == ("", "")
+
+
+def test_runs_leave_the_shared_constants_alone_and_no_map_is_shared(capsys):
+    """Elements keep the maps they are built from, and x, y and 1 are
+    shared constants: after a verdict, both witnesses and the golden batch,
+    the constants equal freshly built terms, and no two forms of a
+    sequence share a map of terms."""
+    import random
+    from fractions import Fraction
+
+    from semidegree import GenericDPS, LaurentPoly, decide_algebraic, parse_dps
+    from semidegree.graphs import algebraic_witness, nonalgebraic_witness
+
+    from helpers import random_normal_pairs
+
+    sequences = []
+    for phi, r in [(BIG, "-8/3"), ("x^(2/5)", "-6/5"), ("x^(2/5) + x^-1", "-6/5")]:
+        sequences.append(decide_algebraic(GenericDPS(parse_dps(phi), Fraction(r))).keyforms)
+    for seed in range(60):
+        pairs = random_normal_pairs(random.Random(seed))
+        for build in (algebraic_witness, nonalgebraic_witness):
+            try:
+                sequences.append(build(pairs))
+            except ValueError:  # no such witness, or no compactification
+                continue
+    assert main(["batch", "--input", str(GOLDEN / "batch.txt")]) == 3
+    capsys.readouterr()
+    assert len(sequences) > 45
+    for seq in sequences:
+        assert len({id(form._terms) for form in seq.forms}) == len(seq.forms)
+    constants = (LaurentPoly.x(), LaurentPoly.y(), LaurentPoly.one())
+    assert constants == (LaurentPoly.term(1, 0), LaurentPoly.term(0, 1), LaurentPoly.term(0, 0))
+    assert [(c._terms, c._den) for c in constants] == [({(1, 0): 1}, 1), ({(0, 1): 1}, 1), ({(0, 0): 1}, 1)]
