@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import LaurentPoly
 from .keyforms import KeyFormSeq, Steps, essential_key_values, key_forms_and_steps
 from .parsing import number_to_str
-from .puiseux import DPuiseuxPoly, GenericDPS, InternalError, formal_pairs, from_local
+from .puiseux import DPuiseuxPoly, FormalPuiseuxPairs, GenericDPS, InternalError, formal_pairs, from_local
 
 ALGEBRAIC = "algebraic"
 NON_ALGEBRAIC = "non_algebraic"
@@ -46,15 +46,21 @@ class Verdict:
         return self.kind == ALGEBRAIC
 
 
-def _last_value(g: GenericDPS) -> int:
-    """The last key-form value, read off the pairs without building a form:
-    it is the last essential value, which every run checks."""
-    return essential_key_values(formal_pairs(g))[-1]
+def compactification_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
+    """The essential values of a pair list; raises
+    `NotACompactificationError` unless the last, the last key-form value,
+    is positive."""
+    omegas = essential_key_values(pairs)
+    if omegas[-1] <= 0:
+        raise NotACompactificationError(
+            f"no compactification: the last key-form value is {number_to_str(omegas[-1])} <= 0"
+        )
+    return omegas
 
 
 def contractible(g: GenericDPS) -> bool:
     """True iff the curve configuration determined by g can be contracted."""
-    return _last_value(g) > 0
+    return essential_key_values(formal_pairs(g))[-1] > 0
 
 
 def decide_algebraic(g: GenericDPS) -> Verdict:
@@ -70,11 +76,7 @@ def decide_algebraic(g: GenericDPS) -> Verdict:
     shape of each cancelling monomial) hold as for
     :func:`~semidegree.keyforms.compute_key_forms`.
     """
-    last = _last_value(g)
-    if last <= 0:
-        raise NotACompactificationError(
-            f"no compactification: the last key-form value is {number_to_str(last)} <= 0"
-        )
+    compactification_values(formal_pairs(g))
     return _verdict_from_sequence(*key_forms_and_steps(g))
 
 

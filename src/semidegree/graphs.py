@@ -4,17 +4,19 @@ Every valid pair list in normal form determines a weighted marked tree: a
 horizontal spine of Hirzebruch-Jung chains with one downward branch per
 pair, one vertex marked L (the line at infinity) and one marked E* (the
 curve that survives contraction).  The graph corresponds to an actual
-compactification exactly when the last essential value is positive, and
+compactification exactly when the last essential value is positive (one
+gate for pair lists and series, ``decide.compactification_values``), and
 then two families of semigroup conditions on the essential values decide
 whether the compactifications it carries are algebraic, non-algebraic, or
 both.  Both are tested in one pass over k: while the first holds, the
 essential values so far are telescopic, so membership is one closed-form
 representation, which on a pair list also answers whether they stay
 telescopic, and the second needs no search above the largest gap;
-Apéry tables serve only what the closed forms leave.  Explicit witness
-key-form sequences are constructed for each non-trivial answer, each
-witness testing only what it needs: the algebraic one only the first
-condition, the non-algebraic one up to the first failure of either.
+Apéry tables serve only what the closed forms leave.  Each witness reads
+the first condition off the step record its forms are built from: it
+first fails at the first step k whose representation of p_k * omega_k has
+a negative power of x.  Only when it holds throughout does the
+non-algebraic witness run the pass, for the least violator of the second.
 A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
 any chain is expanded: each chain's length is read off a continued
 fraction by Euclid.  Contractibility is negative definiteness of the
@@ -33,8 +35,8 @@ from math import gcd
 from operator import lt
 from typing import NamedTuple
 
-from .decide import NotACompactificationError
-from .keyforms import KeyFormSeq, essential_key_values, key_forms_with_values, represent, steps_from_values
+from .decide import compactification_values
+from .keyforms import KeyFormSeq, Steps, essential_key_values, key_forms_with_values, represent, steps_from_values
 from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
@@ -195,20 +197,10 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     return DualGraph(tuple(map(tuple.__new__, repeat(Vertex), vertices)), tuple(edges))
 
 
-def _compactification_values(pairs: FormalPuiseuxPairs) -> tuple[int, ...]:
-    """The essential values; errors unless the last one is positive."""
-    omegas = essential_key_values(pairs)
-    if omegas[-1] <= 0:
-        raise NotACompactificationError(
-            f"no compactification: last essential value {omegas[-1]} <= 0"
-        )
-    return omegas
-
-
 def resolution_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     """The augmented marked dual graph of the minimal resolution; errors when
     the pair list does not correspond to a compactification."""
-    _compactification_values(pairs)
+    compactification_values(pairs)
     return candidate_graph(pairs)
 
 
@@ -320,7 +312,7 @@ def _check_condition_args(omegas, pairs: FormalPuiseuxPairs) -> None:
     size = max((apery_size(omegas[: j + 1]) for j in range(1, pairs.l + 1)), default=0)
     if size > MAX_APERY_SIZE:
         raise GraphError(
-            f"essential values too large: a semigroup table would need {size} "
+            f"essential values too large: a semigroup table would need {number_to_str(size)} "
             f"entries, more than the bound of {MAX_APERY_SIZE}"
         )
 
@@ -359,9 +351,7 @@ def _least_gap(values, above: int, below: int) -> int | None:
     return None if least is None else d * least
 
 
-def _conditions(
-    omegas, pairs: FormalPuiseuxPairs, windows: bool = True, first: bool = False
-) -> tuple[list[int], list[tuple[int, int]]]:
+def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tuple[int, int]]]:
     """S1 and S2 for k = 1..l in one pass: the k where S1 fails, and (k,
     least violator) where S2 fails.
 
@@ -374,10 +364,6 @@ def _conditions(
     omega_k itself and one representation answers both.  An Apéry table
     serves the rest: S2 windows reaching below F_k, and every prefix from
     the first one that is not telescopic.
-
-    With ``windows`` False only S1 is tested.  With ``first`` True the pass
-    stops at the first S1 failure and opens no S2 window after the first
-    violator: all that a witness needs.
     """
     _check_condition_args(omegas, pairs)
     s1_failures, s2_witnesses = [], []
@@ -394,9 +380,7 @@ def _conditions(
             holds = in_semigroup(p * w, head)
         if not holds:
             s1_failures.append(k)
-            if first:
-                break
-        if windows and not (first and s2_witnesses) and (not telescopic or omegas[k + 1] < frobenius):
+        if not telescopic or omegas[k + 1] < frobenius:
             least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
             if least is not None:
                 s2_witnesses.append((k, least))
@@ -411,7 +395,7 @@ def _check_index(pairs: FormalPuiseuxPairs, k: int) -> None:
 def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
     """Is p_k * omega_k a nonnegative combination of the earlier values?"""
     _check_index(pairs, k)
-    return k not in _conditions(omegas, pairs, windows=False)[0]
+    return k not in _conditions(omegas, pairs)[0]
 
 
 def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
@@ -463,31 +447,42 @@ def _witness(values: tuple[int, ...]) -> KeyFormSeq:
     return key_forms_with_values(values, steps_from_values(values))
 
 
+def _witness_record(pairs: FormalPuiseuxPairs) -> tuple[tuple[int, ...], Steps, int | None]:
+    """The essential values of a compactification, their step record and
+    the first k where S1 fails, or None, after the table-size refusal.
+    While S1 holds below k, omega_0..omega_{k-1} are telescopic, so S1 at k
+    is beta_k0 >= 0 in step k's representation of p_k * omega_k
+    (:func:`_in_telescopic`): the sign a verdict reads off a run's record."""
+    omegas = compactification_values(pairs)
+    _check_condition_args(omegas, pairs)
+    steps = steps_from_values(omegas)
+    first = next((k for k, (_, beta) in enumerate(steps, start=1) if beta[0] < 0), None)
+    return omegas, steps, first
+
+
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
-    omegas = _compactification_values(pairs)
-    s1_failures, _ = _conditions(omegas, pairs, windows=False, first=True)
-    if s1_failures:
-        raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
-    return _witness(omegas)
+    omegas, steps, k = _witness_record(pairs)
+    if k is not None:
+        raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={k}")
+    return key_forms_with_values(omegas, steps)
 
 
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence with a non-polynomial form realizing the graph."""
-    omegas = _compactification_values(pairs)
-    s1_failures, s2_witnesses = _conditions(omegas, pairs, first=True)
-    if s1_failures:
+    omegas, steps, k = _witness_record(pairs)
+    if k is not None:
         # the base sequence itself is non-polynomial from the failure onward
-        return _witness(omegas)
+        return key_forms_with_values(omegas, steps)
+    # every prefix is telescopic, so the pass builds no membership table
+    s2_witnesses = _conditions(omegas, pairs)[1]
     if not s2_witnesses:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
 
     k, witness_value = s2_witnesses[0]
     if _in_telescopic(witness_value, omegas[: k + 1]):
         beta = represent(witness_value, omegas[: k + 1])
-        raise InternalError(
-            f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug"
-        )
+        raise InternalError(f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug")
     # the violation enters right after omega_k as a value with multiplier 1
     return _witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 

@@ -59,6 +59,7 @@ from .algebra import (
     monomial_product,
     semidegrees,
 )
+from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, essential_key_values, formal_pairs
 from .semigroups import in_group
 
@@ -160,12 +161,12 @@ def represent(target, values: Sequence[int]) -> list[int]:
     for i in range(len(values) - 1, 0, -1):
         d = gcds[i + 1]
         if remaining % d:
-            raise KeyFormError(f"{target} is not representable in the given values")
+            raise KeyFormError(f"{number_to_str(target)} is not representable in the given values")
         alpha = gcds[i] // d
         beta[i] = remaining // d * pow(values[i] // d, -1, alpha) % alpha
         remaining -= beta[i] * values[i]
     if not values or remaining % values[0]:
-        raise KeyFormError(f"{target} is not representable in the given values")
+        raise KeyFormError(f"{number_to_str(target)} is not representable in the given values")
     beta[0] = remaining // values[0]
     return beta
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+from .parsing import number_to_str
 from .puiseux import PuiseuxError
 
 # Largest Apéry table a membership test may allocate.
@@ -56,10 +57,10 @@ def apery_set(generators: Sequence[int]) -> tuple[int, list[int]]:
     """
     for g in generators:
         if g <= 0:
-            raise PuiseuxError(f"semigroup generators must be positive, got {g}")
+            raise PuiseuxError(f"semigroup generators must be positive, got {number_to_str(g)}")
     a = apery_size(generators)
     if a > MAX_APERY_SIZE:
-        raise PuiseuxError(f"semigroup table of {a} entries exceeds the bound of {MAX_APERY_SIZE}")
+        raise PuiseuxError(f"semigroup table of {number_to_str(a)} entries exceeds the bound of {MAX_APERY_SIZE}")
     d = math.gcd(*generators)
     # unreached classes read as infinity until a generator reaches them
     table: list[float] = [math.inf] * a

@@ -352,7 +352,7 @@ def loop_witness(pairs, kind):
     omegas = essential_key_values(pairs)
     if omegas[-1] <= 0:
         raise NotACompactificationError(
-            f"no compactification: last essential value {omegas[-1]} <= 0"
+            f"no compactification: the last key-form value is {omegas[-1]} <= 0"
         )
     ps = [p for _, p in pairs.pairs]
     l = pairs.l
@@ -394,11 +394,12 @@ def conditions_witness(pairs, kind):
     ``graphs._conditions`` pass, S2 windows included for every k: the
     builders the witnesses had before each answered only its own
     question."""
-    from semidegree.graphs import WitnessError, _compactification_values, _conditions, _in_telescopic, _witness
+    from semidegree.decide import compactification_values
+    from semidegree.graphs import WitnessError, _conditions, _in_telescopic, _witness
     from semidegree.keyforms import represent
     from semidegree.puiseux import InternalError
 
-    omegas = _compactification_values(pairs)
+    omegas = compactification_values(pairs)
     s1_failures, s2_witnesses = _conditions(omegas, pairs)
     if kind == "algebraic":
         if s1_failures:

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from semidegree import LaurentPoly, parse_dps, parse_laurent
+from semidegree import LaurentPoly, essential_key_values, parse_dps, parse_laurent
 from semidegree.cli import main, run_line
-from semidegree.parsing import ParseError, dps_to_str, laurent_to_str, number_to_str
+from semidegree.parsing import ParseError, dps_to_str, laurent_to_str, number_to_str, parse_pairs
+from semidegree.semigroups import apery_size
 
 from check_large_output import child_env
 from helpers import random_dps, random_laurent, scanner_parse_dps, scanner_parse_laurent
@@ -664,6 +665,36 @@ def test_a_graph_past_the_vertex_bound_is_refused_at_once(capsys, pairs):
     assert run_cli(capsys, "graph", "--pairs", pairs) == (2, "", message + "\n")
     assert run_line(shlex.join(("graph", "--pairs", pairs, "--dot"))) == (2, json.dumps({"error": message, "exit_code": "2"}))
     assert time.perf_counter() - start < 1
+
+
+# a table count and a last value of more than 4300 digits, which str()
+# cannot print
+OVERSIZED_PAIRS = f"{10**2200 - 1}/{10**2200 + 1},2/{10**2200 + 3},1/1"
+NEGATIVE_PAIRS = f"2/3,{-10**4200}/{10**2100 + 1},{-10**4200 - 1}/1"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("classify", "--pairs", OVERSIZED_PAIRS), 2),
+        (("witness", "--pairs", OVERSIZED_PAIRS, "--kind", "algebraic"), 2),
+        (("witness", "--pairs", OVERSIZED_PAIRS, "--kind", "nonalgebraic"), 2),
+        (("graph", "--pairs", NEGATIVE_PAIRS), 3),
+        (("witness", "--pairs", NEGATIVE_PAIRS, "--kind", "algebraic"), 3),
+        (("witness", "--pairs", NEGATIVE_PAIRS, "--kind", "nonalgebraic"), 3),
+    ],
+    ids=["classify oversized", "algebraic oversized", "nonalgebraic oversized", "graph negative", "algebraic negative", "nonalgebraic negative"],
+)
+def test_a_refusal_prints_its_number_past_the_digit_limit(capsys, argv, code):
+    omegas = essential_key_values(parse_pairs(argv[2]))
+    if code == 2:
+        size = max(apery_size(omegas[:2]), apery_size(omegas[:3]))
+        message = f"essential values too large: a semigroup table would need {number_to_str(size)} entries, more than the bound of 1000000"
+    else:
+        message = f"no compactification: the last key-form value is {number_to_str(omegas[-1])} <= 0"
+    assert len(message) > 4300
+    assert run_cli(capsys, *argv) == (code, "", message + "\n")
+    assert run_line(shlex.join(argv)) == (code, json.dumps({"error": message, "exit_code": str(code)}))
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import math
 import operator
@@ -24,7 +25,7 @@ from semidegree import (
     resolution_graph,
     verify_key_properties,
 )
-from semidegree import graphs, semigroups
+from semidegree import graphs, keyforms, semigroups
 from semidegree.graphs import (
     ALGEBRAIC_ONLY,
     BOTH,
@@ -402,6 +403,38 @@ def test_witnesses_match_the_whole_conditions_pass(kind):
             assert result.s2_witnesses and result.s2_witnesses[0][0] < result.s1_failures[0]
         kinds.add(result.kind)
     assert kinds == {NOT_A_COMPACTIFICATION, ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY}
+
+
+def test_each_witness_reads_s1_off_its_own_record(monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, function):
+        def counted(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return counted
+
+    represent = counting("represent", keyforms.represent)
+    monkeypatch.setattr(keyforms, "represent", represent)
+    monkeypatch.setattr(graphs, "represent", represent)
+    monkeypatch.setattr(graphs, "_conditions", counting("_conditions", graphs._conditions))
+    monkeypatch.setattr(graphs, "in_semigroup", counting("in_semigroup", graphs.in_semigroup))
+    rng = random.Random(68)
+    seen = set()
+    for _ in range(300):
+        pairs = random_normal_pairs(rng, max_drop=40)
+        if essential_key_values(pairs)[-1] <= 0:
+            continue
+        calls.clear()
+        _witness_outcome(algebraic_witness, pairs)
+        assert (calls["represent"], calls["_conditions"], calls["in_semigroup"]) == (pairs.l, 0, 0)
+        holds = not classify(pairs).s1_failures
+        calls.clear()
+        _witness_outcome(nonalgebraic_witness, pairs)
+        assert calls["_conditions"] == holds and calls["in_semigroup"] == 0
+        seen.add(holds)
+    assert seen == {True, False}
 
 
 def test_the_algebraic_witness_builds_no_apery_table(monkeypatch):

@@ -105,6 +105,11 @@ def test_represent_unrepresentable():
             represent(target, [])
 
 
+def test_represent_refusal_prints_a_number_past_the_digit_limit():
+    with pytest.raises(KeyFormError, match=f"^1{'0' * 4999}1 is not representable in the given values$"):
+        represent(10**5000 + 1, [2, 4])
+
+
 def test_represent_matches_brute_force():
     rng = random.Random(22)
     values = [6, 10, 7]

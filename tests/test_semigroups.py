@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from semidegree import (
     FormalPuiseuxPairs,
+    NotACompactificationError,
     classify,
     essential_key_values,
     intersection_matrix,
@@ -93,6 +94,15 @@ def test_apery_table_size_is_bounded():
     assert in_semigroup(2 * MAX_APERY_SIZE, [MAX_APERY_SIZE])
     assert in_semigroup(7 * 10**12, [2 * 10**12, 3 * 10**12])
     assert not in_semigroup(10**12, [2 * 10**12, 3 * 10**12])
+
+
+def test_table_refusals_print_numbers_past_the_digit_limit():
+    # str() of an int of more than 4300 digits raises ValueError, which
+    # would replace the refusal
+    with pytest.raises(PuiseuxError, match=f"^semigroup generators must be positive, got -1{'0' * 5000}$"):
+        apery_set([-(10**5000)])
+    with pytest.raises(PuiseuxError, match=f"^semigroup table of 1{'0' * 4999}1 entries exceeds the bound of {MAX_APERY_SIZE}$"):
+        apery_set([10**5000 + 1, 10**5000 + 2])
 
 
 def test_classify_refuses_oversized_essential_values():
@@ -431,6 +441,24 @@ def test_the_ladder_top_is_classified_with_no_semigroup_table(monkeypatch):
     result = classify(_ladder_pairs(19))
     assert result.kind == graphs.ALGEBRAIC_ONLY
     assert result.s1_failures == result.s2_failures == ()
+
+
+def test_the_step_record_finds_the_first_s1_failure_of_the_whole_pass():
+    # drops up to 39 make the first condition fail now and then
+    rng = random.Random(67)
+    pair_lists = [_ladder_pairs(l) for l in range(1, 20)] + [random_normal_pairs(rng, max_drop=40) for _ in range(1000)]
+    seen = set()
+    for pairs in pair_lists:
+        result = classify(pairs)
+        if result.kind == graphs.NOT_A_COMPACTIFICATION:
+            with pytest.raises(NotACompactificationError):
+                graphs._witness_record(pairs)
+            continue
+        omegas, steps, first = graphs._witness_record(pairs)
+        assert omegas == result.essential_values and len(steps) == pairs.l
+        assert first == (result.s1_failures[0] if result.s1_failures else None)
+        seen.add(first is None)
+    assert seen == {True, False}
 
 
 def test_a_forest_is_eliminated_from_its_leaves_alone():
