@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import LaurentPoly
-from .keyforms import KeyFormSeq, Steps, essential_key_values, key_forms_and_steps
+from .keyforms import KeyFormSeq, Steps, essential_key_values, first_negative_step, key_forms_and_steps
 from .parsing import number_to_str
 from .puiseux import DPuiseuxPoly, FormalPuiseuxPairs, GenericDPS, InternalError, formal_pairs, from_local
 
@@ -104,8 +104,8 @@ def _verdict_from_sequence(seq: KeyFormSeq, steps: Steps) -> Verdict:
     If beta_j0 < 0, g_{j+1} keeps the term x^beta_j0 * y^d: every term of
     g_j^alpha_j has a nonnegative x-power, so none cancels it.
     """
-    first = next((j + 1 for j, (_, beta) in enumerate(steps, start=1) if beta[0] < 0), None)
-    if first is None:
+    step = first_negative_step(steps)
+    if step is None:
         if not seq.last_form.is_polynomial:
             raise InternalError("a polynomial verdict with a non-polynomial last form; this is a bug")
         return Verdict(
@@ -115,7 +115,7 @@ def _verdict_from_sequence(seq: KeyFormSeq, steps: Steps) -> Verdict:
             embedding_weights=(1, *seq.values),
             essential_weights=(1, *seq.essential_values()),
         )
-    forms = seq.forms
+    forms, first = seq.forms, step + 1
     if forms[first].is_polynomial or not forms[first - 1].is_polynomial or seq.last_form.is_polynomial:
         raise InternalError(f"form {first} is not the first non-polynomial form; this is a bug")
     return Verdict(kind=NON_ALGEBRAIC, keyforms=seq, witness_index=first)

@@ -8,15 +8,16 @@ compactification exactly when the last essential value is positive (one
 gate for pair lists and series, ``decide.compactification_values``), and
 then two families of semigroup conditions on the essential values decide
 whether the compactifications it carries are algebraic, non-algebraic, or
-both.  Both are tested in one pass over k: while the first holds, the
-essential values so far are telescopic, so membership is one closed-form
-representation, which on a pair list also answers whether they stay
-telescopic, and the second needs no search above the largest gap;
-Apéry tables serve only what the closed forms leave.  Each witness reads
-the first condition off the step record its forms are built from: it
-first fails at the first step k whose representation of p_k * omega_k has
-a negative power of x.  Only when it holds throughout does the
-non-algebraic witness run the pass, for the least violator of the second.
+both.  Every pair-list entry point (``classify``, ``s1``, ``s2`` and both
+witnesses) builds one record: after the normal-form check, the gate and
+the table-size refusal, the step record of the essential values.  While
+the first condition holds the values so far are telescopic, so it first
+fails at the first step k whose representation of p_k * omega_k has a
+negative power of x.  One lazy pass over k then gives both conditions:
+the second needs no search above the largest gap, and Apéry tables serve
+only what the closed forms leave.  ``classify`` reads the pass to the end,
+the non-algebraic witness stops at its first violator of the second, and
+``s1`` and ``s2`` at their own k.
 A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
 any chain is expanded: each chain's length is read off a continued
 fraction by Euclid.  Contractibility is negative definiteness of the
@@ -30,13 +31,13 @@ whose nonzero entries form a cycle is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import gcd
 from operator import lt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .decide import compactification_values
-from .keyforms import KeyFormSeq, Steps, essential_key_values, key_forms_with_values, represent, steps_from_values
+from .decide import NotACompactificationError, compactification_values
+from .keyforms import KeyFormSeq, Steps, first_negative_step, key_forms_with_values, represent, steps_from_values
 from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
@@ -199,7 +200,9 @@ def candidate_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
 
 def resolution_graph(pairs: FormalPuiseuxPairs) -> DualGraph:
     """The augmented marked dual graph of the minimal resolution; errors when
-    the pair list does not correspond to a compactification."""
+    the pair list does not correspond to a compactification.  The normal
+    form is checked first, as by :func:`classify` and the witnesses."""
+    require_normal_form(pairs)
     compactification_values(pairs)
     return candidate_graph(pairs)
 
@@ -305,9 +308,37 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
 # semigroup conditions and classification
 
 
-def _check_condition_args(omegas, pairs: FormalPuiseuxPairs) -> None:
-    if any(w <= 0 for w in omegas):
-        raise GraphError("semigroup conditions need positive essential values")
+class _Record(NamedTuple):
+    """A compactification's essential values, their step record and the
+    first step k whose beta_k0 is negative, or None."""
+
+    omegas: tuple[int, ...]
+    steps: Steps
+    first: int | None
+
+
+def _record(pairs: FormalPuiseuxPairs) -> _Record:
+    """The record every pair-list entry point reads the semigroup conditions
+    off, after the normal-form check, the compactification gate and the
+    table-size refusal, in that order.
+
+    On a valid pair list n_k = gcd(omega_<k) / gcd(omega_<=k) is p_k, so
+    every omega_k with 1 <= k <= l is essential and step k of the record is
+    p_k with the representation beta_k of p_k * omega_k
+    (:func:`steps_from_values`).  While S1 holds below k, omega_0..omega_{k-1}
+    are telescopic: each value after the first, times its n_i, is a
+    nonnegative combination of the values before it.  Every member of their
+    group then has one representation with 0 <= beta_i < n_i for i >= 1
+    (:func:`represent`), and it lies in their semigroup exactly when
+    beta_0 >= 0 (Kirfel-Pellikaan 1995): reducing any nonnegative
+    combination from the top value down reaches that representation and
+    keeps beta_0 nonnegative.  So S1 first fails at the first step with
+    beta_k0 < 0 (:func:`first_negative_step`), the sign a verdict reads off
+    a run's record.  A positive last value makes every essential value
+    positive (omega_{k+1} < p_k * omega_k), as the tables need.
+    """
+    require_normal_form(pairs)
+    omegas = compactification_values(pairs)
     # every table the conditions may build for k = 1..l, checked before any is built
     size = max((apery_size(omegas[: j + 1]) for j in range(1, pairs.l + 1)), default=0)
     if size > MAX_APERY_SIZE:
@@ -315,20 +346,8 @@ def _check_condition_args(omegas, pairs: FormalPuiseuxPairs) -> None:
             f"essential values too large: a semigroup table would need {number_to_str(size)} "
             f"entries, more than the bound of {MAX_APERY_SIZE}"
         )
-
-
-def _in_telescopic(target: int, values) -> bool:
-    """Semigroup membership for a telescopic sequence, one whose every value
-    after the first, times n_i = gcd(values[:i]) / gcd(values[:i + 1]), is a
-    nonnegative combination of the values before it.
-
-    Every member of the group then has one representation with
-    0 <= beta_i < n_i for i >= 1 (:func:`represent`), and it lies in the
-    semigroup exactly when beta_0 >= 0 (Kirfel-Pellikaan 1995): reducing
-    any nonnegative combination from the top value down reaches that
-    representation and keeps beta_0 nonnegative.
-    """
-    return target % gcd(*values) == 0 and represent(target, values)[0] >= 0
+    steps = steps_from_values(omegas)
+    return _Record(omegas, steps, first_negative_step(steps))
 
 
 def _least_gap(values, above: int, below: int) -> int | None:
@@ -351,59 +370,46 @@ def _least_gap(values, above: int, below: int) -> int | None:
     return None if least is None else d * least
 
 
-def _conditions(omegas, pairs: FormalPuiseuxPairs) -> tuple[list[int], list[tuple[int, int]]]:
-    """S1 and S2 for k = 1..l in one pass: the k where S1 fails, and (k,
-    least violator) where S2 fails.
+def _conditions(record: _Record) -> Iterator[tuple[int, bool, int | None]]:
+    """S1 and S2 for k = 1..l, one k at a time: (k, whether S1 holds, the
+    least S2 violator or None).
 
-    With d_k = gcd(omega_0..omega_k) and n_k = d_{k-1} / d_k, while
-    omega_0..omega_k is telescopic (:func:`_in_telescopic`) each membership
-    is one representation, and every group member above
-    F_k = sum_{i=1..k} (n_i - 1) * omega_i - omega_0, the largest gap, is
-    in the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.
-    On a pair list n_k = p_k, so S1 at k is the telescopic test of
-    omega_k itself and one representation answers both.  An Apéry table
-    serves the rest: S2 windows reaching below F_k, and every prefix from
-    the first one that is not telescopic.
+    Below the record's first S1 failure omega_0..omega_k are telescopic, so
+    S1 holds, and every group member above
+    F_k = sum_{i=1..k} (p_i - 1) * omega_i - omega_0, the largest gap, is in
+    the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.  An
+    Apéry table serves the rest: S2 windows reaching below F_k, and S1 and
+    S2 at every k from the failure on.
     """
-    _check_condition_args(omegas, pairs)
-    s1_failures, s2_witnesses = [], []
-    d, frobenius, telescopic = omegas[0], -omegas[0], True
-    for k, (_, p) in enumerate(pairs.pairs[: pairs.l], start=1):
-        w, head = omegas[k], omegas[:k]
-        n = d // gcd(d, w)
-        d //= n
-        frobenius += (n - 1) * w
-        if telescopic:
-            holds = _in_telescopic(p * w, head)
-            telescopic = holds if n == p else _in_telescopic(n * w, head)
-        else:
-            holds = in_semigroup(p * w, head)
-        if not holds:
-            s1_failures.append(k)
+    omegas, steps, first = record
+    frobenius = -omegas[0]
+    for k, (p, _) in enumerate(steps, start=1):
+        w = omegas[k]
+        frobenius += (p - 1) * w
+        telescopic = first is None or k < first
+        holds = telescopic or (k > first and in_semigroup(p * w, omegas[:k]))
+        least = None
         if not telescopic or omegas[k + 1] < frobenius:
             least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
-            if least is not None:
-                s2_witnesses.append((k, least))
-    return s1_failures, s2_witnesses
+        yield k, holds, least
 
 
-def _check_index(pairs: FormalPuiseuxPairs, k: int) -> None:
+def _condition_at(pairs: FormalPuiseuxPairs, k: int) -> tuple[int, bool, int | None]:
     if not 1 <= k <= pairs.l:
         raise GraphError(f"condition index {k} out of range 1..{pairs.l}")
+    return next(islice(_conditions(_record(pairs)), k - 1, None))
 
 
-def s1(omegas, pairs: FormalPuiseuxPairs, k: int) -> bool:
+def s1(pairs: FormalPuiseuxPairs, k: int) -> bool:
     """Is p_k * omega_k a nonnegative combination of the earlier values?"""
-    _check_index(pairs, k)
-    return k not in _conditions(omegas, pairs)[0]
+    return _condition_at(pairs, k)[1]
 
 
-def s2(omegas, pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
+def s2(pairs: FormalPuiseuxPairs, k: int) -> tuple[bool, int | None]:
     """Between omega_{k+1} and p_k * omega_k, does group membership in the
     first k+1 values imply semigroup membership?  Returns the least
     violating integer when not."""
-    _check_index(pairs, k)
-    least = dict(_conditions(omegas, pairs)[1]).get(k)
+    least = _condition_at(pairs, k)[2]
     return least is None, least
 
 
@@ -418,73 +424,55 @@ class GraphClass:
 
 def classify(pairs: FormalPuiseuxPairs) -> GraphClass:
     """Sort a normal-form pair list into the four classification kinds."""
-    require_normal_form(pairs)
-    omegas = essential_key_values(pairs)
-    if omegas[-1] <= 0:
-        return GraphClass(NOT_A_COMPACTIFICATION, essential_values=omegas)
-    s1_failures, s2_witnesses = _conditions(omegas, pairs)
+    try:
+        record = _record(pairs)
+    except NotACompactificationError:
+        return GraphClass(NOT_A_COMPACTIFICATION, essential_values=pairs.essential_values)
+    conditions = list(_conditions(record))
+    s1_failures = tuple(k for k, holds, _ in conditions if not holds)
+    s2_witnesses = tuple((k, least) for k, _, least in conditions if least is not None)
     if s1_failures:
         kind = NON_ALGEBRAIC_ONLY
     elif s2_witnesses:
         kind = BOTH
     else:
         kind = ALGEBRAIC_ONLY
-    return GraphClass(
-        kind,
-        tuple(s1_failures),
-        tuple(k for k, _ in s2_witnesses),
-        tuple(s2_witnesses),
-        omegas,
-    )
+    return GraphClass(kind, s1_failures, tuple(k for k, _ in s2_witnesses), s2_witnesses, record.omegas)
 
 
 # ---------------------------------------------------------------------------
 # witness key-form sequences
 
 
-def _witness(values: tuple[int, ...]) -> KeyFormSeq:
-    """The key forms of these values, every scalar 1."""
-    return key_forms_with_values(values, steps_from_values(values))
-
-
-def _witness_record(pairs: FormalPuiseuxPairs) -> tuple[tuple[int, ...], Steps, int | None]:
-    """The essential values of a compactification, their step record and
-    the first k where S1 fails, or None, after the table-size refusal.
-    While S1 holds below k, omega_0..omega_{k-1} are telescopic, so S1 at k
-    is beta_k0 >= 0 in step k's representation of p_k * omega_k
-    (:func:`_in_telescopic`): the sign a verdict reads off a run's record."""
-    omegas = compactification_values(pairs)
-    _check_condition_args(omegas, pairs)
-    steps = steps_from_values(omegas)
-    first = next((k for k, (_, beta) in enumerate(steps, start=1) if beta[0] < 0), None)
-    return omegas, steps, first
-
-
 def algebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
     """A key-form sequence, every form a polynomial, realizing the graph."""
-    omegas, steps, k = _witness_record(pairs)
+    omegas, steps, k = _record(pairs)
     if k is not None:
         raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={k}")
     return key_forms_with_values(omegas, steps)
 
 
 def nonalgebraic_witness(pairs: FormalPuiseuxPairs) -> KeyFormSeq:
-    """A key-form sequence with a non-polynomial form realizing the graph."""
-    omegas, steps, k = _witness_record(pairs)
-    if k is not None:
+    """A key-form sequence with a non-polynomial form realizing the graph.
+
+    When S1 fails the record's own sequence is one.  Otherwise the pass
+    stops at the least S2 violator t, after omega_k: t enters right after
+    omega_k with multiplier 1 and its representation against
+    omega_0..omega_k, whose beta_0 is negative, and as t is not essential
+    every later step keeps its own."""
+    record = _record(pairs)
+    omegas, steps, first = record
+    if first is not None:
         # the base sequence itself is non-polynomial from the failure onward
         return key_forms_with_values(omegas, steps)
-    # every prefix is telescopic, so the pass builds no membership table
-    s2_witnesses = _conditions(omegas, pairs)[1]
-    if not s2_witnesses:
+    violation = next(((k, least) for k, _, least in _conditions(record) if least is not None), None)
+    if violation is None:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
-
-    k, witness_value = s2_witnesses[0]
-    if _in_telescopic(witness_value, omegas[: k + 1]):
-        beta = represent(witness_value, omegas[: k + 1])
-        raise InternalError(f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug")
-    # the violation enters right after omega_k as a value with multiplier 1
-    return _witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
+    k, t = violation
+    beta = represent(t, omegas[: k + 1])
+    if beta[0] >= 0:
+        raise InternalError(f"semigroup violation {t} has x-exponent {beta[0]} >= 0; this is a bug")
+    return key_forms_with_values(omegas[: k + 1] + (t,) + omegas[k + 1 :], steps[:k] + [(1, beta)] + steps[k:])
 
 
 # ---------------------------------------------------------------------------

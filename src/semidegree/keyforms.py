@@ -228,6 +228,11 @@ def steps_from_values(values: Sequence[int]) -> Steps:
     return steps
 
 
+def first_negative_step(steps: Steps) -> int | None:
+    """The first step j of a record whose monomial has beta_j0 < 0, or None."""
+    return next((j for j, (_, beta) in enumerate(steps, start=1) if beta[0] < 0), None)
+
+
 def key_forms_with_values(
     values: Sequence[int], steps: Steps, scalars: Sequence[Fraction] | None = None
 ) -> KeyFormSeq:

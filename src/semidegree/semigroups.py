@@ -14,10 +14,10 @@ list operations when no walk runs.  The generators must be positive
 integers, which every caller in this package guarantees before asking.
 
 The classification asks for a table only where no closed form applies: a
-telescopic sequence's semigroup is read off one representation
-(``graphs._in_telescopic``), so tables serve the prefixes after the first
-semigroup condition fails and the windows of the second that lie below
-the largest gap.
+telescopic sequence's semigroup is read off the sign of beta_0 in one
+representation (``graphs._record``), so tables serve the prefixes from the
+first failure of the first semigroup condition on and the windows of the
+second that lie below the largest gap.
 """
 
 from __future__ import annotations

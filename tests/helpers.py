@@ -132,6 +132,27 @@ def random_normal_pairs(rng, max_drop=15):
     return FormalPuiseuxPairs(tuple(pairs))
 
 
+def random_pairs(rng, max_drop=30):
+    """A random valid pair list, in normal form or not, with either sign of
+    the last value: q_1 from -8 to 11, each later q the last q times p
+    minus 1..max_drop-1 (so the exponents fall), p from 2 to 5 and the last
+    p from 1."""
+    import math
+
+    from semidegree import FormalPuiseuxPairs
+
+    pairs = []
+    l = rng.randrange(0, 4)
+    for k in range(l + 1):
+        while True:
+            p = rng.randrange(1 if k == l else 2, 6)
+            q = pairs[-1][0] * p - rng.randrange(1, max_drop) if pairs else rng.randrange(-8, 12)
+            if math.gcd(q, p) == 1:
+                break
+        pairs.append((q, p))
+    return FormalPuiseuxPairs(tuple(pairs))
+
+
 def four_pairs(rng):
     """A normal-form pair list 2/p_1, q_2/2, q_3/2, q_4/p_4, each q the last
     q times p minus 1..11, so that S1 can fail at k = 2 before the last k."""
@@ -356,7 +377,7 @@ def loop_witness(pairs, kind):
         )
     ps = [p for _, p in pairs.pairs]
     l = pairs.l
-    s1_fail = [k for k in range(1, l + 1) if not s1(omegas, pairs, k)]
+    s1_fail = [k for k in range(1, l + 1) if not s1(pairs, k)]
     if kind == "algebraic" and s1_fail:
         raise WitnessError(
             f"no algebraic witness: first semigroup condition fails at k={s1_fail[0]}"
@@ -368,7 +389,7 @@ def loop_witness(pairs, kind):
     if kind == "algebraic" or s1_fail:
         return KeyFormSeq(tuple(base), omegas, tuple(ps), tuple(range(l + 2)))
 
-    violations = [(k, s2(omegas, pairs, k)[1]) for k in range(1, l + 1)]
+    violations = [(k, s2(pairs, k)[1]) for k in range(1, l + 1)]
     violations = [(k, t) for k, t in violations if t is not None]
     if not violations:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
@@ -391,29 +412,35 @@ def loop_witness(pairs, kind):
 
 def conditions_witness(pairs, kind):
     """The algebraic or non-algebraic witness read off the whole
-    ``graphs._conditions`` pass, S2 windows included for every k: the
+    ``graphs._conditions`` pass, S2 windows included for every k, each
+    sequence's forms from the step record its values determine: the
     builders the witnesses had before each answered only its own
     question."""
-    from semidegree.decide import compactification_values
-    from semidegree.graphs import WitnessError, _conditions, _in_telescopic, _witness
-    from semidegree.keyforms import represent
+    from semidegree.graphs import WitnessError, _conditions, _record
+    from semidegree.keyforms import key_forms_with_values, steps_from_values
     from semidegree.puiseux import InternalError
+    from semidegree.semigroups import in_semigroup
 
-    omegas = compactification_values(pairs)
-    s1_failures, s2_witnesses = _conditions(omegas, pairs)
+    def witness(values):
+        return key_forms_with_values(values, steps_from_values(values))
+
+    record = _record(pairs)
+    omegas = record.omegas
+    conditions = list(_conditions(record))
+    s1_failures = [k for k, holds, _ in conditions if not holds]
+    s2_witnesses = [(k, least) for k, _, least in conditions if least is not None]
     if kind == "algebraic":
         if s1_failures:
             raise WitnessError(f"no algebraic witness: first semigroup condition fails at k={s1_failures[0]}")
-        return _witness(omegas)
+        return witness(omegas)
     if s1_failures:
-        return _witness(omegas)
+        return witness(omegas)
     if not s2_witnesses:
         raise WitnessError("no non-algebraic witness: the graph is algebraic-only")
     k, witness_value = s2_witnesses[0]
-    if _in_telescopic(witness_value, omegas[: k + 1]):
-        beta = represent(witness_value, omegas[: k + 1])
-        raise InternalError(f"semigroup violation {witness_value} has x-exponent {beta[0]} >= 0; this is a bug")
-    return _witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
+    if in_semigroup(witness_value, omegas[: k + 1]):
+        raise InternalError(f"semigroup violation {witness_value} is in the semigroup; this is a bug")
+    return witness(omegas[: k + 1] + (witness_value,) + omegas[k + 1 :])
 
 
 def loop_key_forms(g, certify=False):

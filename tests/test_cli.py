@@ -251,6 +251,18 @@ def test_exit_code_witness_unavailable(capsys):
     assert "algebraic-only" in err
 
 
+@pytest.mark.parametrize("pairs", ["7/3,1/1", "3/2,-1/1", "3/2,-9/1"])
+@pytest.mark.parametrize(
+    "command", [("classify",), ("graph",), ("witness", "--kind", "algebraic"), ("witness", "--kind", "nonalgebraic")]
+)
+def test_every_pairs_command_refuses_a_list_out_of_normal_form(capsys, pairs, command):
+    # the last value of 3/2,-9/1 is -6: the normal form is checked first
+    argv = (command[0], "--pairs", pairs, *command[1:])
+    message = "normalize coordinates first"
+    assert run_cli(capsys, *argv) == (2, "", message + "\n")
+    assert run_line(shlex.join(argv)) == (2, json.dumps({"error": message, "exit_code": "2"}))
+
+
 def test_exit_code_oversized_pairs_is_quick(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(

@@ -40,47 +40,53 @@ from semidegree.graphs import (
     s2,
 )
 
-from helpers import conditions_witness, four_pairs, hj_evaluate, loop_witness, random_normal_pairs
+from helpers import conditions_witness, four_pairs, hj_evaluate, loop_witness, random_normal_pairs, random_pairs
 
 BRANCH_PAIRS = FormalPuiseuxPairs(((2, 5), (-6, 1)))
 
 
 def test_s1_branch_pair():
-    assert s1((5, 2, 2), BRANCH_PAIRS, 1)
+    assert s1(BRANCH_PAIRS, 1)
 
 
 def test_s1_failure_family():
     pairs = FormalPuiseuxPairs(((2, 3), (-7, 2), (-8, 1)))
     omegas = essential_key_values(pairs)
     assert omegas == (6, 4, 1, 1)
-    assert s1(omegas, pairs, 1)
-    assert not s1(omegas, pairs, 2)
+    assert s1(pairs, 1)
+    assert not s1(pairs, 2)
 
 
 def test_s1_direct_multiple():
     pairs = FormalPuiseuxPairs(((2, 5), (1, 1)))
     omegas = essential_key_values(pairs)
     assert omegas == (5, 2, 9)
-    assert s1(omegas, pairs, 1)  # 10 = 2*5
+    assert s1(pairs, 1)  # 10 = 2*5
 
 
 def test_s2_branch_pair_least_witness():
-    assert s2((5, 2, 2), BRANCH_PAIRS, 1) == (False, 3)
+    assert s2(BRANCH_PAIRS, 1) == (False, 3)
 
 
 def test_s2_empty_interval():
     pairs = FormalPuiseuxPairs(((2, 5), (1, 1)))
-    assert s2((5, 2, 9), pairs, 1) == (True, None)
+    assert essential_key_values(pairs) == (5, 2, 9)
+    assert s2(pairs, 1) == (True, None)
 
 
 def test_s2_out_of_range():
-    with pytest.raises(GraphError):
-        s2((7, 3), FormalPuiseuxPairs(((3, 7),)), 1)
+    with pytest.raises(GraphError, match=r"^condition index 1 out of range 1\.\.0$"):
+        s2(FormalPuiseuxPairs(((3, 7),)), 1)
 
 
 def test_semigroup_conditions_refuse_a_nonpositive_value():
-    with pytest.raises(GraphError, match="^semigroup conditions need positive essential values$"):
-        s1((5, -2, 3), BRANCH_PAIRS, 1)
+    # 2/5,-12/1 has essential values 5, 2, -4: the gate refuses it before
+    # any condition is tested
+    pairs = FormalPuiseuxPairs(((2, 5), (-12, 1)))
+    assert essential_key_values(pairs) == (5, 2, -4)
+    for condition in (s1, s2):
+        with pytest.raises(NotACompactificationError, match="^no compactification: the last key-form value is -4 <= 0$"):
+            condition(pairs, 1)
 
 
 def test_classify_branch_pair_is_both():
@@ -336,12 +342,53 @@ def test_grauert_cross_check_randomized():
 
 
 def test_positive_last_value_forces_all_positive():
+    # omega_{k+1} < p_k * omega_k, so a value <= 0 keeps every later one
+    # negative: past the gate the Apéry tables get positive generators only
     rng = random.Random(44)
-    for _ in range(40):
-        pairs = random_normal_pairs(rng)
+    seen = set()
+    for _ in range(2000):
+        pairs = random_pairs(rng)
         omegas = essential_key_values(pairs)
         if omegas[-1] > 0:
             assert all(w > 0 for w in omegas)
+        seen.add((graphs.is_normal_form(pairs), omegas[-1] > 0))
+    assert len(seen) == 4
+
+
+def test_each_gcd_step_of_the_essential_values_is_its_pair_denominator():
+    # n_k = gcd(omega_<k) / gcd(omega_<=k) is p_k on every valid pair list,
+    # in normal form or not: so each omega_k with k <= l is essential, its
+    # step in the record raises it to p_k, and the pass reads n_k off it
+    rng = random.Random(45)
+    seen = set()
+    for _ in range(2000):
+        pairs = random_pairs(rng)
+        omegas = essential_key_values(pairs)
+        steps = [math.gcd(*omegas[:k]) // math.gcd(*omegas[: k + 1]) for k in range(1, len(omegas))]
+        assert steps == [p for _, p in pairs.pairs]
+        seen.add((graphs.is_normal_form(pairs), omegas[-1] > 0))
+    assert len(seen) == 4
+
+
+def test_every_pair_list_entry_point_refuses_a_list_out_of_normal_form():
+    # the same refusal from classify, the graph, both witnesses and the two
+    # conditions, whatever the sign of the last value
+    rng = random.Random(46)
+    pair_lists = [FormalPuiseuxPairs(((7, 3), (1, 1))), FormalPuiseuxPairs(((3, 2), (-1, 1)))]
+    while len(pair_lists) < 300:
+        pairs = random_pairs(rng)
+        if not graphs.is_normal_form(pairs):
+            pair_lists.append(pairs)
+    signs = set()
+    for pairs in pair_lists:
+        entry_points = [classify, resolution_graph, algebraic_witness, nonalgebraic_witness]
+        if pairs.l:
+            entry_points += [lambda p: s1(p, p.l), lambda p: s2(p, p.l)]
+        for entry in entry_points:
+            with pytest.raises(NormalFormError, match="^normalize coordinates first$"):
+                entry(pairs)
+        signs.add(essential_key_values(pairs)[-1] > 0)
+    assert signs == {True, False}
 
 
 def test_algebraic_witness_small_two_level_data():
@@ -429,12 +476,55 @@ def test_each_witness_reads_s1_off_its_own_record(monkeypatch):
         calls.clear()
         _witness_outcome(algebraic_witness, pairs)
         assert (calls["represent"], calls["_conditions"], calls["in_semigroup"]) == (pairs.l, 0, 0)
-        holds = not classify(pairs).s1_failures
+        kind = classify(pairs).kind
+        holds = kind != NON_ALGEBRAIC_ONLY
         calls.clear()
         _witness_outcome(nonalgebraic_witness, pairs)
-        assert calls["_conditions"] == holds and calls["in_semigroup"] == 0
-        seen.add(holds)
-    assert seen == {True, False}
+        # one representation per step, and one for a violator spliced in
+        assert (calls["represent"], calls["_conditions"], calls["in_semigroup"]) == (pairs.l + (kind == BOTH), holds, 0)
+        seen.add(kind)
+    assert seen == {ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY}
+
+
+def test_the_nonalgebraic_witness_stops_at_its_first_violator(monkeypatch):
+    # of the Apéry tables classify's whole pass builds, the witness builds
+    # those up to its first S2 violator and none after, and it makes one
+    # representation per step of the record its forms are built from
+    tables, represented = [], []
+    apery_set, represent = semigroups.apery_set, keyforms.represent
+
+    def counting_apery_set(generators):
+        tables.append(tuple(generators))
+        return apery_set(generators)
+
+    def counting_represent(*args):
+        represented.append(args)
+        return represent(*args)
+
+    for module in (graphs, semigroups):
+        monkeypatch.setattr(module, "apery_set", counting_apery_set)
+    for module in (graphs, keyforms):
+        monkeypatch.setattr(module, "represent", counting_represent)
+    rng = random.Random(69)
+    kinds, skipped = set(), 0
+    for draw in [lambda: random_normal_pairs(rng, max_drop=40)] * 600 + [lambda: four_pairs(rng)] * 600:
+        pairs = draw()
+        tables.clear()
+        result = classify(pairs)
+        if result.kind not in (BOTH, NON_ALGEBRAIC_ONLY):
+            continue
+        whole_pass = list(tables)
+        tables.clear()
+        represented.clear()
+        seq = nonalgebraic_witness(pairs)
+        # omega_0..omega_k for each k up to the violator; no pass at all on
+        # a non-algebraic-only list
+        last = result.s2_witnesses[0][0] + 1 if result.kind == BOTH else 0
+        assert tables == [generators for generators in whole_pass if len(generators) <= last]
+        assert len(represented) == len(seq.values) - 2
+        skipped += len(whole_pass) - len(tables)
+        kinds.add(result.kind)
+    assert kinds == {BOTH, NON_ALGEBRAIC_ONLY} and skipped > 20
 
 
 def test_the_algebraic_witness_builds_no_apery_table(monkeypatch):

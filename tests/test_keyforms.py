@@ -770,8 +770,8 @@ def test_a_multiplier_of_601_raises_its_powers_by_halving(g):
 
 def test_a_witness_with_a_multiplier_of_601_is_built():
     with _frames_to_spare(100):
-        seq = algebraic_witness(FormalPuiseuxPairs(((3, 2), (5, 601), (-1, 1))))
-    assert seq.multipliers[:2] == (2, 601)
+        seq = algebraic_witness(FormalPuiseuxPairs(((2, 3), (1201, 601), (1200, 1))))
+    assert seq.multipliers[:2] == (3, 601)
     _assert_same_forms(seq.values, None, steps_from_values(seq.values))
 
 

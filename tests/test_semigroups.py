@@ -6,7 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semidegree import (
@@ -18,7 +18,7 @@ from semidegree import (
     is_negative_definite,
 )
 from semidegree import graphs
-from semidegree.graphs import GraphError, _conditions, candidate_graph, s1, s2
+from semidegree.graphs import GraphError, candidate_graph, s1, s2
 from semidegree.puiseux import PuiseuxError
 from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
 
@@ -111,24 +111,33 @@ def test_classify_refuses_oversized_essential_values():
         classify(pairs)
 
 
-class _Pairs:
-    """Stands in for a pair list: s2 reads only l and p_k."""
-
-    def __init__(self, ps):
-        self.pairs = tuple((0, p) for p in ps)
-        self.l = len(ps)
+@st.composite
+def compactification_pairs(draw, max_l=3):
+    """Normal-form pair lists of a compactification with 1 <= l <= max_l:
+    2 <= q_1 < p_1 <= 6, then each q the last q times p minus 1..30 with p
+    2 or 3, the last p from 1, lowered to the next q prime to p; the large
+    drops make the first condition fail now and then."""
+    l = draw(st.integers(1, max_l))
+    p1 = draw(st.integers(3, 6))
+    q1 = draw(st.sampled_from([q for q in range(2, p1) if math.gcd(q, p1) == 1]))
+    pairs = [(q1, p1)]
+    for k in range(l):
+        p = draw(st.integers(1 if k == l - 1 else 2, 3))
+        q = pairs[-1][0] * p - draw(st.integers(1, 30))
+        while math.gcd(q, p) != 1:
+            q -= 1
+        pairs.append((q, p))
+    pairs = FormalPuiseuxPairs(tuple(pairs))
+    assume(essential_key_values(pairs)[-1] > 0)
+    return pairs
 
 
 @FAST
-@given(st.data())
-def test_s2_matches_the_window_scan(data):
-    l = data.draw(st.integers(1, 3))
-    common = data.draw(st.integers(1, 3))
-    omegas = data.draw(st.lists(st.integers(1, 40), min_size=l + 2, max_size=l + 2))
-    omegas = tuple(common * w for w in omegas[:-1]) + (omegas[-1],)
-    ps = data.draw(st.lists(st.integers(1, 6), min_size=l, max_size=l))
-    k = data.draw(st.integers(1, l))
-    assert s2(omegas, _Pairs(ps), k) == window_s2(omegas, ps[k - 1], k)
+@given(compactification_pairs(max_l=2), st.data())
+def test_s2_matches_the_window_scan(pairs, data):
+    k = data.draw(st.integers(1, pairs.l))
+    omegas = essential_key_values(pairs)
+    assert s2(pairs, k) == window_s2(omegas, pairs.pairs[k - 1][1], k)
 
 
 def test_s2_matches_the_window_scan_on_pair_lists():
@@ -141,7 +150,7 @@ def test_s2_matches_the_window_scan_on_pair_lists():
             continue
         for k in range(1, pairs.l + 1):
             p_k = pairs.pairs[k - 1][1]
-            assert s2(omegas, pairs, k) == window_s2(omegas, p_k, k)
+            assert s2(pairs, k) == window_s2(omegas, p_k, k)
         checked += 1
 
 
@@ -166,36 +175,23 @@ def _oracle_conditions(omegas, ps):
     return s1_failures, s2_witnesses
 
 
-@st.composite
-def condition_inputs(draw):
-    """Positive sequences omega_0..omega_{l+1} with their gcd steps drawn:
-    omega_i is m_i times the product of the steps n_j after i, so some steps
-    are 1 and some prefixes are telescopic and some are not.  Each p_k is
-    the sequence's own step, as on a pair list, or arbitrary."""
-    l = draw(st.integers(1, 3))
-    steps = draw(st.lists(st.integers(1, 3), min_size=l, max_size=l))
-    factors = draw(st.lists(st.integers(1, 12), min_size=l + 1, max_size=l + 1))
-    omegas = [m * math.prod(steps[i:]) for i, m in enumerate(factors)]
-    omegas.append(draw(st.integers(1, 2 * max(omegas))))
-    ps = []
-    for k in range(1, l + 1):
-        own = math.gcd(*omegas[:k]) // math.gcd(*omegas[: k + 1])
-        ps.append(own if draw(st.booleans()) else draw(st.integers(1, 6)))
-    return tuple(omegas), ps
+def _whole_pass(pairs):
+    """S1 failures and S2 least violators as ``classify`` reads them off
+    the whole condition pass."""
+    result = classify(pairs)
+    return list(result.s1_failures), list(result.s2_witnesses)
 
 
 @FAST
-@given(condition_inputs())
-# 4 * 1 is in <4, 6> but the step 2 * 1 is not, so 4, 6, 1 is not
-# telescopic though S1 holds at k = 2; the closed form would miss 3 = 3 * 1
-@example(((4, 6, 1, 1, 1), [2, 4, 3]))
-def test_one_pass_matches_the_dp_and_the_window_scan(data):
-    omegas, ps = data
-    pairs = _Pairs(ps)
-    expected = _oracle_conditions(omegas, ps)
-    assert _conditions(omegas, pairs) == expected
+@given(compactification_pairs())
+# S1 fails at k = 2 and, read off an Apéry table, again at k = 3
+@example(FormalPuiseuxPairs(((3, 4), (-13, 2), (-37, 2), (-38, 1))))
+def test_one_pass_matches_the_dp_and_the_window_scan(pairs):
+    omegas = essential_key_values(pairs)
+    expected = _oracle_conditions(omegas, [p for _, p in pairs.pairs[: pairs.l]])
+    assert _whole_pass(pairs) == expected
     for k in range(1, pairs.l + 1):
-        assert s1(omegas, pairs, k) == (k not in expected[0])
+        assert s1(pairs, k) == (k not in expected[0])
 
 
 def test_one_pass_matches_the_dp_on_pair_lists_that_fail_s1():
@@ -209,9 +205,9 @@ def test_one_pass_matches_the_dp_on_pair_lists_that_fail_s1():
             continue
         ps = [p for _, p in pairs.pairs[: pairs.l]]
         expected = _oracle_conditions(omegas, ps)
-        assert _conditions(omegas, pairs) == expected
+        assert _whole_pass(pairs) == expected
         for k in range(1, pairs.l + 1):
-            assert s2(omegas, pairs, k) == window_s2(omegas, ps[k - 1], k)
+            assert s2(pairs, k) == window_s2(omegas, ps[k - 1], k)
         failed_early += bool(expected[0]) and expected[0][0] < pairs.l
 
 
@@ -452,9 +448,9 @@ def test_the_step_record_finds_the_first_s1_failure_of_the_whole_pass():
         result = classify(pairs)
         if result.kind == graphs.NOT_A_COMPACTIFICATION:
             with pytest.raises(NotACompactificationError):
-                graphs._witness_record(pairs)
+                graphs._record(pairs)
             continue
-        omegas, steps, first = graphs._witness_record(pairs)
+        omegas, steps, first = graphs._record(pairs)
         assert omegas == result.essential_values and len(steps) == pairs.l
         assert first == (result.s1_failures[0] if result.s1_failures else None)
         seen.add(first is None)
