@@ -13,6 +13,8 @@ denominator; a coefficient becomes a Fraction only where it is read.
   series' Puiseux denominators, so the expansion is a Laurent polynomial in
   X = x^(1/delta_x) and the generic indeterminate xi, keyed by
   (X-exponent, xi-exponent).  Its top X-exponent is the semidegree value.
+  :func:`series_of` builds the expansion of the series itself from the
+  integer numerators of its :class:`~semidegree.puiseux.DPuiseuxPoly`.
 
 Every product, of two elements or inside a substitution, goes through one
 kernel, :func:`_add_products`, whose cut None keeps every product.  It
@@ -53,6 +55,7 @@ from .puiseux import (
     GenericDPS,
     InternalError,
     _as_fraction,
+    _sum_over_lcm,
     essential_key_values,
     formal_pairs,
 )
@@ -580,6 +583,12 @@ class LaurentPoly(_Sparse):
         return object.__new__(cls)._like({(x_exp, y_exp): coeff.numerator}, coeff.denominator)
 
     @classmethod
+    def _from_ratios(cls, terms: list[tuple[tuple[int, int], int, int]]) -> LaurentPoly:
+        """The sum of the terms (key, numerator, positive denominator), each
+        key an integer x-exponent and a y-exponent of at least 0."""
+        return object.__new__(cls)._like(*_sum_over_lcm(terms))
+
+    @classmethod
     def one(cls) -> LaurentPoly:
         return _ONE
 
@@ -663,20 +672,20 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
     if band is not None and band < 1:
         raise AlgebraError(f"the band must be a positive integer, got {band}")
     den = formal_pairs(g).delta_x
-    terms = [(e, 0, c) for e, c in g.phi._terms.items()]  # Fraction keys: no sort, no hash
-    terms.append((g.r, 1, Fraction(1)))
-    common = math.lcm(*(c.denominator for _, _, c in terms))
+    phi, r = g.phi, g.r
+    # (exponent numerator, its denominator, xi-exponent, numerator over phi's coefficient denominator)
+    terms = [*((k, phi._eden, 0, c) for k, c in phi._terms.items()), (r.numerator, r.denominator, 1, phi._cden)]
     numerators = {}
     off = []
-    for e, b, c in terms:
-        a, rest = divmod(e.numerator * den, e.denominator)
+    for k, e, b, c in terms:
+        a, rest = divmod(k * den, e)
         if rest:
-            off.append(e)
-        numerators[a, b] = c.numerator * (common // c.denominator)
+            off.append(Fraction(k, e))
+        numerators[a, b] = c
     if off:  # r lies below every exponent of phi, so this is the first one read from the top
         raise InternalError(f"exponent {max(off)} is not in (1/{den})Z; this is a bug")
     ring = XiSeries((), den, band)
-    return ring._like(numerators, common)
+    return ring._like(numerators, phi._cden)
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:

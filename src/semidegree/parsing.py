@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 from operator import itemgetter
 
@@ -40,24 +41,26 @@ _TOKEN = re.compile(r"\s*([0-9]+|.|\Z)", re.S)
 
 
 class _Tokens:
-    """A cursor over the text's (token, start position) pairs."""
+    """A cursor over the text's tokens; a token's start position is found
+    only for a ParseError."""
 
     def __init__(self, text: str):
-        self.tokens = [(match[1], match.start(1)) for match in _TOKEN.finditer(text)]
-        self.i = 0
+        self.text, self.tokens, self.i = text, _TOKEN.findall(text), 0
+
+    def _start(self, i: int) -> int:
+        return next(islice(_TOKEN.finditer(self.text), i, None)).start(1)
 
     def peek(self) -> str:
-        return self.tokens[self.i][0]
+        return self.tokens[self.i]
 
     def error(self, message: str) -> ParseError:
-        return ParseError(message, self.tokens[self.i][1])
+        return ParseError(message, self._start(self.i))
 
     def past(self) -> int:
-        token, start = self.tokens[self.i - 1]
-        return start + len(token)
+        return self._start(self.i - 1) + len(self.tokens[self.i - 1])
 
     def take(self, expected: str) -> bool:
-        if self.tokens[self.i][0] == expected:
+        if self.tokens[self.i] == expected:
             self.i += 1
             return True
         return False
@@ -90,23 +93,26 @@ class _Tokens:
         self.take("+")
         return 1
 
-    def rational(self) -> Fraction:
+    def rational(self) -> tuple[int, int]:
+        """(numerator, positive denominator) of ``p/q`` or an integer, unreduced."""
         num = self.integer()
         den = self.integer() if self.take("/") else 1
         if den == 0:
             raise ParseError("zero denominator", self.past())
-        return Fraction(num, den)
+        return num, den
 
-    def power(self, number):
-        """After a variable: 1, or ``^`` and an optionally negated integer,
-        or ``^(`` and an optionally negated ``number()`` then ``)``."""
+    def power(self, fraction: bool) -> tuple[int, int]:
+        """After a variable, as (numerator, denominator): 1, or ``^`` and an
+        optionally negated integer, or ``^(``, an optionally negated integer,
+        or a rational if ``fraction``, and ``)``."""
         if not self.take("^"):
-            return 1
-        if not self.take("("):
-            return -self.integer() if self.take("-") else self.integer()
-        value = -number() if self.take("-") else number()
-        self.expect(")")
-        return value
+            return 1, 1
+        parenthesized = self.take("(")
+        sign = -1 if self.take("-") else 1
+        num, den = self.rational() if parenthesized and fraction else (self.integer(), 1)
+        if parenthesized:
+            self.expect(")")
+        return sign * num, den
 
 
 def _signed_sum(text: str, term) -> list:
@@ -121,50 +127,55 @@ def _signed_sum(text: str, term) -> list:
     return terms
 
 
-def _dps_term(tokens: _Tokens, sign: int) -> tuple[int | Fraction, Fraction]:
-    coeff = Fraction(sign)
+def _dps_term(tokens: _Tokens, sign: int) -> tuple[int, int, int, int]:
+    """(exponent numerator, its denominator, coefficient numerator, its denominator)."""
+    num, den = 1, 1
     if tokens.peek().isdigit():
-        coeff *= tokens.rational()
+        num, den = tokens.rational()
         if not tokens.take("*"):
-            return 0, coeff
+            return 0, 1, sign * num, den
         tokens.expect("x")
     elif not tokens.take("x"):
         raise tokens.error("expected a term")
-    return tokens.power(tokens.rational), coeff
+    return (*tokens.power(True), sign * num, den)
 
 
-def _laurent_term(tokens: _Tokens, sign: int) -> tuple[tuple[int, int], Fraction]:
-    coeff, x_exp, y_exp = Fraction(sign), 0, 0
+def _laurent_term(tokens: _Tokens, sign: int) -> tuple[tuple[int, int], int, int]:
+    """((x-exponent, y-exponent), coefficient numerator, its denominator)."""
+    num, den, x_exp, y_exp = sign, 1, 0, 0
     while True:
         if tokens.peek().isdigit():
-            coeff *= tokens.rational()
+            n, d = tokens.rational()
+            num, den = num * n, den * d
         elif tokens.take("x"):
-            x_exp += tokens.power(tokens.integer)
+            x_exp += tokens.power(False)[0]
         elif tokens.take("y"):
-            step = tokens.power(tokens.integer)
+            step = tokens.power(False)[0]
             if step < 0:
                 raise ParseError("negative y-exponent", tokens.past())
             y_exp += step
         else:
             raise tokens.error("expected a factor")
         if not tokens.take("*"):
-            return (x_exp, y_exp), coeff
+            return (x_exp, y_exp), num, den
 
 
 def parse_dps(text: str) -> DPuiseuxPoly:
     """Parse a descending Puiseux polynomial; duplicate exponents are summed."""
-    return DPuiseuxPoly(_signed_sum(text, _dps_term))
+    return DPuiseuxPoly._from_ratios(_signed_sum(text, _dps_term))
 
 
 def parse_laurent(text: str) -> LaurentPoly:
     """Parse an element of Q[x, 1/x, y]."""
-    return LaurentPoly(_signed_sum(text, _laurent_term))
+    return LaurentPoly._from_ratios(_signed_sum(text, _laurent_term))
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse a rational: an optional ``+`` or ``-``, then an integer or ``p/q``."""
     tokens = _Tokens(text)
-    return tokens.end(tokens.sign() * tokens.rational())
+    sign = tokens.sign()
+    num, den = tokens.rational()
+    return tokens.end(Fraction(sign * num, den))
 
 
 def parse_count(text: str) -> int:
@@ -205,30 +216,30 @@ def number_to_str(value: int | Fraction) -> str:
     return number_to_str(high) + number_to_str(low).zfill(k)
 
 
-def _x_power(exponent: Fraction) -> str | None:
-    if exponent == 0:
-        return None
-    if exponent == 1:
-        return "x"
-    if exponent.denominator == 1:
-        return "x^" + number_to_str(exponent)
-    return f"x^({number_to_str(exponent)})"
+def _ratio_to_str(num: int, den: int) -> str:
+    """number_to_str of the Fraction num/den, den positive."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return number_to_str(num) if den == 1 else f"{number_to_str(num)}/{number_to_str(den)}"
 
 
 def dps_to_str(poly: DPuiseuxPoly) -> str:
-    if poly.is_zero:
+    """Terms by exponent, descending, printed from the integer numerators
+    over the poly's two denominators."""
+    terms, eden, cden = poly._terms, poly._eden, poly._cden
+    if not terms:
         return "0"
     pieces = []
-    for exponent, coeff in poly.items():
-        power = _x_power(exponent)
-        magnitude = abs(coeff)
-        if power is None:
-            body = number_to_str(magnitude)
-        elif magnitude == 1:
-            body = power
+    for k in sorted(terms, reverse=True):
+        n = terms[k]
+        magnitude = _ratio_to_str(abs(n), cden)
+        if k == 0:
+            body = magnitude
         else:
-            body = f"{number_to_str(magnitude)}*{power}"
-        pieces.append((coeff < 0, body))
+            exponent = _ratio_to_str(k, eden)
+            power = "x" if k == eden else f"x^{exponent}" if k % eden == 0 else f"x^({exponent})"
+            body = power if magnitude == "1" else f"{magnitude}*{power}"
+        pieces.append((n < 0, body))
     return _join_signed(pieces)
 
 
@@ -245,9 +256,7 @@ def laurent_to_str(poly: LaurentPoly) -> str:
     for key in sorted(terms, key=_Y_THEN_X, reverse=True):
         a, b = key
         n = terms[key]
-        g = gcd(n, den)
-        num, d = abs(n) // g, den // g
-        coeff = f"{number_to_str(num)}/{number_to_str(d)}" if d > 1 else number_to_str(num)
+        coeff = _ratio_to_str(abs(n), den)
         factors = [coeff] if coeff != "1" else []
         if a != 0:
             factors.append("x^" + number_to_str(a) if a != 1 else "x")

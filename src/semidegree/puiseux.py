@@ -9,7 +9,10 @@ every stored exponent) whose coefficient is an indeterminate.  The pair is
 the complete defining datum of a semidegree on Q[x, y] with positive value
 on x, and everything else in this package is computed from it.
 
-All arithmetic is exact; no floats appear anywhere.
+All arithmetic is exact; no floats appear anywhere.  A polynomial keeps
+integer numerators over one denominator for its exponents and one for its
+coefficients, and the order check, the formal pairs and truncation run on
+them; a Fraction is made only where the API hands one out.
 """
 
 from __future__ import annotations
@@ -33,32 +36,61 @@ class InternalError(Exception):
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not allowed; use Fraction or int")
     return Fraction(value)
 
 
+def _sum_over_lcm(terms: list[tuple]) -> tuple[dict, int]:
+    """(numerators, den): the terms (key, numerator, positive denominator)
+    summed per key as numerators over den, the lcm of the denominators."""
+    den = math.lcm(*(d for _, _, d in terms))
+    out: dict = {}
+    for key, n, d in terms:
+        out[key] = out.get(key, 0) + n * (den // d)
+    return out, den
+
+
 class DPuiseuxPoly:
     """Finite descending Puiseux polynomial: a map exponent -> coefficient.
 
-    Immutable.  Zero coefficients are never stored; the zero polynomial has
-    an empty term map and its degree is the sentinel ``None`` (never compared
-    arithmetically).
+    Immutable.  ``_terms`` maps integer exponent numerators over the one
+    positive denominator ``_eden`` to nonzero integer coefficient numerators
+    over the one positive denominator ``_cden``.  Both are in lowest terms
+    (gcd(_eden, *keys) == gcd(_cden, *values) == 1), so equal polynomials
+    store equal data, and both are 1 for the zero polynomial, whose degree
+    is the sentinel ``None`` (never compared arithmetically).  Every
+    polynomial is built by :meth:`_from_ratios`, which ends in :meth:`_like`;
+    a Fraction appears only where a method hands one out.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_eden", "_cden")
 
-    def __init__(self, terms: Iterable[tuple[Fraction, Fraction]] = ()):
-        acc: dict[Fraction, Fraction] = {}
-        for exp, coeff in terms:
-            e = _as_fraction(exp)
-            c = _as_fraction(coeff)
-            c = acc.get(e, Fraction(0)) + c
-            if c == 0:
-                acc.pop(e, None)
-            else:
-                acc[e] = c
-        self._terms = acc
+    def __new__(cls, terms: Iterable[tuple[Fraction, Fraction]] = ()):
+        pairs = [(_as_fraction(e), _as_fraction(c)) for e, c in terms]
+        return cls._from_ratios([(e.numerator, e.denominator, c.numerator, c.denominator) for e, c in pairs])
+
+    @classmethod
+    def _from_ratios(cls, terms: list[tuple[int, int, int, int]]) -> DPuiseuxPoly:
+        """The sum of the terms c/d * x^(k/e), each given as (k, e, c, d)
+        with e, d > 0: exponents are lifted to the lcm of their denominators,
+        and duplicates summed by :func:`_sum_over_lcm`."""
+        eden = math.lcm(*(e for _, e, _, _ in terms))
+        return cls._like(*_sum_over_lcm([(k * (eden // e), c, d) for k, e, c, d in terms]), eden)
+
+    @classmethod
+    def _like(cls, terms: dict[int, int], cden: int, eden: int) -> DPuiseuxPoly:
+        """The coefficient numerators ``terms`` over ``cden``, keyed by
+        exponent numerators over ``eden``: zeros dropped, both reduced to
+        lowest terms."""
+        terms = {k: c for k, c in terms.items() if c}
+        g, h = math.gcd(eden, *terms), math.gcd(cden, *terms.values())
+        out = object.__new__(cls)
+        out._terms = {k // g: c // h for k, c in terms.items()} if g > 1 or h > 1 else terms
+        out._eden, out._cden = eden // g, cden // h
+        return out
 
     @classmethod
     def zero(cls) -> DPuiseuxPoly:
@@ -66,13 +98,16 @@ class DPuiseuxPoly:
 
     def items(self) -> Iterator[tuple[Fraction, Fraction]]:
         """Terms as (exponent, coefficient), highest exponent first."""
-        return iter(sorted(self._terms.items(), reverse=True))
+        terms, eden, cden = self._terms, self._eden, self._cden
+        return iter([(Fraction(k, eden), Fraction(terms[k], cden)) for k in sorted(terms, reverse=True)])
 
     def coefficient(self, exp) -> Fraction:
-        return self._terms.get(_as_fraction(exp), Fraction(0))
+        e = _as_fraction(exp)
+        k, rest = divmod(e.numerator * self._eden, e.denominator)
+        return Fraction(0 if rest else self._terms.get(k, 0), self._cden)
 
     def exponents(self) -> list[Fraction]:
-        return sorted(self._terms, reverse=True)
+        return [Fraction(k, self._eden) for k in sorted(self._terms, reverse=True)]
 
     @property
     def is_zero(self) -> bool:
@@ -81,12 +116,12 @@ class DPuiseuxPoly:
     @property
     def degree(self) -> Fraction | None:
         """Top exponent, or None for the zero polynomial."""
-        return max(self._terms) if self._terms else None
+        return Fraction(max(self._terms), self._eden) if self._terms else None
 
     @property
     def order(self) -> Fraction | None:
         """Bottom exponent, or None for the zero polynomial."""
-        return min(self._terms) if self._terms else None
+        return Fraction(min(self._terms), self._eden) if self._terms else None
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -94,10 +129,10 @@ class DPuiseuxPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DPuiseuxPoly):
             return NotImplemented
-        return self._terms == other._terms
+        return (self._eden, self._cden, self._terms) == (other._eden, other._cden, other._terms)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        return hash((self._eden, self._cden, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         from .parsing import dps_to_str
@@ -107,8 +142,9 @@ class DPuiseuxPoly:
 
 def truncate_above(phi: DPuiseuxPoly, r) -> DPuiseuxPoly:
     """Keep exactly the terms of ``phi`` with exponent strictly greater than r."""
-    bound = _as_fraction(r)
-    return DPuiseuxPoly((e, c) for e, c in phi._terms.items() if e > bound)
+    r, eden = _as_fraction(r), phi._eden
+    kept = {k: c for k, c in phi._terms.items() if k * r.denominator > r.numerator * eden}
+    return DPuiseuxPoly._like(kept, phi._cden, eden)
 
 
 @dataclass(frozen=True)
@@ -131,9 +167,9 @@ class FormalPuiseuxPairs:
                 raise PuiseuxError(f"pair {i + 1}: denominator {p} out of range")
             if math.gcd(q, p) != 1:
                 raise PuiseuxError(f"pair {i + 1}: gcd({q}, {p}) != 1")
-        exps = self.characteristic_exponents()
-        for a, b in zip(exps, exps[1:]):
-            if not b < a:
+        # q_{k+1} / (p_1...p_{k+1}) < q_k / (p_1...p_k) iff q_{k+1} < q_k * p_{k+1}
+        for (q, _), (q_next, p_next) in zip(self.pairs, self.pairs[1:]):
+            if not q_next < q * p_next:
                 raise PuiseuxError("characteristic exponents must strictly decrease")
 
     @property
@@ -191,16 +227,18 @@ class GenericDPS:
     def __init__(self, phi: DPuiseuxPoly, r):
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "r", _as_fraction(r))
-        order = phi.order
-        if order is not None and order <= self.r:
+        if phi._terms and min(phi._terms) * self.r.denominator <= self.r.numerator * phi._eden:
+            from .parsing import number_to_str
+
             raise PuiseuxError(
-                f"exponent {order} of the series part does not exceed the generic exponent {self.r}"
+                f"exponent {number_to_str(phi.order)} of the series part does not exceed"
+                f" the generic exponent {number_to_str(self.r)}"
             )
 
     def __repr__(self) -> str:
-        from .parsing import dps_to_str
+        from .parsing import dps_to_str, number_to_str
 
-        return f"GenericDPS({dps_to_str(self.phi)!r}, {str(self.r)!r})"
+        return f"GenericDPS({dps_to_str(self.phi)!r}, {number_to_str(self.r)!r})"
 
     @cached_property
     def formal_pairs(self) -> FormalPuiseuxPairs:
@@ -212,14 +250,17 @@ class GenericDPS:
         generic pair.  Not a field, so equality and hashing ignore it.
         """
         pairs: list[tuple[int, int]] = []
-        denom = 1
-        for e in self.phi.exponents():
-            scaled = e * denom
-            if scaled.denominator > 1:
-                pairs.append((scaled.numerator, scaled.denominator))
-                denom *= scaled.denominator
-        scaled = self.r * denom
-        pairs.append((scaled.numerator, scaled.denominator))
+        denom, eden = 1, self.phi._eden
+        for k in sorted(self.phi._terms, reverse=True):
+            # denom divides eden, so k/eden times denom is k/m, m = eden/denom
+            m = eden // denom
+            g = math.gcd(k, m)
+            if m > g:
+                pairs.append((k // g, m // g))
+                denom *= m // g
+        q, p = self.r.numerator * denom, self.r.denominator
+        g = math.gcd(q, p)
+        pairs.append((q // g, p // g))
         return FormalPuiseuxPairs(tuple(pairs))
 
 
@@ -243,11 +284,16 @@ def from_local(psi_local: DPuiseuxPoly, r_local) -> GenericDPS:
     the truncation of x * psi_local(1/x) above 1 - r_local, with generic
     exponent 1 - r_local.
     """
+    from .parsing import number_to_str
+
     r = _as_fraction(r_local)
     if r <= 0:
-        raise PuiseuxError(f"local contact order must be positive, got {r}")
-    for e in psi_local.exponents():
-        if e <= 0:
-            raise PuiseuxError(f"local series must have positive exponents, got {e}")
-    swapped = DPuiseuxPoly((1 - e, c) for e, c in psi_local.items())
-    return GenericDPS(truncate_above(swapped, 1 - r), 1 - r)
+        raise PuiseuxError(f"local contact order must be positive, got {number_to_str(r)}")
+    terms, eden = psi_local._terms, psi_local._eden
+    bad = [k for k in terms if k <= 0]
+    if bad:
+        top = number_to_str(Fraction(max(bad), eden))
+        raise PuiseuxError(f"local series must have positive exponents, got {top}")
+    # 1 - k/eden lies above 1 - r iff k/eden < r
+    kept = {eden - k: c for k, c in terms.items() if k * r.denominator < r.numerator * eden}
+    return GenericDPS(DPuiseuxPoly._like(kept, psi_local._cden, eden), 1 - r)

@@ -3,6 +3,7 @@
 import contextlib
 import functools
 import io
+import math
 import re
 from fractions import Fraction
 
@@ -1004,6 +1005,88 @@ def scanner_parse_laurent(text: str) -> LaurentPoly:
         if scanner.at_end():
             return LaurentPoly(terms)
         sign = scanner.sign(required=True)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction front end that integer numerators replaced, kept as its
+# oracle: a series as {exponent: coefficient}, both Fractions
+
+
+def fraction_terms(terms):
+    """(exponent, coefficient) pairs summed per exponent, zeros dropped: the
+    map DPuiseuxPoly kept before it kept integer numerators."""
+    acc = {}
+    for exp, coeff in terms:
+        e = Fraction(exp)
+        c = acc.get(e, Fraction(0)) + Fraction(coeff)
+        if c == 0:
+            acc.pop(e, None)
+        else:
+            acc[e] = c
+    return acc
+
+
+def fraction_formal_pairs(terms, r):
+    """The pairs scanned off the exponents from the top, each that is not in
+    (1/(p_1...p_k))Z starting one, then r over the last denominator."""
+    pairs, denom = [], 1
+    for e in sorted(terms, reverse=True):
+        scaled = e * denom
+        if scaled.denominator > 1:
+            pairs.append((scaled.numerator, scaled.denominator))
+            denom *= scaled.denominator
+    scaled = r * denom
+    pairs.append((scaled.numerator, scaled.denominator))
+    return tuple(pairs)
+
+
+def fraction_series_of(terms, r, den):
+    """(numerators, denominator) of the series plus the generic term xi*x^r
+    in X = x^(1/den), each coefficient lifted to the lcm of their
+    denominators."""
+    rows = [(e, 0, c) for e, c in terms.items()] + [(r, 1, Fraction(1))]
+    common = math.lcm(*(c.denominator for _, _, c in rows))
+    numerators = {}
+    for e, b, c in rows:
+        scaled = e * den
+        assert scaled.denominator == 1, f"exponent {e} is not in (1/{den})Z"
+        numerators[scaled.numerator, b] = c.numerator * (common // c.denominator)
+    return numerators, common
+
+
+def fraction_step_bound(terms, r, pairs):
+    """keyforms.step_bound from the top exponent as a Fraction."""
+    omegas = pairs.essential_values
+    top = max(terms) if terms else r
+    bound = int(top * pairs.delta_x - omegas[1]) // omegas[0] + 1
+    d = omegas[0]
+    for k in range(1, pairs.l + 1):
+        d = math.gcd(d, omegas[k])
+        bound += (pairs.pairs[k - 1][1] * omegas[k] - omegas[k + 1]) // d + 1
+    return bound
+
+
+def fraction_dps_to_str(terms):
+    """The printer that read a Fraction exponent and coefficient per term."""
+    from semidegree.parsing import number_to_str
+
+    if not terms:
+        return "0"
+    pieces = []
+    for exponent, coeff in sorted(terms.items(), reverse=True):
+        magnitude = number_to_str(abs(coeff))
+        if exponent == 0:
+            body = magnitude
+        else:
+            if exponent == 1:
+                power = "x"
+            elif exponent.denominator == 1:
+                power = "x^" + number_to_str(exponent)
+            else:
+                power = f"x^({number_to_str(exponent)})"
+            body = power if magnitude == "1" else f"{magnitude}*{power}"
+        pieces.append((coeff < 0, body))
+    return _join_signed(pieces)
 
 
 # ---------------------------------------------------------------------------
