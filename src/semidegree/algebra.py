@@ -334,9 +334,11 @@ class _Sparse:
 
     ``_terms`` maps each key to a nonzero int numerator over the one
     positive denominator ``_den``, in lowest terms.  The second exponent is
-    never negative.  Results are built by :meth:`_like`, the one place that
-    drops zeros and reduces, which a subclass carrying more state than the
-    map extends; two operands combine only when their :meth:`_ring` agrees.
+    never negative.  :meth:`_store` is the one place that drops zeros and
+    reduces; the constructor sums its terms through
+    :func:`~semidegree.puiseux._sum_over_lcm` into it, and results are built
+    by :meth:`_like`, which a subclass carrying more state than the map
+    extends; two operands combine only when their :meth:`_ring` agrees.
     ``floor`` is the precision floor on the first exponent, ``band`` the
     depth below its top that a product keeps and ``den`` the denominator of
     x's exponents, all None (exact, integer) unless a subclass tracks them.
@@ -348,34 +350,36 @@ class _Sparse:
     den: int | None = None
 
     def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]] = ()):
-        acc: dict[tuple[int, int], Fraction] = {}
+        ratios = []
         for (a, b), coeff in terms:
             if a != int(a) or b != int(b):
                 raise AlgebraError("exponents must be integers")
             if b < 0:
                 raise AlgebraError(f"negative exponent {b} of y or xi")
-            key = (int(a), int(b))
-            acc[key] = acc.get(key, 0) + _as_fraction(coeff)
-        # over the least common denominator the numerators are in lowest terms
-        self._den = math.lcm(*(c.denominator for c in acc.values()))
-        self._terms = {key: c.numerator * (self._den // c.denominator) for key, c in acc.items() if c}
+            c = _as_fraction(coeff)
+            ratios.append(((int(a), int(b)), c.numerator, c.denominator))
+        self._store(*_sum_over_lcm(ratios))
+
+    def _store(self, terms: dict[tuple[int, int], int], den: int) -> None:
+        """Keep these numerators over the positive ``den``: zeros dropped,
+        reduced to lowest terms."""
+        g = math.gcd(den, *terms.values())
+        if g == 1 and 0 not in terms.values():
+            self._terms = terms  # nothing to drop or divide
+        else:
+            self._terms = {key: n // g for key, n in terms.items() if n}
+        self._den = den // g
 
     def _like(self, terms: dict[tuple[int, int], int], den: int, floor: int | None = None):
         """An element of the same ring with these numerators over the
-        positive ``den``, all above ``floor``: zeros dropped, reduced to
-        lowest terms.
+        positive ``den``, all above ``floor``, stored by :meth:`_store`.
 
         The caller hands ``terms`` over: when nothing is dropped or divided
         the new element keeps that very map, so the caller must not change
         it afterwards (every caller passes a map it built for the call, or
         rebinds its name at once)."""
-        g = math.gcd(den, *terms.values())
         out = object.__new__(type(self))
-        if g == 1 and 0 not in terms.values():
-            out._terms = terms  # nothing to drop or divide
-        else:
-            out._terms = {key: n // g for key, n in terms.items() if n}
-        out._den = den // g
+        out._store(terms, den)
         return out
 
     def _ring(self) -> tuple:

@@ -307,8 +307,8 @@ def step_bound(g: GenericDPS, pairs: FormalPuiseuxPairs) -> int:
     """
     omegas = essential_key_values(pairs)
     ps = [p for _, p in pairs.pairs]
-    top, den = (g.r.numerator, g.r.denominator) if g.phi.is_zero else (max(g.phi._terms), g.phi._eden)
-    bound = (top * pairs.delta_x // den - omegas[1]) // omegas[0] + 1
+    top = g.r if g.phi.is_zero else g.phi.degree
+    bound = (top.numerator * pairs.delta_x // top.denominator - omegas[1]) // omegas[0] + 1
     d = omegas[0]
     for k in range(1, pairs.l + 1):
         d = math.gcd(d, omegas[k])

@@ -294,6 +294,5 @@ def from_local(psi_local: DPuiseuxPoly, r_local) -> GenericDPS:
     if bad:
         top = number_to_str(Fraction(max(bad), eden))
         raise PuiseuxError(f"local series must have positive exponents, got {top}")
-    # 1 - k/eden lies above 1 - r iff k/eden < r
-    kept = {eden - k: c for k, c in terms.items() if k * r.denominator < r.numerator * eden}
-    return GenericDPS(DPuiseuxPoly._like(kept, psi_local._cden, eden), 1 - r)
+    swapped = DPuiseuxPoly._like({eden - k: c for k, c in terms.items()}, psi_local._cden, eden)
+    return GenericDPS(truncate_above(swapped, 1 - r), 1 - r)
