@@ -37,18 +37,18 @@ expansion is exact.  A ring of expansions may also carry a band E, set by
 :func:`series_of`: a product then keeps only the terms above
 max(topA + topB - E, floorA + topB, floorB + topA), sums take the larger
 floor, and reading the top at or below the floor raises
-:class:`PrecisionLost`.  :func:`certified` starts at band 1 + S, the least
-the cancellation needs (S sums the level drops below each power it
-raises), and doubles it on every loss; once it covers a product's span
-nothing is dropped and the floor stays None, so the result is exact
-whatever the first band was, with no floats and no tolerances.
+:class:`PrecisionLost`.  The key forms run once at band 1 + S, which
+provably suffices (:func:`_first_band`); :func:`semidegrees` starts there
+and doubles the band on every loss until it covers each product's span,
+where nothing is dropped, so every result is exact, with no floats and no
+tolerances.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Iterable, Iterator
 
 from .puiseux import (
     FormalPuiseuxPairs,
@@ -70,8 +70,8 @@ class AlgebraError(ValueError):
 class PrecisionLost(Exception):
     """A read reached an expansion's precision floor.
 
-    Not a ValueError: it never means bad input.  :func:`certified` catches
-    it and retries with a wider band.  Its argument is the floor, unprinted.
+    Not a ValueError: it never means bad input.  :func:`semidegrees` retries
+    on it; the key forms call it a bug.  Its argument is the floor, unprinted.
     """
 
 
@@ -299,23 +299,26 @@ def _subtract_row(
     den: int,
     floor: int | None,
     row: dict[tuple[int, int], int],
-    scale: Fraction,
+    num: int,
+    row_den: int,
     shift: int,
     second_shift: int = 0,
 ) -> int:
     """Subtract from the numerators ``out`` over ``den``, known above
-    ``floor``, in place, ``scale`` times the integer numerators ``row`` with
-    ``shift`` added to each first exponent and ``second_shift`` to each
-    second, skipping the keys of ``row`` that land at or below the floor.
-    ``out`` is rescaled only when the lcm of the denominators grows, and
-    its numerators are never reduced.  Returns the new denominator."""
-    new_den = math.lcm(den, scale.denominator)
+    ``floor``, in place, num / row_den (reduced here) times the integer
+    numerators ``row`` with ``shift`` added to each first exponent and
+    ``second_shift`` to each second, skipping the keys of ``row`` that land
+    at or below the floor.  ``out`` is rescaled only when the lcm of the
+    denominators grows, and never reduced.  Returns the new ``den``."""
+    common = math.gcd(num, row_den) * (1 if row_den > 0 else -1)
+    num, row_den = num // common, row_den // common
+    new_den = math.lcm(den, row_den)
     if new_den != den:
         up = new_den // den
         for key in out:
             out[key] *= up
         den = new_den
-    factor = scale.numerator * (den // scale.denominator)
+    factor = num * (den // row_den)
     for (a, b), n in row.items():
         a += shift
         if floor is not None and a <= floor:
@@ -418,7 +421,7 @@ class _Sparse:
         self._check(other)
         floor = _larger(self.floor, other.floor)
         out = {key: n for key, n in self._terms.items() if floor is None or key[0] > floor}
-        den = _subtract_row(out, self._den, floor, other._terms, Fraction(-sign, other._den), 0)
+        den = _subtract_row(out, self._den, floor, other._terms, -sign, other._den, 0)
         return self._like(out, den, floor)
 
     def __neg__(self):
@@ -688,8 +691,7 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
         numerators[a, b] = c
     if off:  # r lies below every exponent of phi, so this is the first one read from the top
         raise InternalError(f"exponent {max(off)} is not in (1/{den})Z; this is a bug")
-    ring = XiSeries((), den, band)
-    return ring._like(numerators, phi._cden)
+    return XiSeries((), den, band)._like(numerators, phi._cden)
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:
@@ -700,20 +702,6 @@ def _first_band(pairs: FormalPuiseuxPairs) -> int:
     strictly above the floor; the last level needs E > S."""
     omegas = essential_key_values(pairs)
     return max(1, 1 + sum(p * w - v for (_, p), w, v in zip(pairs.pairs, omegas[1:-1], omegas[2:])))
-
-
-_T = TypeVar("_T")
-
-
-def certified(g: GenericDPS, run: Callable[[XiSeries], _T]) -> _T:
-    """run(expansion of g) in a ring with a band, starting at
-    :func:`_first_band` and doubled on every :class:`PrecisionLost`."""
-    band = _first_band(formal_pairs(g))
-    while True:
-        try:
-            return run(series_of(g, band))
-        except PrecisionLost:
-            band *= 2
 
 
 def _power_row(power: XiSeries) -> tuple[XiSeries, list]:
@@ -759,17 +747,19 @@ def substitute(f: LaurentPoly, g: GenericDPS) -> XiSeries:
 
 
 def semidegrees(fs: Iterable[LaurentPoly], g: GenericDPS) -> list[int]:
-    """The semidegree of each nonzero f, read from certified truncated
-    expansions that share one table of powers of g."""
+    """The semidegree of each nonzero f, read from expansions sharing one
+    table of powers of g, at band :func:`_first_band` doubled on each loss."""
     fs = list(fs)
     if any(f.is_zero for f in fs):
         raise AlgebraError("the semidegree of 0 is undefined")
-
-    def run(base: XiSeries) -> list[int]:
+    band = _first_band(formal_pairs(g))
+    while True:
+        base = series_of(g, band)
         powers = {0: _power_row(base ** 0)}
-        return [_substitute(f, base, powers).value for f in fs]
-
-    return certified(g, run)
+        try:
+            return [_substitute(f, base, powers).value for f in fs]
+        except PrecisionLost:
+            band *= 2
 
 
 def semidegree(f: LaurentPoly, g: GenericDPS) -> int:

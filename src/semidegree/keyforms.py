@@ -54,10 +54,11 @@ from .algebra import (
     LaurentPoly,
     PrecisionLost,
     XiSeries,
+    _first_band,
     _subtract_row,
-    certified,
     monomial_product,
     semidegrees,
+    series_of,
 )
 from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, essential_key_values, formal_pairs
@@ -271,9 +272,9 @@ def key_forms_with_values(
         # the last form first: each product adds the shortest factor to its prefix
         factors = tuple((e, b) for e, b in reversed(beta.items()) if e >= 2 and b)
         mono = products.get(factors, None) if factors else LaurentPoly.one()
-        scale = Fraction(1 if scalars is None else scalars[j - 1], mono._den)
-        terms = dict(top._terms)
-        den = _subtract_row(terms, top._den, None, mono._terms, scale, beta[0], beta.get(1, 0))
+        scale = 1 if scalars is None else scalars[j - 1]
+        terms, row_den = dict(top._terms), scale.denominator * mono._den
+        den = _subtract_row(terms, top._den, None, mono._terms, scale.numerator, row_den, beta[0], beta.get(1, 0))
         forms.append(top._like(terms, den))
         if alpha > 1:
             ess.append(j)
@@ -324,9 +325,9 @@ def compute_key_forms(g: GenericDPS) -> KeyFormSeq:
     each step raises the expansion to power = d / gcd(d, w) and subtracts
     the scaled essential monomial that cancels its top; the forms follow
     from the values, the step record and the scalars.  Only tops are read,
-    so the expansions are truncated under a precision floor and the run is
-    :func:`certified`.  A run needing more than :func:`step_bound`
-    cancellations is a bug.
+    so the expansions are truncated, in one run at the band that provably
+    covers every read (:func:`~semidegree.algebra._first_band`); a precision
+    loss there, or a run past :func:`step_bound` cancellations, is a bug.
     """
     return key_forms_and_steps(g)[0]
 
@@ -335,8 +336,11 @@ def key_forms_and_steps(g: GenericDPS) -> tuple[KeyFormSeq, Steps]:
     """:func:`compute_key_forms` with the run's step record beside the
     forms: (alpha_j, beta_j) for each step j, as in :func:`steps_from_values`."""
     pairs = formal_pairs(g)
-    bound = step_bound(g, pairs)
-    values, scalars, steps = certified(g, lambda expansion: _cancel(expansion, bound))
+    band = _first_band(pairs)
+    try:
+        values, scalars, steps = _cancel(series_of(g, band), step_bound(g, pairs))
+    except PrecisionLost:
+        raise InternalError(f"key forms lost precision at band {number_to_str(band)}; this is a bug") from None
     seq = key_forms_with_values(values, steps, scalars)
     _check_run(seq, pairs)
     return seq, steps
@@ -406,7 +410,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction],
         # scalar = (lead / lead_den) ** power / (mono's top coefficient)
         num, div = lead ** power, lead_den ** power * mono._terms[top]
         scalars.append(Fraction(num * mono._den, div))
-        den = _subtract_row(terms, den, floor, mono._terms, Fraction(num, div), shift)
+        den = _subtract_row(terms, den, floor, mono._terms, num, div, shift)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 
@@ -439,7 +443,7 @@ def verify_key_properties(seq: KeyFormSeq, g: GenericDPS | None = None) -> Verif
     the earlier forms with reduced exponents and matching value.  With a
     generic series supplied, each recorded value is also recomputed through
     an independent substitution (:func:`~semidegree.algebra.semidegrees`,
-    certified truncated expansions).  The minimality property quantifying over
+    truncated expansions widened until exact).  The minimality property quantifying over
     all preimages is certified by these checks together rather than tested
     directly.
     """

@@ -45,6 +45,13 @@ def random_contractible(rng, max_terms=3):
             return g
 
 
+def random_rational(rng, max_terms):
+    """A random generic series whose coefficients have denominators, so the
+    working map's denominator grows between essential steps."""
+    coefficients = (Fraction(-7, 3), Fraction(-1, 2), Fraction(2, 5), Fraction(5, 4), Fraction(-3, 7), 3)
+    return random_generic(rng, max_terms, coefficients=coefficients)
+
+
 def random_laurent(rng, max_terms=4, allow_negative_x=True):
     """A random nonzero element of Q[x, 1/x, y] with a small support."""
     while True:
@@ -453,12 +460,13 @@ def loop_key_forms(g, certify=False):
     the non-essential multipliers included.
 
     The expansions are exact unless ``certify`` is set; then they are
-    truncated and the loop runs under :func:`~semidegree.algebra.certified`,
-    which the exact loop checks elsewhere.  The forms are built the same
-    way in both: every monomial from its forms by
-    :func:`~semidegree.algebra.monomial_product`, with no table of powers."""
+    truncated, in one pass at :func:`~semidegree.algebra._first_band`, the
+    band the key forms provably need, which the exact loop checks
+    elsewhere.  The forms are built the same way in both: every monomial
+    from its forms by :func:`~semidegree.algebra.monomial_product`, with no
+    table of powers."""
     from semidegree import KeyFormSeq, LaurentPoly, XiSeries
-    from semidegree.algebra import certified, monomial_product, series_of
+    from semidegree.algebra import _first_band, monomial_product, series_of
     from semidegree.keyforms import essential_key_values, represent, step_bound
     from semidegree.puiseux import InternalError, formal_pairs
 
@@ -523,7 +531,7 @@ def loop_key_forms(g, certify=False):
                 expansions.append(expansion ** power - mono_expansion.scale(scalar))
         return forms, values, ess_indices
 
-    forms, values, ess_indices = certified(g, run) if certify else run(series_of(g))
+    forms, values, ess_indices = run(series_of(g, _first_band(pairs) if certify else None))
     seq = KeyFormSeq(tuple(forms), tuple(values), tuple(search_multipliers(values)), tuple(ess_indices))
     if len(seq.essential_indices) != pairs.l + 2:
         raise InternalError("wrong number of essential forms; this is a bug")
@@ -853,8 +861,9 @@ def check_approximate_roots(g):
     """Check the key forms of g against the approximate roots of its last
     form: the root at the y-degree of each inner essential form has that
     form's value and differs from it by a strictly lower value, and the last
-    form has the last value, all by the certified substitution.  Returns the
-    number of inner essential forms and of roots that differ from them."""
+    form has the last value, all by the truncated substitution of
+    :func:`~semidegree.algebra.semidegrees`.  Returns the number of inner
+    essential forms and of roots that differ from them."""
     from semidegree import algebra, compute_key_forms
 
     seq = compute_key_forms(g)

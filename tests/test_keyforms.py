@@ -31,7 +31,7 @@ from semidegree import (
 )
 import semidegree.algebra as algebra
 import semidegree.keyforms as keyforms
-from semidegree.algebra import certified
+from semidegree.algebra import PrecisionLost, series_of
 from semidegree.graphs import algebraic_witness, nonalgebraic_witness
 from semidegree.keyforms import KeyFormError, _cancel, key_forms_with_values, step_bound, steps_from_values
 from semidegree.puiseux import PuiseuxError
@@ -42,6 +42,7 @@ from helpers import (
     random_contractible,
     random_generic,
     random_normal_pairs,
+    random_rational,
     row_key_forms,
     search_multipliers,
     search_represent,
@@ -447,10 +448,16 @@ def test_essential_y_degrees_grow_with_the_denominators():
 # the step cap and the power table
 
 
+def _first_band_run(g, bound=None, cancel=_cancel):
+    """(values, scalars, steps) of the cancellation on g in one pass at the
+    first band 1 + S, within the step bound unless another is given."""
+    pairs = formal_pairs(g)
+    return cancel(series_of(g, algebra._first_band(pairs)), step_bound(g, pairs) if bound is None else bound)
+
+
 def _cancellations(g):
     """The cancellations of the loop on g, counted without a cap."""
-    values = certified(g, lambda expansion: _cancel(expansion, 10**9))[0]
-    return len(values) - 2
+    return len(_first_band_run(g, 10**9)[0]) - 2
 
 
 @FAST
@@ -485,21 +492,14 @@ def test_step_bound_on_small_series(phi, r, bound):
 def test_dyadic_depth_8_cancels_within_its_step_bound():
     # 260 cancellations: more than the old cap of 10 * (len(phi) + sum p) = 250
     g = _dyadic_chain(8)
-    bound = step_bound(g, formal_pairs(g))
-    values, scalars, _ = certified(g, lambda expansion: _cancel(expansion, bound))
-    assert (len(values) - 2, bound) == (260, 265)
+    values, scalars, _ = _first_band_run(g)
+    assert (len(values) - 2, step_bound(g, formal_pairs(g))) == (260, 265)
     assert len(scalars) == 260
-
-
-def _certified_run(g):
-    """(values, scalars, steps) of the certified cancellation on g."""
-    bound = step_bound(g, formal_pairs(g))
-    return certified(g, lambda expansion: _cancel(expansion, bound))
 
 
 @functools.cache
 def _dyadic_run(depth):
-    return _certified_run(_dyadic_chain(depth))
+    return _first_band_run(_dyadic_chain(depth))
 
 
 @pytest.mark.parametrize(
@@ -513,10 +513,9 @@ def _dyadic_run(depth):
     ],
 )
 def test_dyadic_values_and_scalars_keep_their_digest(source, digest):
-    # the md5 of repr((values, scalars)) at a dyadic depth, as the term loop
-    # alone computed them, or on a series with r = -1, as a first band of
-    # 2 * (max p_k * omega_k - omega_last) computed them
-    run = _dyadic_run(source) if type(source) is int else _certified_run(GenericDPS(parse_dps(source), F(-1)))
+    # the md5 of repr((values, scalars)) at a dyadic depth or on a series
+    # with r = -1; both are exact, so the digest does not depend on the band
+    run = _dyadic_run(source) if type(source) is int else _first_band_run(GenericDPS(parse_dps(source), F(-1)))
     assert hashlib.md5(repr(run[:2]).encode()).hexdigest() == digest
 
 
@@ -625,7 +624,7 @@ def _cancel_product_bound(seq):
 
 def test_dyadic_depth_7_cancels_in_124_products(expansion_products):
     # 131 steps, 111 of them with two or more essential factors after y,
-    # in one certified run: 7 raises and 117 distinct factor prefixes
+    # in one run at the first band: 7 raises and 117 distinct factor prefixes
     seq = compute_key_forms(_dyadic_chain(7))
     assert expansion_products[0] <= _cancel_product_bound(seq) == 124
 
@@ -644,7 +643,7 @@ def test_cancellation_keeps_no_product_deeper_than_it_was_asked(monkeypatch):
         return product
 
     monkeypatch.setattr(keyforms._Products, "get", recording)
-    _certified_run(_dyadic_chain(6))
+    _first_band_run(_dyadic_chain(6))
     cut = [product.floor >= product.value - depth for depth, product in built if depth]
     assert len(cut) > 50 and all(cut)
 
@@ -653,31 +652,30 @@ def test_cancellation_keeps_no_product_deeper_than_it_was_asked(monkeypatch):
 # the working map against the loop on whole XiSeries values
 
 
-def _both_cancellations(g):
-    """(values, scalars) of _cancel and of the XiSeries loop, each certified."""
-    bound = step_bound(g, formal_pairs(g))
-    return _certified_run(g)[:2], certified(g, lambda expansion: xiseries_cancel(expansion, bound))
-
-
 @pytest.fixture(params=["first band", "band 1"])
-def first_band(request, monkeypatch):
-    """The normal first band, or a first band of 1, so every run retries."""
-    if request.param == "band 1":
-        monkeypatch.setattr(algebra, "_first_band", lambda pairs: 1)
+def below(request):
+    """Whether to run, besides the first band 1 + S, each band 1, 2, 4, ...
+    below it, where either loop must lose precision or match."""
+    return request.param == "band 1"
 
 
-def random_rational(rng, max_terms):
-    """A random generic series whose coefficients have denominators, so the
-    working map's denominator grows between essential steps."""
-    return random_generic(rng, max_terms, coefficients=(F(-7, 3), F(-1, 2), F(2, 5), F(5, 4), F(-3, 7), 3))
+def _assert_both_cancellations(g, below):
+    """_cancel and the XiSeries loop give the same values and scalars at the
+    first band; at a band below it each raises PrecisionLost or gives them."""
+    expected = _first_band_run(g)[:2]
+    assert _first_band_run(g, cancel=xiseries_cancel) == expected
+    pairs = formal_pairs(g)
+    least, bound = algebra._first_band(pairs), step_bound(g, pairs)
+    for band in (1 << k for k in range(least.bit_length()) if below and 1 << k < least):
+        for cancel in (_cancel, xiseries_cancel):
+            with contextlib.suppress(PrecisionLost):
+                assert cancel(series_of(g, band), bound)[:2] == expected
 
 
 @pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
-def test_working_map_matches_the_xiseries_loop_on_seeded_series(first_band, draw):
+def test_working_map_matches_the_xiseries_loop_on_seeded_series(below, draw):
     for seed in range(500):
-        g = draw(random.Random(seed), max_terms=seed % 6)
-        mine, oracle = _both_cancellations(g)
-        assert mine == oracle, g
+        _assert_both_cancellations(draw(random.Random(seed), max_terms=seed % 6), below)
 
 
 @pytest.mark.parametrize(
@@ -689,9 +687,8 @@ def test_working_map_matches_the_xiseries_loop_on_seeded_series(first_band, draw
     ],
     ids=[f"dyadic{depth}" for depth in range(1, 7)] + ["wide357", "wide3711"],
 )
-def test_working_map_matches_the_xiseries_loop_on_examples(first_band, g):
-    mine, oracle = _both_cancellations(g)
-    assert mine == oracle
+def test_working_map_matches_the_xiseries_loop_on_examples(below, g):
+    _assert_both_cancellations(g, below)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +706,7 @@ def _assert_same_forms(values, scalars, steps):
 def test_form_builder_matches_the_row_oracle_on_seeded_series(draw):
     for seed in range(500):
         g = draw(random.Random(seed), max_terms=seed % 6)
-        _assert_same_forms(*_certified_run(g))
+        _assert_same_forms(*_first_band_run(g))
 
 
 @pytest.mark.parametrize("depth", range(1, 8))
@@ -761,10 +758,9 @@ def _frames_to_spare(spare):
 )
 def test_a_multiplier_of_601_raises_its_powers_by_halving(g):
     with _frames_to_spare(100):
-        values, scalars, steps = _certified_run(g)
+        values, scalars, steps = _first_band_run(g)
         seq = key_forms_with_values(values, steps, scalars)
-    bound = step_bound(g, formal_pairs(g))
-    assert (values, scalars) == certified(g, lambda expansion: xiseries_cancel(expansion, bound))
+    assert (values, scalars) == _first_band_run(g, cancel=xiseries_cancel)
     assert seq == row_key_forms(values, scalars)
 
 
@@ -807,7 +803,7 @@ def test_form_builder_represents_against_the_essential_values(betas, draw):
     # builder, which represents nothing itself
     for seed in range(200):
         betas.clear()
-        values, scalars, steps = _certified_run(draw(random.Random(seed), max_terms=seed % 6))
+        values, scalars, steps = _first_band_run(draw(random.Random(seed), max_terms=seed % 6))
         calls = betas[:]
         betas.clear()
         seq = key_forms_with_values(values, steps, scalars)

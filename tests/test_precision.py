@@ -1,7 +1,9 @@
-"""Certified-precision expansions: truncated products under a tracked floor,
-and the retry that makes every result exact."""
+"""Truncated expansions: products under a tracked floor, the one pass of
+the key forms at the first band 1 + S, and the retry that makes every
+semidegree exact."""
 
 import functools
+import json
 import random
 from fractions import Fraction as F
 
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import semidegree.algebra as algebra
+import semidegree.cli as cli
 import semidegree.keyforms as keyforms
 import semidegree.puiseux as puiseux
 from semidegree import (
@@ -26,6 +29,7 @@ from semidegree import (
     verify_key_properties,
 )
 from semidegree.algebra import AlgebraError, PrecisionLost, series_of
+from semidegree.parsing import dps_to_str
 
 from helpers import (
     _fraction_series_mul,
@@ -38,6 +42,7 @@ from helpers import (
     random_contractible,
     random_generic,
     random_laurent,
+    random_rational,
 )
 
 FAST = settings(max_examples=60, deadline=None, derandomize=True)
@@ -64,19 +69,19 @@ def oracle_value(f, g):
 
 @pytest.fixture
 def bands(monkeypatch):
-    """The bands each certified run tried, in order."""
+    """The bands each key-form run expanded its series at, in order."""
     tried = []
 
     def recording(g, band=None):
         tried.append(band)
         return series_of(g, band)
 
-    monkeypatch.setattr(algebra, "series_of", recording)
+    monkeypatch.setattr(keyforms, "series_of", recording)
     return tried
 
 
 # ---------------------------------------------------------------------------
-# the certified engine against the exact oracles
+# the truncated engine against the exact oracles
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
@@ -120,17 +125,25 @@ def test_verifier_passes_at_dyadic_depth_5():
 
 
 # ---------------------------------------------------------------------------
-# the retry
+# one band for the key forms, and the semidegree's retry
 
 
 @pytest.mark.parametrize("depth", [2, 3, 4])
-def test_band_one_retries_to_the_exact_key_forms(monkeypatch, bands, depth):
-    expected = exact_dyadic(depth)  # the exact oracle expands g too: keep it out of the record
-    bands.clear()
-    monkeypatch.setattr(algebra, "_first_band", lambda pairs: 1)
-    assert compute_key_forms(dyadic_chain(depth)) == expected
-    assert bands[0] == 1 and len(bands) > 1
-    assert bands == [2**k for k in range(len(bands))]
+def test_a_band_below_the_first_is_an_internal_error(monkeypatch, bands, depth):
+    # the key forms run once at band 1 + S, which the theorem says is
+    # enough; a loss below it is a bug, not a reason to widen the band, and
+    # the raise is no assert, so it survives python -O
+    g = dyadic_chain(depth)
+    least = algebra._first_band(formal_pairs(g))
+    for forced in sorted({1, least - 1}):
+        bands.clear()
+        monkeypatch.setattr(keyforms, "_first_band", lambda pairs: forced)
+        message = f"key forms lost precision at band {forced}; this is a bug"
+        with pytest.raises(InternalError) as caught:
+            compute_key_forms(g)
+        assert str(caught.value) == message and bands == [forced]
+        code, line = cli.run_line(f'keyforms --phi "{dps_to_str(g.phi)}" --r {g.r}')
+        assert (code, line) == (5, json.dumps({"error": f"internal error: InternalError: {message}", "exit_code": "5"}))
 
 
 @FAST
@@ -141,7 +154,6 @@ def test_band_one_retries_to_the_exact_answers(seed):
     f = random_laurent(rng, max_terms=5)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(algebra, "_first_band", lambda pairs: 1)
-        assert compute_key_forms(g) == loop_key_forms(g)
         assert semidegree(f, g) == oracle_value(f, g)
 
 
@@ -149,7 +161,7 @@ def test_first_band_comes_from_the_pairs(bands):
     # pairs (5,2),(9,2),(17,2),(33,2),(65,2),(33,1), essential values 32, 80,
     # 152, 300, 598, 1195, 2358: the level drops p_k * omega_k - omega_{k+1}
     # are 8, 4, 2, 1 and 32, and the first band, 48, is one more than their
-    # sum; it ends the run, so it is the only band tried
+    # sum; the run expands its series once, at that band
     g = dyadic_chain(5)
     compute_key_forms(g)
     assert bands == [1 + (2 * 80 - 152) + (2 * 152 - 300) + (2 * 300 - 598) + (2 * 598 - 1195) + (2 * 1195 - 2358)]
@@ -193,6 +205,15 @@ def test_the_first_band_is_the_least_on_seeded_series():
     rng = random.Random(0)
     for _ in range(60):
         _assert_the_first_band_is_the_least(random_generic(rng, max_terms=5))
+
+
+@pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
+def test_the_first_band_ends_the_cancellation_on_seeded_series(draw):
+    # 3 x 3334 series, over 10^4 in all, run once at band 1 + S: none loses
+    # precision, so the key forms need no retry
+    for seed in range(3334):
+        g = draw(random.Random(seed), max_terms=seed % 6)
+        _cancel_at(g, algebra._first_band(formal_pairs(g)))
 
 
 def test_a_band_covering_every_product_is_the_exact_engine(monkeypatch):
@@ -406,7 +427,8 @@ def test_a_difference_is_the_sum_with_the_negation(g, f, h, c, n, band):
 def test_subtracting_a_row_in_place_is_the_difference_of_series(g, f, h, c, shift, n, band):
     # either operand may have the larger denominator and the higher floor;
     # the map is first cut to the higher floor, since the row must be known
-    # down to the map's floor
+    # down to the map's floor; the scale c / b._den comes over a negative
+    # denominator and out of lowest terms, which the subtraction undoes
     for base in (series_of(g), series_of(g, band)):
         s, t = _expand(f, base) ** n, _expand(h, base).scale(c)
         for a, b in ((s, t), (t, s)):
@@ -414,7 +436,8 @@ def test_subtracting_a_row_in_place_is_the_difference_of_series(g, f, h, c, shif
             if floor is not None:
                 a = a.above(floor)
             out = dict(a._terms)
-            den = algebra._subtract_row(out, a._den, a.floor, b._terms, c / b._den, shift)
+            num, row_den = -6 * c.numerator, -6 * c.denominator * b._den
+            den = algebra._subtract_row(out, a._den, a.floor, b._terms, num, row_den, shift)
             assert dict(a._like(out, den, a.floor).items()) == oracle_series_sum(a, b, -c, shift)
 
 
