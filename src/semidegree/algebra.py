@@ -19,8 +19,9 @@ denominator; a coefficient becomes a Fraction only where it is read.
 Every product, of two elements or inside a substitution, goes through one
 kernel, :func:`_add_products`, whose cut None keeps every product.  It
 multiplies small or sparse operands one pair of terms at a time: with no
-cut, in the order its operands' terms are stored, and a square, equal
-operands in any ring, takes each pair of terms once, doubled
+cut, in the order its operands' terms are stored, and with a cut, on rows
+sorted highest first that stop at it.  A square, equal operands in any
+ring, takes each pair of terms once, doubled, with or without a cut
 (Monagan-Pearce 2010).  A large product of operands that are dense on
 their lattice is packed instead (Kronecker substitution: Fateman 2005,
 Harvey 2009): each row of an operand, a level of the second exponent or of
@@ -94,7 +95,8 @@ def _add_products(left: list, right: list, cut: int | None, out: dict[tuple[int,
     whose first exponent lies above ``cut``, each row sorted highest first
     when there is a cut.  ``cut`` None, the one spelling of "keep every
     product", lets the rows come in any order; the same list as both rows
-    is a square.
+    is a square, which takes each unordered pair of terms once, doubled,
+    with a cut or without.
 
     A product of at least ``_PACK_PAIRS`` term pairs, with ``_PACK_MIN``
     terms or more in each operand, is offered to :func:`_add_packed` on
@@ -111,10 +113,13 @@ def _add_products(left: list, right: list, cut: int | None, out: dict[tuple[int,
 
 
 def _add_term_products(left: list, right: list, cut: int | None, out: dict[tuple[int, int], int]) -> None:
-    """:func:`_add_products` one pair of terms at a time.  With a cut each
-    inner row stops at it.  With none, every pair is kept, in one loop
-    whose square case takes each term's own product and then each
-    unordered pair of terms once, doubled."""
+    """:func:`_add_products` one pair of terms at a time.  A square, with a
+    cut or without, takes each term's own product and then each unordered
+    pair of terms once, doubled.  With no cut every pair is kept, in one
+    loop for squares and other products alike.  With a cut, each inner row
+    stops at it, and the outer loop stops at the first term none of whose
+    products lies above it; that loop is kept apart from the exact one, so
+    the exact products pay nothing for the cut."""
     if cut is None:
         square = left is right
         for i, ((a1, b1), n1) in enumerate(left, 1):
@@ -128,6 +133,20 @@ def _add_term_products(left: list, right: list, cut: int | None, out: dict[tuple
                 out[key] = out.get(key, 0) + n1 * n2
         return
     if not right:
+        return
+    if left is right:
+        for i, ((a1, b1), n1) in enumerate(left, 1):
+            stop = cut - a1
+            if a1 <= stop:  # nor has any later term a product above the cut
+                break
+            key = (a1 + a1, b1 + b1)
+            out[key] = out.get(key, 0) + n1 * n1
+            n1 += n1
+            for (a2, b2), n2 in left[i:]:
+                if a2 <= stop:
+                    break
+                key = (a1 + a2, b1 + b2)
+                out[key] = out.get(key, 0) + n1 * n2
         return
     top2 = right[0][0][0]
     for (a1, b1), n1 in left:
@@ -365,8 +384,8 @@ class _Sparse:
 
     def _store(self, terms: dict[tuple[int, int], int], den: int) -> None:
         """Keep these numerators over the positive ``den``: zeros dropped,
-        reduced to lowest terms."""
-        g = math.gcd(den, *terms.values())
+        reduced to lowest terms (over 1 they already are)."""
+        g = 1 if den == 1 else math.gcd(den, *terms.values())
         if g == 1 and 0 not in terms.values():
             self._terms = terms  # nothing to drop or divide
         else:
@@ -691,7 +710,10 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
         numerators[a, b] = c
     if off:  # r lies below every exponent of phi, so this is the first one read from the top
         raise InternalError(f"exponent {max(off)} is not in (1/{den})Z; this is a bug")
-    return XiSeries((), den, band)._like(numerators, phi._cden)
+    expansion = object.__new__(XiSeries)  # the numerators are ready: no constructor pass
+    expansion.den, expansion.band, expansion.floor = den, band, None
+    expansion._store(numerators, phi._cden)
+    return expansion
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:

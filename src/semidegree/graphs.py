@@ -249,7 +249,10 @@ def is_negative_definite(matrix: list[list[int]]) -> bool:
     which holds for any symmetric matrix.  Forests only: on a pattern with a
     cycle the leaves run out with vertices left, and that is refused with
     `GraphError`, so such a matrix never answers True.  Raises `GraphError`
-    also on a matrix that is not square, not symmetric or not of ints.
+    also on a matrix that is not square or not symmetric, or that has a
+    nonzero entry or a diagonal entry that is not an int.  The scan reads
+    only those entries' types: an off-diagonal zero is read by its value,
+    so 0.0, False or Fraction(0) there is no edge.
     """
     n = len(matrix)
     short = next((i for i, row in enumerate(matrix) if len(row) != n), None)

@@ -15,11 +15,14 @@ of the current form's expansion:
 * the process stops as soon as the generic indeterminate reaches the
   leading coefficient.
 
-The loop keeps only expansions and records each value and scalar, and
-the step record: each step's power alpha_j with the exponents beta_j of
-its monomial.  :func:`key_forms_with_values` turns the values, the record
-and the scalars into forms; the witnesses, which have no loop, derive
-their record from their values (:func:`steps_from_values`).  The running
+The loop keeps only expansions and records each value, each scalar as an
+integer pair (numerator, denominator), and the step record: each step's
+power alpha_j with the exponents beta_j of its monomial.
+:func:`key_forms_with_values` turns the values, the record and the scalars
+into forms; the witnesses, which have no loop, derive their record from
+their values (:func:`steps_from_values`).  Both read a step's power and
+exponents off one representation table of the essential values so far
+(:func:`_table`), built again only when a form is essential.  The running
 expansion is one private map of integer numerators that each step updates
 in place, so a step costs the terms of its monomial; an expansion becomes
 an :class:`XiSeries` only at an essential step, where it is raised and
@@ -47,7 +50,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .algebra import (
@@ -135,18 +137,31 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
     return FormalPuiseuxPairs(tuple(zip(qs, ps)))
 
 
-def _multiplier(w: int, ess_values: Sequence[int]) -> int:
-    """The least power taking the value w into the group of the essential
-    values so far: d // gcd(d, w), with d their gcd."""
-    d = math.gcd(*ess_values)
-    return d // math.gcd(d, w)
+# (values, their gcd, rows): what _represent reads of a value prefix
+_Table = tuple[tuple[int, ...], int, list[tuple[int, int, int, int, int]]]
+
+
+def _table(values: Sequence[int]) -> _Table:
+    """The representation table of ``values``, built once per prefix: the
+    values, their gcd d (0 for none), and for each index i from the top
+    down to 1 the row (i, values[i], d_{i+1}, alpha_i, the inverse of
+    values[i] / d_{i+1} modulo alpha_i), with d_i the gcd of the first i
+    values and alpha_i = d_i / d_{i+1}."""
+    rows, d = [], 0
+    for i, v in enumerate(values):
+        below, d = d, math.gcd(d, v)
+        if i:
+            alpha = below // d
+            rows.append((i, v, d, alpha, pow(v // d, -1, alpha)))
+    rows.reverse()
+    return tuple(values), d, rows
 
 
 def represent(target, values: Sequence[int]) -> list[int]:
     """The unique combination sum(beta_i * values[i]) == target with
     0 <= beta_i < alpha_i for i >= 1 and beta_0 an arbitrary integer, where
     alpha_i is the least multiplier taking values[i] into the group of the
-    lower values.
+    lower values: :func:`_represent` on the :func:`_table` of ``values``.
 
     With d_i the gcd of the first i values, alpha_i = d_i / d_{i+1}, and
     values[i] / d_{i+1} is a unit modulo alpha_i.  From the top down, the
@@ -154,22 +169,29 @@ def represent(target, values: Sequence[int]) -> list[int]:
     r - beta_i * values[i] into the multiples of d_i is
     beta_i = (r / d_{i+1}) * inverse(values[i] / d_{i+1}) mod alpha_i.
     """
-    gcds = [0]
-    for v in values:
-        gcds.append(math.gcd(gcds[-1], v))
+    return _represent(target, _table(values))
+
+
+def _represent(target, table: _Table) -> list[int]:
+    """:func:`represent` against the values of ``table``, read off its rows."""
+    values, _, rows = table
     remaining = target
     beta = [0] * len(values)
-    for i in range(len(values) - 1, 0, -1):
-        d = gcds[i + 1]
+    for i, v, d, alpha, inverse in rows:
         if remaining % d:
             raise KeyFormError(f"{number_to_str(target)} is not representable in the given values")
-        alpha = gcds[i] // d
-        beta[i] = remaining // d * pow(values[i] // d, -1, alpha) % alpha
-        remaining -= beta[i] * values[i]
+        b = beta[i] = remaining // d * inverse % alpha
+        remaining -= b * v
     if not values or remaining % values[0]:
         raise KeyFormError(f"{number_to_str(target)} is not representable in the given values")
     beta[0] = remaining // values[0]
     return beta
+
+
+def _multiplier(w: int, d: int) -> int:
+    """The least power taking the value w into the group of values whose
+    gcd is d, as a :func:`_table` keeps it: d // gcd(d, w)."""
+    return d // math.gcd(d, w)
 
 
 class _Products:
@@ -187,7 +209,7 @@ class _Products:
     and a raised expansion is known no deeper below its top than the old
     floor allowed), and a step's check catches a monomial known too little.
     The unit is not kept: a monomial with no essential factor is a caller's
-    own unit, built only for the step that needs it.
+    own unit, built once per run.
     """
 
     def __init__(self):
@@ -217,15 +239,18 @@ def steps_from_values(values: Sequence[int]) -> Steps:
     j = 1..len(values) - 2, its multiplier alpha_j, the least power taking
     values[j] into the group of the essential values before it
     (:func:`_multiplier`), and the exponents beta_j :func:`represent` gives
-    for alpha_j * values[j] against those essential values.  The
-    cancellation loop records the same pairs as it goes."""
+    for alpha_j * values[j] against those essential values, read off one
+    :func:`_table` per level.  The cancellation loop records the same pairs
+    as it goes."""
     ess_values = [values[0]]  # the essential values before j
+    table = _table(ess_values)
     steps: Steps = []
     for w in values[1:-1]:
-        alpha = _multiplier(w, ess_values)
-        steps.append((alpha, represent(alpha * w, ess_values)))
+        alpha = _multiplier(w, table[1])
+        steps.append((alpha, _represent(alpha * w, table)))
         if alpha > 1:
             ess_values.append(w)
+            table = _table(ess_values)
     return steps
 
 
@@ -235,17 +260,19 @@ def first_negative_step(steps: Steps) -> int | None:
 
 
 def key_forms_with_values(
-    values: Sequence[int], steps: Steps, scalars: Sequence[Fraction] | None = None
+    values: Sequence[int], steps: Steps, scalars: Sequence[tuple[int, int]] | None = None
 ) -> KeyFormSeq:
     """The key forms of a value sequence and its step record, from x and y
     onward.
 
     Form j+1 is form j raised to its multiplier alpha_j, minus the
     monomial in the earlier forms with the exponents beta_j, that monomial
-    scaled by ``scalars[j - 1]`` when scalars are given; ``steps[j - 1]``
-    is (alpha_j, beta_j), as :func:`steps_from_values` derives them and
-    the cancellation loop records them.  The essential indices are 0, every
-    j with alpha_j > 1, and the last.
+    scaled by n / d when ``scalars[j - 1]`` is the integer pair (n, d), as
+    the cancellation loop hands them over: d is nonzero, of either sign,
+    and the pair need not be reduced.  ``steps[j - 1]`` is (alpha_j,
+    beta_j), as :func:`steps_from_values` derives them and the
+    cancellation loop records them.  The essential indices are 0, every j
+    with alpha_j > 1, and the last.
 
     Since beta_i < alpha_i, beta vanishes off the essential indices, so it
     is given against the essential values so far.  One exact
@@ -272,13 +299,13 @@ def key_forms_with_values(
         # the last form first: each product adds the shortest factor to its prefix
         factors = tuple((e, b) for e, b in reversed(beta.items()) if e >= 2 and b)
         mono = products.get(factors, None) if factors else LaurentPoly.one()
-        scale = 1 if scalars is None else scalars[j - 1]
-        terms, row_den = dict(top._terms), scale.denominator * mono._den
-        den = _subtract_row(terms, top._den, None, mono._terms, scale.numerator, row_den, beta[0], beta.get(1, 0))
+        num, div = (1, 1) if scalars is None else scalars[j - 1]
+        terms = dict(top._terms)
+        den = _subtract_row(terms, top._den, None, mono._terms, num, div * mono._den, beta[0], beta.get(1, 0))
         forms.append(top._like(terms, den))
         if alpha > 1:
             ess.append(j)
-    multipliers.append(_multiplier(values[last], [values[e] for e in ess]))
+    multipliers.append(_multiplier(values[last], math.gcd(*(values[e] for e in ess))))
     return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), (*ess, last))
 
 
@@ -346,11 +373,12 @@ def key_forms_and_steps(g: GenericDPS) -> tuple[KeyFormSeq, Steps]:
     return seq, steps
 
 
-def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction], Steps]:
+def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[tuple[int, int]], Steps]:
     """The cancellation loop from the expansion of y: each value, the
-    scalar of each cancelling monomial and each step's power and exponents
-    (the step record of :func:`steps_from_values`), after at most ``bound``
-    cancellations.
+    scalar of each cancelling monomial as an integer pair (numerator,
+    denominator), unreduced and with a denominator of either sign, and each
+    step's power and exponents (the step record of
+    :func:`steps_from_values`), after at most ``bound`` cancellations.
 
     The running expansion is one private map from (X-exponent, xi-exponent)
     to integer numerators over one denominator, known above its floor.  A
@@ -358,7 +386,8 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction],
     shifted monomial in place (:func:`~semidegree.algebra._subtract_row`),
     so it costs the monomial's terms, not copies of the expansion.  Only an
     essential step (power > 1) takes an :class:`XiSeries` snapshot, which it
-    raises and keeps for the monomials of later steps.
+    raises and keeps for the monomials of later steps, and rebuilds the
+    :func:`_table` that each step's power and exponents are read from.
 
     The monomial of a step is x^beta_0, a shift, times powers of the
     expansions of the essential forms after x.  The difference is known only
@@ -370,8 +399,10 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction],
     delta_x = expansion.den
     terms, den, floor = dict(expansion._terms), expansion._den, expansion.floor
     ess, ess_values = [0], [delta_x]  # the essential indices so far, with their values
+    table = _table(ess_values)
+    unit = expansion._like({(0, 0): 1}, 1)  # the monomial of a step with no essential factor
     values = [delta_x]
-    scalars: list[Fraction] = []
+    scalars: list[tuple[int, int]] = []
     steps: Steps = []
     products = _Products()
     for _ in range(bound + 1):
@@ -385,21 +416,22 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction],
             return values, scalars, steps
 
         lead, lead_den = terms[w, 0], den
-        power = _multiplier(w, ess_values)
-        beta = represent(power * w, ess_values)
+        power = _multiplier(w, table[1])
+        beta = _represent(power * w, table)
         steps.append((power, beta))
         if power > 1:  # an essential form: keep its expansion for later monomials
             snapshot = expansion._like(terms, den, floor)  # keeps the map: rebound below
             products.add(len(values) - 1, snapshot)
             ess.append(len(values) - 1)
             ess_values.append(w)
+            table = _table(ess_values)
             raised = snapshot ** power
             terms, den, floor = raised._terms, raised._den, raised.floor
         depth = None if floor is None else power * w - floor
         factors = [(e, b) for e, b in zip(ess[1:], beta[1:]) if b]
         if factors and factors[0][0] == 1:  # y's power last
             factors.append(factors.pop(0))
-        mono = products.get(tuple(factors), depth) if factors else expansion._like({(0, 0): 1}, 1)
+        mono = products.get(tuple(factors), depth) if factors else unit
         shift = beta[0] * delta_x
         top = mono._top()
         if top is None or (top[0] + shift, top[1]) != (power * w, 0):
@@ -409,7 +441,7 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[Fraction],
 
         # scalar = (lead / lead_den) ** power / (mono's top coefficient)
         num, div = lead ** power, lead_den ** power * mono._terms[top]
-        scalars.append(Fraction(num * mono._den, div))
+        scalars.append((num * mono._den, div))
         den = _subtract_row(terms, den, floor, mono._terms, num, div, shift)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 

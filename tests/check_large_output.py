@@ -2,10 +2,11 @@
 
     python3 tests/check_large_output.py
 
-The inputs are the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON)
-and the three-level input x^(1/7) + x^(1/11) + x^(1/13) with r = -1 (483
-values, 93.5 MB).  Each process must exit 0 and print exactly the pinned
-bytes (size and md5).  Its peak RSS, read with ``os.wait4``, is printed for
+The inputs are the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON),
+the three-level input x^(1/7) + x^(1/11) + x^(1/13) with r = -1 (483
+values, 93.5 MB) and the wide two-level input x^(1/31) + x^(1/37) with
+r = -1 (1.5 MB, from packed products and squares cut at the band).  Each
+process must exit 0 and print exactly the pinned bytes (size and md5).  Its peak RSS, read with ``os.wait4``, is printed for
 the record; no bound is asserted on it.  Exits 1 with the reasons when a
 run fails.
 """
@@ -23,6 +24,8 @@ DEPTH7_SIZE = 7336946
 DEPTH7_MD5 = "d37f5ae3f8f121c95e2f673234bf8a7c"
 THREE_LEVEL_SIZE = 93490176
 THREE_LEVEL_MD5 = "a4ef2d07c402b004ebdb375588eb1d9a"
+WIDE_SIZE = 1547767
+WIDE_MD5 = "32b12cb8b0158306b0872f1ed7cfd17c"
 
 
 def dyadic_keyforms_argv(depth: int) -> list[str]:
@@ -37,9 +40,9 @@ def child_env() -> dict:
     return {**os.environ, "PYTHONPATH": path}
 
 
-def three_level_keyforms_argv() -> list[str]:
-    """The keyforms command on x^(1/7) + x^(1/11) + x^(1/13), r = -1."""
-    return [sys.executable, "-m", "semidegree.cli", "keyforms", "--phi", "x^(1/7)+x^(1/11)+x^(1/13)", "--r", "-1"]
+def keyforms_argv(phi: str, r: str) -> list[str]:
+    """The keyforms command on phi and r."""
+    return [sys.executable, "-m", "semidegree.cli", "keyforms", "--phi", phi, "--r", r]
 
 
 def pinned_run(name: str, argv: list[str], expected_size: int, expected_md5: str) -> bool:
@@ -67,7 +70,8 @@ def pinned_run(name: str, argv: list[str], expected_size: int, expected_md5: str
 def main() -> int:
     runs = [
         ("keyforms dyadic depth 7", dyadic_keyforms_argv(7), DEPTH7_SIZE, DEPTH7_MD5),
-        ("keyforms three-level", three_level_keyforms_argv(), THREE_LEVEL_SIZE, THREE_LEVEL_MD5),
+        ("keyforms three-level", keyforms_argv("x^(1/7)+x^(1/11)+x^(1/13)", "-1"), THREE_LEVEL_SIZE, THREE_LEVEL_MD5),
+        ("keyforms wide two-level", keyforms_argv("x^(1/31)+x^(1/37)", "-1"), WIDE_SIZE, WIDE_MD5),
     ]
     passed = [pinned_run(*run) for run in runs]
     return 0 if all(passed) else 1

@@ -565,6 +565,54 @@ def test_packed_exact_squares_match_the_term_loop(packing):
 
 
 # ---------------------------------------------------------------------------
+# squares with a cut: each pair of terms once, each inner row stopped at the cut
+
+
+def _square_rows(rng):
+    """Seeded terms to square: scattered, dense rows, rows with gaps, or a
+    level band, with negative x-exponents in the first two."""
+    shape = rng.randrange(4)
+    if shape == 0:
+        return _random_numerators(rng, rng.randrange(1, 40))
+    if shape == 1:
+        return _rows(rng, range(rng.randrange(1, 4)), rng.randrange(1, 12), shift=-6)
+    if shape == 2:
+        return _rows(rng, range(3), 14, step=rng.choice((1, 2)), fill=0.6)
+    return _band(rng, rng.choice((2, 3, 5)), rng.choice((1, 3)), 30, rng.randrange(1, 12))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_cut_squares_match_the_sorted_term_loop_at_every_cut(seed):
+    # one list as both rows takes the square's path; an equal list that is
+    # another object takes both orders of every pair, as any other product
+    rng = random.Random(seed)
+    rows = _sorted(_square_rows(rng))
+    twin = list(rows)
+    low, high = 2 * rows[-1][0][0], 2 * rows[0][0][0]
+    for cut in range(low - 2, high + 2):  # below every product, through them, above them
+        expected = _loop(rows, twin, cut)
+        assert _loop(rows, rows, cut) == expected
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_banded_squares_match_the_sorted_term_loop(seed):
+    # an expansion times itself or its twin is a square; the band cuts it
+    # through its products, or reaches below them all and cuts nothing
+    rng = random.Random(seed)
+    terms = _square_rows(rng)
+    den = rng.choice((1, 2, 6))
+    rows = _sorted(terms)
+    top, low = rows[0][0][0], rows[-1][0][0]
+    for band in range(1, 2 * (top - low) + 3):
+        s = XiSeries([(key, F(n, den)) for key, n in terms.items()], 3, band)
+        twin = XiSeries([(key, F(4 * n, 4 * den)) for key, n in terms.items()], 3, band)
+        cut = 2 * top - band if band <= 2 * (top - low) else None
+        expected = _loop(rows, list(rows), 2 * low - 1 if cut is None else cut)
+        for product in (s * s, s * twin, twin * s):
+            assert product == s._like(expected, den * den, cut)
+
+
+# ---------------------------------------------------------------------------
 # which products are packed
 
 

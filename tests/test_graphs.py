@@ -462,9 +462,8 @@ def test_each_witness_reads_s1_off_its_own_record(monkeypatch):
 
         return counted
 
-    represent = counting("represent", keyforms.represent)
-    monkeypatch.setattr(keyforms, "represent", represent)
-    monkeypatch.setattr(graphs, "represent", represent)
+    # every representation, through represent or straight from a table
+    monkeypatch.setattr(keyforms, "_represent", counting("represent", keyforms._represent))
     monkeypatch.setattr(graphs, "_conditions", counting("_conditions", graphs._conditions))
     monkeypatch.setattr(graphs, "in_semigroup", counting("in_semigroup", graphs.in_semigroup))
     rng = random.Random(68)
@@ -491,7 +490,7 @@ def test_the_nonalgebraic_witness_stops_at_its_first_violator(monkeypatch):
     # those up to its first S2 violator and none after, and it makes one
     # representation per step of the record its forms are built from
     tables, represented = [], []
-    apery_set, represent = semigroups.apery_set, keyforms.represent
+    apery_set, represent = semigroups.apery_set, keyforms._represent
 
     def counting_apery_set(generators):
         tables.append(tuple(generators))
@@ -503,8 +502,7 @@ def test_the_nonalgebraic_witness_stops_at_its_first_violator(monkeypatch):
 
     for module in (graphs, semigroups):
         monkeypatch.setattr(module, "apery_set", counting_apery_set)
-    for module in (graphs, keyforms):
-        monkeypatch.setattr(module, "represent", counting_represent)
+    monkeypatch.setattr(keyforms, "_represent", counting_represent)  # every representation
     rng = random.Random(69)
     kinds, skipped = set(), 0
     for draw in [lambda: random_normal_pairs(rng, max_drop=40)] * 600 + [lambda: four_pairs(rng)] * 600:

@@ -455,6 +455,17 @@ def _first_band_run(g, bound=None, cancel=_cancel):
     return cancel(series_of(g, algebra._first_band(pairs)), step_bound(g, pairs) if bound is None else bound)
 
 
+def _fractions(scalars):
+    """The loop's scalars, integer pairs (numerator, denominator), as the
+    Fractions the XiSeries loop and the row oracle give and take."""
+    return [F(n, d) for n, d in scalars]
+
+
+def _exact(run):
+    """(values, scalars) of a run of _cancel, with its scalars as Fractions."""
+    return run[0], _fractions(run[1])
+
+
 def _cancellations(g):
     """The cancellations of the loop on g, counted without a cap."""
     return len(_first_band_run(g, 10**9)[0]) - 2
@@ -516,7 +527,7 @@ def test_dyadic_values_and_scalars_keep_their_digest(source, digest):
     # the md5 of repr((values, scalars)) at a dyadic depth or on a series
     # with r = -1; both are exact, so the digest does not depend on the band
     run = _dyadic_run(source) if type(source) is int else _first_band_run(GenericDPS(parse_dps(source), F(-1)))
-    assert hashlib.md5(repr(run[:2]).encode()).hexdigest() == digest
+    assert hashlib.md5(repr(_exact(run)).encode()).hexdigest() == digest
 
 
 def _product_bound(seq):
@@ -662,14 +673,14 @@ def below(request):
 def _assert_both_cancellations(g, below):
     """_cancel and the XiSeries loop give the same values and scalars at the
     first band; at a band below it each raises PrecisionLost or gives them."""
-    expected = _first_band_run(g)[:2]
+    expected = _exact(_first_band_run(g))
     assert _first_band_run(g, cancel=xiseries_cancel) == expected
     pairs = formal_pairs(g)
     least, bound = algebra._first_band(pairs), step_bound(g, pairs)
     for band in (1 << k for k in range(least.bit_length()) if below and 1 << k < least):
-        for cancel in (_cancel, xiseries_cancel):
+        for cancel, read in ((_cancel, _exact), (xiseries_cancel, tuple)):
             with contextlib.suppress(PrecisionLost):
-                assert cancel(series_of(g, band), bound)[:2] == expected
+                assert read(cancel(series_of(g, band), bound)) == expected
 
 
 @pytest.mark.parametrize("draw", [random_generic, random_contractible, random_rational])
@@ -697,7 +708,7 @@ def test_working_map_matches_the_xiseries_loop_on_examples(below, g):
 
 def _assert_same_forms(values, scalars, steps):
     seq = key_forms_with_values(values, steps, scalars)
-    oracle = row_key_forms(values, scalars)
+    oracle = row_key_forms(values, None if scalars is None else _fractions(scalars))
     assert seq == oracle  # every form with its numerators and denominator
     assert hash(seq) == hash(oracle)
 
@@ -760,8 +771,8 @@ def test_a_multiplier_of_601_raises_its_powers_by_halving(g):
     with _frames_to_spare(100):
         values, scalars, steps = _first_band_run(g)
         seq = key_forms_with_values(values, steps, scalars)
-    assert (values, scalars) == _first_band_run(g, cancel=xiseries_cancel)
-    assert seq == row_key_forms(values, scalars)
+    assert _exact((values, scalars)) == _first_band_run(g, cancel=xiseries_cancel)
+    assert seq == row_key_forms(values, _fractions(scalars))
 
 
 def test_a_witness_with_a_multiplier_of_601_is_built():
@@ -773,15 +784,17 @@ def test_a_witness_with_a_multiplier_of_601_is_built():
 
 @pytest.fixture
 def betas(monkeypatch):
-    """(target, values, beta) of every call to represent in keyforms."""
+    """(target, values, beta) of every lookup in a representation table in
+    keyforms, each values the table's."""
     calls = []
+    lookup = keyforms._represent
 
-    def recording(target, values):
-        beta = represent(target, values)
-        calls.append((target, tuple(values), beta))
+    def recording(target, table):
+        beta = lookup(target, table)
+        calls.append((target, table[0], beta))
         return beta
 
-    monkeypatch.setattr(keyforms, "represent", recording)
+    monkeypatch.setattr(keyforms, "_represent", recording)
     return calls
 
 
@@ -816,4 +829,22 @@ def test_witness_builds_represent_against_the_essential_values(betas):
     for seq in _witnesses(range(200)):
         betas.clear()
         steps_from_values(seq.values)
-        _assert_betas_from_the_essential_values(seq, betas)
+        _assert_betas_from_the_essential_values(seq, betas[:])
+
+
+def test_the_loop_and_the_record_build_one_table_per_level(monkeypatch):
+    # a representation table of the essential values so far, built for the
+    # first value and again at each essential step, and never by the builder
+    built = []
+    table = keyforms._table
+    monkeypatch.setattr(keyforms, "_table", lambda values: built.append(tuple(values)) or table(values))
+    for seed in range(100):
+        values, scalars, steps = _first_band_run(random_generic(random.Random(seed), max_terms=seed % 6))
+        seq = key_forms_with_values(values, steps, scalars)
+        ess_values = [values[e] for e in seq.essential_indices[:-1]]
+        levels = [tuple(ess_values[:k]) for k in range(1, len(ess_values) + 1)]
+        assert built == levels
+        built.clear()
+        assert steps_from_values(values) == steps
+        assert built == levels
+        built.clear()

@@ -336,6 +336,13 @@ def test_definiteness_rejects_malformed_matrices(matrix, message):
         is_negative_definite(matrix)
 
 
+@pytest.mark.parametrize("zero", [0.0, False, Fraction(0)], ids=["float", "bool", "Fraction"])
+def test_definiteness_reads_an_off_diagonal_zero_by_its_value(zero):
+    # the scan checks the type of each nonzero entry and of each diagonal
+    # entry; a zero off the diagonal is no edge, whatever its type
+    assert is_negative_definite([[-2, zero], [zero, -2]]) is True
+
+
 def _shaped_matrix(rng, shape, n):
     """A symmetric matrix over a forest, a forest with a few extra edges
     (cycles), or dense blocks joined by single edges, with off-diagonal
