@@ -14,10 +14,11 @@ the table-size refusal, the step record of the essential values.  While
 the first condition holds the values so far are telescopic, so it first
 fails at the first step k whose representation of p_k * omega_k has a
 negative power of x.  One lazy pass over k then gives both conditions:
-the second needs no search above the largest gap, and Apéry tables serve
-only what the closed forms leave.  ``classify`` reads the pass to the end,
-the non-algebraic witness stops at its first violator of the second, and
-``s1`` and ``s2`` at their own k.
+before that failure the second needs no search above the largest gap,
+and a window below it is scanned with the same sign rule; Apéry tables
+serve only the k from the failure on.  ``classify`` reads the pass to the
+end, the non-algebraic witness stops at its first violator of the second,
+and ``s1`` and ``s2`` at their own k.
 A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
 any chain is expanded: each chain's length is read off a continued
 fraction by Euclid.  Contractibility is negative definiteness of the
@@ -33,11 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from math import gcd
-from operator import lt
 from typing import Iterator, NamedTuple
 
 from .decide import NotACompactificationError, compactification_values
 from .keyforms import KeyFormSeq, Steps, first_negative_step, key_forms_with_values, represent, steps_from_values
+from .keyforms import _represent, _table
 from .parsing import number_to_str
 from .puiseux import FormalPuiseuxPairs, InternalError
 from .semigroups import MAX_APERY_SIZE, apery_set, apery_size, in_semigroup
@@ -353,24 +354,19 @@ def _record(pairs: FormalPuiseuxPairs) -> _Record:
     return _Record(omegas, steps, first_negative_step(steps))
 
 
-def _least_gap(values, above: int, below: int) -> int | None:
+def _least_gap(values, above: int, below: int, member) -> int | None:
     """The least member of the group of the values strictly between
     ``above`` and ``below``, a multiple of their gcd d, that is outside
-    their semigroup, or None.
+    their semigroup, or None; ``member`` tells whether a group member is
+    in the semigroup.
 
-    A group member d*t is outside the semigroup exactly when t lies below
-    the Apéry entry of its class, so the least gap comes from the least t
-    of each class inside the window.  Those all lie below low + a, so the
-    least gap is the first t from low on that lies below its class's entry.
+    A gap less the smallest value m is a gap or negative (were it a member,
+    so would the gap be), so the least gap above ``above`` lies below the
+    first multiple of d above it plus m: one scan of at most m / d members.
     """
-    d, table = apery_set(values)
-    a = len(table)
-    low, high = above // d + 1, below // d
-    window = range(low, min(high, low + a))
-    shift = low % a
-    entries = table[shift:] + table[:shift]  # entry i is the class of low + i
-    least = next(compress(window, map(lt, window, entries)), None)
-    return None if least is None else d * least
+    d = gcd(*values)
+    low = (above // d + 1) * d
+    return next((t for t in range(low, min(below, low + min(values)), d) if not member(t)), None)
 
 
 def _conditions(record: _Record) -> Iterator[tuple[int, bool, int | None]]:
@@ -380,20 +376,26 @@ def _conditions(record: _Record) -> Iterator[tuple[int, bool, int | None]]:
     Below the record's first S1 failure omega_0..omega_k are telescopic, so
     S1 holds, and every group member above
     F_k = sum_{i=1..k} (p_i - 1) * omega_i - omega_0, the largest gap, is in
-    the semigroup, so S2 holds with no table once omega_{k+1} >= F_k.  An
-    Apéry table serves the rest: S2 windows reaching below F_k, and S1 and
-    S2 at every k from the failure on.
+    the semigroup, so S2 holds with no scan once omega_{k+1} >= F_k.  A
+    window reaching below F_k is scanned with the representation rule of
+    :func:`_record`: a group member is in the semigroup exactly when its
+    beta_0 is nonnegative.  From the failure on, S1 and S2 read Apéry
+    tables.
     """
     omegas, steps, first = record
     frobenius = -omegas[0]
     for k, (p, _) in enumerate(steps, start=1):
-        w = omegas[k]
+        w, values = omegas[k], omegas[: k + 1]
         frobenius += (p - 1) * w
-        telescopic = first is None or k < first
-        holds = telescopic or (k > first and in_semigroup(p * w, omegas[:k]))
-        least = None
-        if not telescopic or omegas[k + 1] < frobenius:
-            least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w)
+        if first is None or k < first:
+            holds, least = True, None
+            if omegas[k + 1] < frobenius:
+                table = _table(values)
+                least = _least_gap(values, omegas[k + 1], p * w, lambda t: _represent(t, table)[0] >= 0)
+        else:
+            holds = k > first and in_semigroup(p * w, omegas[:k])
+            d, apery = apery_set(values)
+            least = _least_gap(values, omegas[k + 1], p * w, lambda t: t // d >= apery[t // d % len(apery)])
         yield k, holds, least
 
 

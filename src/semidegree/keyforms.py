@@ -63,7 +63,7 @@ from .algebra import (
     series_of,
 )
 from .parsing import number_to_str
-from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, essential_key_values, formal_pairs
+from .puiseux import FormalPuiseuxPairs, GenericDPS, InternalError, _NO_FLOATS, essential_key_values, formal_pairs
 from .semigroups import in_group
 
 
@@ -126,6 +126,8 @@ def pairs_from_essential_values(omegas: Sequence[int]) -> FormalPuiseuxPairs:
         gcds.append(g)
     if g != 1:  # 0 for no values
         raise KeyFormError("essential values must have trivial overall gcd")
+    if omegas[0] <= 0:
+        raise KeyFormError(f"the first essential value must be positive, got {number_to_str(omegas[0])}")
     ps = [gcds[k - 1] // gcds[k] for k in range(1, len(omegas))]
     qs = []
     q_prev, p_prev = 1, 1
@@ -147,6 +149,8 @@ def _table(values: Sequence[int]) -> _Table:
     down to 1 the row (i, values[i], d_{i+1}, alpha_i, the inverse of
     values[i] / d_{i+1} modulo alpha_i), with d_i the gcd of the first i
     values and alpha_i = d_i / d_{i+1}."""
+    if values and not values[0]:
+        raise KeyFormError("the first value of a representation must be nonzero")
     rows, d = [], 0
     for i, v in enumerate(values):
         below, d = d, math.gcd(d, v)
@@ -168,7 +172,11 @@ def represent(target, values: Sequence[int]) -> list[int]:
     remainder r must be a multiple of d_{i+1}, and the one residue putting
     r - beta_i * values[i] into the multiples of d_i is
     beta_i = (r / d_{i+1}) * inverse(values[i] / d_{i+1}) mod alpha_i.
+    A float target is refused with TypeError, a zero first value with
+    KeyFormError.
     """
+    if isinstance(target, float):
+        raise TypeError(_NO_FLOATS)
     return _represent(target, _table(values))
 
 

@@ -35,11 +35,14 @@ class InternalError(Exception):
     """
 
 
+_NO_FLOATS = "floats are not allowed; use Fraction or int"
+
+
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, float):
-        raise TypeError("floats are not allowed; use Fraction or int")
+        raise TypeError(_NO_FLOATS)
     return Fraction(value)
 
 

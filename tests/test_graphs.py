@@ -462,8 +462,10 @@ def test_each_witness_reads_s1_off_its_own_record(monkeypatch):
 
         return counted
 
-    # every representation, through represent or straight from a table
+    # every representation, through represent or straight from a table;
+    # those of the S2 scan before any S1 failure are counted apart
     monkeypatch.setattr(keyforms, "_represent", counting("represent", keyforms._represent))
+    monkeypatch.setattr(graphs, "_represent", counting("scan", graphs._represent))
     monkeypatch.setattr(graphs, "_conditions", counting("_conditions", graphs._conditions))
     monkeypatch.setattr(graphs, "in_semigroup", counting("in_semigroup", graphs.in_semigroup))
     rng = random.Random(68)
@@ -474,13 +476,16 @@ def test_each_witness_reads_s1_off_its_own_record(monkeypatch):
             continue
         calls.clear()
         _witness_outcome(algebraic_witness, pairs)
-        assert (calls["represent"], calls["_conditions"], calls["in_semigroup"]) == (pairs.l, 0, 0)
+        assert (calls["represent"], calls["_conditions"], calls["in_semigroup"], calls["scan"]) == (pairs.l, 0, 0, 0)
         kind = classify(pairs).kind
         holds = kind != NON_ALGEBRAIC_ONLY
         calls.clear()
         _witness_outcome(nonalgebraic_witness, pairs)
         # one representation per step, and one for a violator spliced in
         assert (calls["represent"], calls["_conditions"], calls["in_semigroup"]) == (pairs.l + (kind == BOTH), holds, 0)
+        # a violator on a list that passes S1 is found by a scan
+        if kind != ALGEBRAIC_ONLY:
+            assert bool(calls["scan"]) == (kind == BOTH)
         seen.add(kind)
     assert seen == {ALGEBRAIC_ONLY, BOTH, NON_ALGEBRAIC_ONLY}
 
@@ -526,10 +531,12 @@ def test_the_nonalgebraic_witness_stops_at_its_first_violator(monkeypatch):
 
 
 def test_the_algebraic_witness_builds_no_apery_table(monkeypatch):
+    # the seed-1 inputs hold a list that fails S1, where classify still
+    # builds tables; at seed 0 none fails, and classify builds none
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
     import workloads
 
-    inputs = workloads.parse_items("classify", workloads.input_lines("classify", 0))
+    inputs = workloads.parse_items("classify", workloads.input_lines("classify", 1))
     tables = []
     apery_set = semigroups.apery_set
 

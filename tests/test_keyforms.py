@@ -106,6 +106,19 @@ def test_represent_unrepresentable():
             represent(target, [])
 
 
+def test_represent_refuses_a_zero_first_value_and_a_float_target():
+    # a zero first value leaves no group to reduce into: once a bare
+    # ValueError, and a ZeroDivisionError when every value is zero
+    for target, values in ((1, [0, 3]), (0, [0, 0])):
+        with pytest.raises(KeyFormError, match="^the first value of a representation must be nonzero$"):
+            represent(target, values)
+    with pytest.raises(KeyFormError, match="^the first value of a representation must be nonzero$"):
+        steps_from_values([0, 1, 2])
+    # a float passed every remainder test and came back as [-1.0, 1.0]
+    with pytest.raises(TypeError, match="^floats are not allowed; use Fraction or int$"):
+        represent(1.0, [2, 3])
+
+
 def test_represent_refusal_prints_a_number_past_the_digit_limit():
     with pytest.raises(KeyFormError, match=f"^1{'0' * 4999}1 is not representable in the given values$"):
         represent(10**5000 + 1, [2, 4])
@@ -397,6 +410,21 @@ def test_pairs_from_essential_values_refusals_and_a_small_case():
     with pytest.raises(PuiseuxError, match="^pair 1: denominator 1 out of range$"):
         pairs_from_essential_values((6, 12, 1))
     assert pairs_from_essential_values((6, 9, 4)).pairs == ((3, 2), (-5, 3))
+    # a first value that is not positive once gave silently wrong pairs
+    # (-5, 2 came back as the pairs of 5, 12) or a ZeroDivisionError
+    for omegas, shown in (((-5, 2), "-5"), ((0, 0, 40, 39), "0")):
+        with pytest.raises(KeyFormError, match=f"^the first essential value must be positive, got {shown}$"):
+            pairs_from_essential_values(omegas)
+
+
+@FAST
+@given(st.lists(st.integers(-30, 59), min_size=1, max_size=4))
+def test_pairs_from_essential_values_refuses_or_round_trips(omegas):
+    try:
+        pairs = pairs_from_essential_values(omegas)
+    except (KeyFormError, PuiseuxError):
+        return
+    assert omegas[0] > 0 and essential_key_values(pairs) == tuple(omegas)
 
 
 def test_randomized_coherence():

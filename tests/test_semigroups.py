@@ -16,8 +16,9 @@ from semidegree import (
     essential_key_values,
     intersection_matrix,
     is_negative_definite,
+    pairs_from_essential_values,
 )
-from semidegree import graphs
+from semidegree import graphs, semigroups
 from semidegree.graphs import GraphError, candidate_graph, s1, s2
 from semidegree.puiseux import PuiseuxError
 from semidegree.semigroups import MAX_APERY_SIZE, apery_set, in_semigroup
@@ -73,6 +74,15 @@ def test_apery_set_matches_the_dp(generators):
     assert apery_set(generators) == dp_apery_set(generators)
 
 
+@pytest.mark.parametrize("l", range(1, 7))
+def test_apery_set_matches_the_dp_on_telescopic_ladder_prefixes(l):
+    # the shape whose tables were once filled by rotated copies: each
+    # prefix of the ladder's essential values is telescopic
+    omegas = essential_key_values(_ladder_pairs(l))
+    for k in range(1, l + 1):
+        assert apery_set(omegas[: k + 1]) == dp_apery_set(omegas[: k + 1])
+
+
 def test_apery_set_of_two_generators():
     # least members of 5, 7 in each class mod 5: 0, 21, 7, 28, 14
     assert apery_set([7, 5]) == (1, [0, 21, 7, 28, 14])
@@ -85,6 +95,8 @@ def test_in_semigroup_rejects_nonpositive_generators():
         in_semigroup(5, [3, 0])
     with pytest.raises(PuiseuxError):
         in_semigroup(-1, [-2])
+    with pytest.raises(PuiseuxError, match="^a semigroup table needs at least one generator$"):
+        apery_set([])
 
 
 def test_apery_table_size_is_bounded():
@@ -444,6 +456,64 @@ def test_the_ladder_top_is_classified_with_no_semigroup_table(monkeypatch):
     result = classify(_ladder_pairs(19))
     assert result.kind == graphs.ALGEBRAIC_ONLY
     assert result.s1_failures == result.s2_failures == ()
+
+
+def _lowered_ladder_pairs(l):
+    """The ladder of l pairs with its last value lowered to half of F_l,
+    the largest gap of the values before it, so S2 fails at k = l."""
+    omegas = list(essential_key_values(_ladder_pairs(l)))
+    ps = [p for _, p in _ladder_pairs(l).pairs[:l]]
+    omegas[-1] = (sum((p - 1) * w for p, w in zip(ps, omegas[1:])) - omegas[0]) // 2
+    return pairs_from_essential_values(omegas)
+
+
+@pytest.mark.parametrize(
+    "l, text, witness",
+    [
+        (4, "3/5,5/2,9/2,17/2,-471/1", (4, 431)),
+        (8, "3/5,5/2,9/2,17/2,33/2,65/2,129/2,257/2,-117611/1", (8, 116971)),
+        # the tables here would have 786432 entries
+        (19, None, (19, 492488665771)),
+    ],
+)
+def test_no_apery_table_is_built_before_the_first_s1_failure(monkeypatch, l, text, witness):
+    def refuse(*args):
+        raise AssertionError("a semigroup table was built")
+
+    pairs = _lowered_ladder_pairs(l)
+    if text is not None:
+        assert ",".join(f"{q}/{p}" for q, p in pairs.pairs) == text
+    with monkeypatch.context() as m:
+        m.setattr(graphs, "apery_set", refuse)
+        m.setattr(graphs, "in_semigroup", refuse)
+        result = classify(pairs)
+    assert (result.kind, result.s1_failures, result.s2_witnesses) == (graphs.BOTH, (), (witness,))
+    if l <= 8:
+        omegas = essential_key_values(pairs)
+        for k, (_, p) in enumerate(pairs.pairs[:l], start=1):
+            assert s2(pairs, k) == window_s2(omegas, p, k)
+
+
+def test_tables_start_at_the_first_s1_failure(monkeypatch):
+    # tables are built for omega_0..omega_k exactly for k from the first
+    # failure to l, and for none on a list that passes S1
+    built = []
+    apery_set = graphs.apery_set
+
+    def recording(generators):
+        built.append(len(generators) - 1)
+        return apery_set(generators)
+
+    monkeypatch.setattr(graphs, "apery_set", recording)
+    monkeypatch.setattr(semigroups, "apery_set", recording)
+    rng = random.Random(66)
+    for pairs in [random_normal_pairs(rng, max_drop=40) for _ in range(300)] + [four_pairs(rng) for _ in range(300)]:
+        built.clear()
+        result = classify(pairs)
+        if result.kind == graphs.NOT_A_COMPACTIFICATION:
+            continue
+        first = result.s1_failures[0] if result.s1_failures else pairs.l + 1
+        assert set(built) == set(range(first, pairs.l + 1))
 
 
 def test_the_step_record_finds_the_first_s1_failure_of_the_whole_pass():

@@ -35,3 +35,25 @@ def test_no_unused_module_level_import_in_the_package():
                     if name not in used:
                         found.append(f"{path.relative_to(PACKAGE)}:{node.lineno} {name}")
     assert PACKAGE.is_dir() and not found, f"unused imports in the package: {found}"
+
+
+def _is_float(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, (float, complex))
+    if isinstance(node, ast.Attribute):  # math.inf, math.nan
+        return node.attr in ("inf", "nan") and getattr(node.value, "id", None) == "math"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "math" and any(alias.name in ("inf", "nan") for alias in node.names)
+    return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "float"
+
+
+def test_no_float_in_the_package():
+    # exactness: no float constant, no math.inf or math.nan, and no float()
+    # call; isinstance(x, float), which refuses floats, stays allowed
+    found = [
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if _is_float(node)
+    ]
+    assert PACKAGE.is_dir() and not found, f"floats in the package: {found}"
