@@ -15,10 +15,11 @@ the first condition holds the values so far are telescopic, so it first
 fails at the first step k whose representation of p_k * omega_k has a
 negative power of x.  One lazy pass over k then gives both conditions:
 before that failure the second needs no search above the largest gap,
-and a window below it is scanned with the same sign rule; Apéry tables
-serve only the k from the failure on.  ``classify`` reads the pass to the
-end, the non-algebraic witness stops at its first violator of the second,
-and ``s1`` and ``s2`` at their own k.
+and a window below it is scanned with the same sign rule, up to an Apéry
+table for a window whose least gap lies far on; tables serve every k from
+the failure on.  ``classify`` reads the pass to the end, the
+non-algebraic witness stops at its first violator of the second, and
+``s1`` and ``s2`` at their own k.
 A graph of more than ``MAX_GRAPH_VERTICES`` vertices is refused before
 any chain is expanded: each chain's length is read off a continued
 fraction by Euclid.  Contractibility is negative definiteness of the
@@ -34,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from math import gcd
+from operator import lt
 from typing import Iterator, NamedTuple
 
 from .decide import NotACompactificationError, compactification_values
@@ -354,19 +356,39 @@ def _record(pairs: FormalPuiseuxPairs) -> _Record:
     return _Record(omegas, steps, first_negative_step(steps))
 
 
-def _least_gap(values, above: int, below: int, member) -> int | None:
+# members of a telescopic window tested by the sign rule before its Apéry
+# table is built: one test costs what the table's fill spends on 2 to 25
+# entries (5 to 20 values), so a later least gap costs about the table
+_SCAN = 32
+
+
+def _least_gap(values, above: int, below: int, telescopic: bool) -> int | None:
     """The least member of the group of the values strictly between
     ``above`` and ``below``, a multiple of their gcd d, that is outside
-    their semigroup, or None; ``member`` tells whether a group member is
-    in the semigroup.
+    their semigroup, or None.
 
     A gap less the smallest value m is a gap or negative (were it a member,
     so would the gap be), so the least gap above ``above`` lies below the
-    first multiple of d above it plus m: one scan of at most m / d members.
+    first multiple of d above it plus m: at most m / d members.  Telescopic
+    values test the first ``_SCAN`` of them by the rule of :func:`_record`,
+    a member being a gap exactly when its beta_0 is negative.  The rest is
+    read off the Apéry table: d*t is a gap exactly when t lies below its
+    class's entry.
     """
     d = gcd(*values)
-    low = (above // d + 1) * d
-    return next((t for t in range(low, min(below, low + min(values)), d) if not member(t)), None)
+    low = above // d + 1
+    window = range(low, min(below // d, low + min(values) // d))
+    if telescopic:
+        rows = _table(values)
+        least = next((t for t in window[:_SCAN] if _represent(d * t, rows)[0] < 0), None)
+        window = window[_SCAN:]
+        if least is not None or not window:
+            return None if least is None else d * least
+    d, table = apery_set(values)
+    shift = window.start % len(table)
+    entries = table[shift:] + table[:shift]  # entry i is the class of window.start + i
+    least = next(compress(window, map(lt, window, entries)), None)
+    return None if least is None else d * least
 
 
 def _conditions(record: _Record) -> Iterator[tuple[int, bool, int | None]]:
@@ -377,25 +399,19 @@ def _conditions(record: _Record) -> Iterator[tuple[int, bool, int | None]]:
     S1 holds, and every group member above
     F_k = sum_{i=1..k} (p_i - 1) * omega_i - omega_0, the largest gap, is in
     the semigroup, so S2 holds with no scan once omega_{k+1} >= F_k.  A
-    window reaching below F_k is scanned with the representation rule of
-    :func:`_record`: a group member is in the semigroup exactly when its
-    beta_0 is nonnegative.  From the failure on, S1 and S2 read Apéry
-    tables.
+    window reaching below F_k is scanned by :func:`_least_gap`.  From the
+    failure on, S1 and S2 read Apéry tables.
     """
     omegas, steps, first = record
     frobenius = -omegas[0]
     for k, (p, _) in enumerate(steps, start=1):
-        w, values = omegas[k], omegas[: k + 1]
+        w = omegas[k]
         frobenius += (p - 1) * w
-        if first is None or k < first:
-            holds, least = True, None
-            if omegas[k + 1] < frobenius:
-                table = _table(values)
-                least = _least_gap(values, omegas[k + 1], p * w, lambda t: _represent(t, table)[0] >= 0)
-        else:
-            holds = k > first and in_semigroup(p * w, omegas[:k])
-            d, apery = apery_set(values)
-            least = _least_gap(values, omegas[k + 1], p * w, lambda t: t // d >= apery[t // d % len(apery)])
+        telescopic = first is None or k < first
+        holds = telescopic or (k > first and in_semigroup(p * w, omegas[:k]))
+        least = None
+        if not telescopic or omegas[k + 1] < frobenius:
+            least = _least_gap(omegas[: k + 1], omegas[k + 1], p * w, telescopic)
         yield k, holds, least
 
 

@@ -4,18 +4,23 @@ The group generated by finitely many integers is the multiples of their
 gcd, so group membership is one divisibility check.  Semigroup membership
 (only nonnegative combinations allowed) is read off an Apéry set: after
 dividing the generators by their gcd, the least member in each residue
-class modulo the smallest one, ``a``.  It is built by the round-robin walk
-of Böcker and Lipták (2007): each further generator g walks every residue
-cycle r, r+g, r+2g, ... (mod a) once from its least entry.  That is O(a)
-memory and O(len(generators) * a) time independent of the target.  The
-generators must be positive integers, which every caller in this package
-guarantees before asking.
+class modulo the smallest one, ``a``.  Generators are added in order: one
+that reaches new classes fills them with shifted copies of the classes
+reached before, and the round-robin walk of Böcker and Lipták (2007) runs
+only when a multiple of it lowers an entry already there (on essential
+values, only from the first failure of the first semigroup condition on).
+That is O(a) memory and O(len(generators) * a) time independent of the
+target, and about 2a list operations when no walk runs.  The generators
+must be positive integers, which every caller in this package guarantees
+before asking.
 
-The classification asks for a table only where no closed form applies:
-while the first semigroup condition holds the essential values are
-telescopic, and a member of their semigroup is read off the sign of
-beta_0 in one representation (``graphs._conditions``).  So tables serve
-only the prefixes from the first failure of the first condition on.
+The classification asks for a table only where no closed form applies
+or the closed form would cost more: while the first semigroup condition
+holds the essential values are telescopic, and a member of their
+semigroup is read off the sign of beta_0 in one representation
+(``graphs._least_gap``).  So tables serve the prefixes from the first
+failure of that condition on, and a window of the second condition
+before it that holds many members ahead of its least gap.
 """
 
 from __future__ import annotations
@@ -62,25 +67,42 @@ def apery_set(generators: Sequence[int]) -> tuple[int, list[int]]:
     if a > MAX_APERY_SIZE:
         raise PuiseuxError(f"semigroup table of {number_to_str(a)} entries exceeds the bound of {MAX_APERY_SIZE}")
     d = math.gcd(*generators)
-    units = sorted({g // d for g in generators})  # a first
-    # an entry is a sum of fewer than a generators (a sum of a or more has a
-    # run of terms whose sum is divisible by a, which can be left out), so a
-    # class no generator has reached yet reads as this
-    unreached = (a - 1) * units[-1] + 1
-    table = [0] + [unreached] * (a - 1)
-    for g in units[1:]:
-        e = math.gcd(a, g)
-        for r in range(e):
-            # the cycle's least entry is final: adding g cannot lower it
-            best = min(table[r::e])
-            for _ in range(a // e - 1):
-                best += g
-                slot = best % a
-                if table[slot] < best:
-                    best = table[slot]
-                else:
-                    table[slot] = best
+    # a class is written before it is read: the walk and the check below
+    # read only reached classes, and the copies write every new one
+    table = [0] * a
+    reached = a  # the classes reached so far are the multiples of this
+    for g in dict.fromkeys(g // d for g in generators):
+        step = math.gcd(reached, g)
+        m = reached // step  # m * g is the least multiple of g in a reached class
+        if table[m * g % a] > m * g:
+            _round_robin(table, m * g, reached)
+        if m > 1:
+            # every new class is c + j*g with c reached and 0 < j < m, and its
+            # least member is table[c] + j*g: one rotated copy per j
+            base = table[::reached]
+            for j in range(1, m):
+                q, offset = divmod(j * g % a, reached)
+                table[offset::reached] = map((j * g).__add__, base[-q:] + base[:-q])
+            reached = step
     return d, table
+
+
+def _round_robin(table: list[int], g: int, reached: int) -> None:
+    """Add g, whose class is reached, to the table over the reached classes:
+    walk each residue cycle r, r+g, r+2g, ... (mod a) through them from its
+    least entry, whose value g cannot improve."""
+    a = len(table)
+    e = math.gcd(a, g)
+    for r in range(0, e, reached):
+        best = min(table[r::e])
+        for _ in range(a // e - 1):
+            best += g
+            slot = best % a
+            current = table[slot]
+            if current < best:
+                best = current
+            else:
+                table[slot] = best
 
 
 def in_semigroup(target: int, generators: Sequence[int]) -> bool:

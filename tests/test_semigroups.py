@@ -76,8 +76,8 @@ def test_apery_set_matches_the_dp(generators):
 
 @pytest.mark.parametrize("l", range(1, 7))
 def test_apery_set_matches_the_dp_on_telescopic_ladder_prefixes(l):
-    # the shape whose tables were once filled by rotated copies: each
-    # prefix of the ladder's essential values is telescopic
+    # each prefix of the ladder's essential values is telescopic, so its
+    # table is filled by rotated copies alone, with no walk
     omegas = essential_key_values(_ladder_pairs(l))
     for k in range(1, l + 1):
         assert apery_set(omegas[: k + 1]) == dp_apery_set(omegas[: k + 1])
@@ -458,13 +458,21 @@ def test_the_ladder_top_is_classified_with_no_semigroup_table(monkeypatch):
     assert result.s1_failures == result.s2_failures == ()
 
 
-def _lowered_ladder_pairs(l):
-    """The ladder of l pairs with its last value lowered to half of F_l,
-    the largest gap of the values before it, so S2 fails at k = l."""
+def _lowered_ladder_pairs(l, lower):
+    """The ladder of l pairs with its last value lowered to ``lower(F_l)``,
+    F_l the largest gap of the values before it, so S2 fails at k = l."""
     omegas = list(essential_key_values(_ladder_pairs(l)))
     ps = [p for _, p in _ladder_pairs(l).pairs[:l]]
-    omegas[-1] = (sum((p - 1) * w for p, w in zip(ps, omegas[1:])) - omegas[0]) // 2
+    omegas[-1] = lower(sum((p - 1) * w for p, w in zip(ps, omegas[1:])) - omegas[0])
     return pairs_from_essential_values(omegas)
+
+
+def _refusing_tables(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a semigroup table was built")
+
+    monkeypatch.setattr(graphs, "apery_set", refuse)
+    monkeypatch.setattr(graphs, "in_semigroup", refuse)
 
 
 @pytest.mark.parametrize(
@@ -476,16 +484,13 @@ def _lowered_ladder_pairs(l):
         (19, None, (19, 492488665771)),
     ],
 )
-def test_no_apery_table_is_built_before_the_first_s1_failure(monkeypatch, l, text, witness):
-    def refuse(*args):
-        raise AssertionError("a semigroup table was built")
-
-    pairs = _lowered_ladder_pairs(l)
+def test_a_window_whose_gap_comes_early_builds_no_apery_table(monkeypatch, l, text, witness):
+    # half of F_l: the first member of the window above it is a gap
+    pairs = _lowered_ladder_pairs(l, lambda f: f // 2)
     if text is not None:
         assert ",".join(f"{q}/{p}" for q, p in pairs.pairs) == text
     with monkeypatch.context() as m:
-        m.setattr(graphs, "apery_set", refuse)
-        m.setattr(graphs, "in_semigroup", refuse)
+        _refusing_tables(m)
         result = classify(pairs)
     assert (result.kind, result.s1_failures, result.s2_witnesses) == (graphs.BOTH, (), (witness,))
     if l <= 8:
@@ -494,9 +499,50 @@ def test_no_apery_table_is_built_before_the_first_s1_failure(monkeypatch, l, tex
             assert s2(pairs, k) == window_s2(omegas, p, k)
 
 
+@pytest.mark.parametrize("l", [4, 8])
+def test_a_window_whose_gap_comes_late_is_read_off_the_apery_table(monkeypatch, l):
+    # F_l - omega_1 + 1: the semigroup is symmetric and 1..omega_1 - 1 are
+    # gaps, so the window's omega_1 - 1 members below F_l (23 at l = 4, 383
+    # at l = 8) are all members, and the least gap is F_l
+    omega_1 = 3 * 2 ** (l - 1)
+    pairs = _lowered_ladder_pairs(l, lambda f: f - omega_1 + 1)
+    omegas = essential_key_values(pairs)
+    assert omegas[1] == omega_1
+    frobenius = sum((p - 1) * w for (_, p), w in zip(pairs.pairs[:l], omegas[1:])) - omegas[0]
+    expected = [(True, None)] * (l - 1) + [(False, frobenius)]
+    if l == 4:
+        assert expected == [window_s2(omegas, p, k) for k, (_, p) in enumerate(pairs.pairs[:l], start=1)]
+    # past the scan's members (l = 8) the table reads the rest, and the scan
+    # alone (l = 4, a window of fewer members) builds none
+    with monkeypatch.context() as m:
+        if l == 4:
+            _refusing_tables(m)
+        assert [s2(pairs, k) for k in range(1, l + 1)] == expected
+    for scan in (0, 10**9):
+        with monkeypatch.context() as m:
+            m.setattr(graphs, "_SCAN", scan)
+            assert [s2(pairs, k) for k in range(1, l + 1)] == expected
+
+
+@FAST
+@given(st.integers(0, 2**32))
+def test_the_scan_and_the_table_find_the_same_least_gap(seed):
+    # every window read by the sign rule alone, by the table alone and by
+    # the default split gives one classification
+    rng = random.Random(seed)
+    pairs = random_normal_pairs(rng, max_drop=60) if seed % 2 else four_pairs(rng)
+    results = []
+    for scan in (0, 1, graphs._SCAN, 10**9):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(graphs, "_SCAN", scan)
+            results.append(classify(pairs))
+    assert results.count(results[0]) == len(results)
+
+
 def test_tables_start_at_the_first_s1_failure(monkeypatch):
     # tables are built for omega_0..omega_k exactly for k from the first
-    # failure to l, and for none on a list that passes S1
+    # failure to l, and for none on a list that passes S1 (these lists'
+    # windows all find their least gap within the scan's first members)
     built = []
     apery_set = graphs.apery_set
 
