@@ -16,20 +16,21 @@ denominator; a coefficient becomes a Fraction only where it is read.
   :func:`series_of` builds the expansion of the series itself from the
   integer numerators of its :class:`~semidegree.puiseux.DPuiseuxPoly`.
 
-Every product, of two elements or inside a substitution, goes through one
-kernel, :func:`_add_products`, whose cut None keeps every product.  It
-multiplies small or sparse operands one pair of terms at a time: with no
-cut, in the order its operands' terms are stored, and with a cut, on rows
-sorted highest first that stop at it.  A square, equal operands in any
-ring, takes each pair of terms once, doubled, with or without a cut
-(Monagan-Pearce 2010).  A large product of operands that are dense on
-their lattice is packed instead (Kronecker substitution: Fateman 2005,
-Harvey 2009): each row of an operand, a level of the second exponent or of
-the weighted degree through its extreme terms, becomes one integer with a
-signed slot per lattice point, each pair of rows is one big-int product,
-and each output row is unpacked once.  Both give the same numerators.
-Every sum and difference is one call of the subtraction routine,
-:func:`_subtract_row`, which the cancellation also runs in place.
+An element's numerators form a row (terms, den, floor), and the row
+routines multiply (:func:`_row_mul`, with the one cut rule), raise and cut
+rows; the ring operators are thin wrappers over them, and the key forms
+call them on bare rows.  Every product, of rows or inside a substitution,
+goes through one kernel, :func:`_add_products`, whose cut None keeps every
+product.  It multiplies small or sparse operands term by term, on rows
+sorted highest first that stop at a cut; a square takes each pair of terms
+once, doubled (Monagan-Pearce 2010).  A large product of operands that are
+dense on their lattice is packed instead (Kronecker substitution: Fateman
+2005, Harvey 2009): each row of an operand, a level of the second exponent
+or of the weighted degree through its extreme terms, becomes one integer
+with a signed slot per lattice point, each pair of rows is one big-int
+product, and each output row is unpacked once.  Both give the same
+numerators.  Every sum and difference is one call of the subtraction
+routine, :func:`_subtract_row`, which the cancellation also runs in place.
 
 Only the top of an expansion is ever read, so an expansion may carry an
 absolute precision floor: an O(X^floor) term.  Every stored term lies
@@ -52,6 +53,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .puiseux import (
+    _NO_FLOATS,
     FormalPuiseuxPairs,
     GenericDPS,
     InternalError,
@@ -351,19 +353,88 @@ def _subtract_row(
     return den
 
 
+def _exponent(a) -> int:
+    """An integral exponent as an int; any other is refused."""
+    if a != int(a):
+        raise AlgebraError("exponents must be integers")
+    return int(a)
+
+
+def _reduced(terms: dict[tuple[int, int], int], den: int, floor: int | None = None) -> tuple:
+    """The row (terms, den, floor) of these numerators over the positive
+    ``den``, zeros dropped and in lowest terms: the map itself if it is."""
+    g = 1 if den == 1 else math.gcd(den, *terms.values())
+    if g != 1 or 0 in terms.values():
+        terms = {key: n // g for key, n in terms.items() if n}
+    return terms, den // g, floor
+
+
+def _row_mul(left: tuple, right: tuple, band: int | None) -> tuple:
+    """The :func:`_reduced` product of two rows (terms, den, floor) under
+    ``band`` (None: exact): the terms above max(top1 + top2 - band, floor1
+    + top2, floor2 + top1), the band's cut only where it reaches a product,
+    from rows sorted highest first.  Equal maps are a square, one list."""
+    (terms1, den1, floor1), (terms2, den2, floor2) = left, right
+    if not terms1 and floor1 is None or not terms2 and floor2 is None:
+        return {}, 1, None  # an exact zero times anything
+    items1 = list(terms1.items())
+    items2 = items1 if terms2 is terms1 or terms2 == terms1 else list(terms2.items())
+    cut = None
+    if band is not None or floor1 is not None or floor2 is not None:
+        items1.sort(reverse=True)
+        items2.sort(reverse=True)  # a square's one list: a linear pass, already sorted
+        top1, low1 = (items1[0][0][0], items1[-1][0][0]) if items1 else (floor1, floor1)
+        top2, low2 = (items2[0][0][0], items2[-1][0][0]) if items2 else (floor2, floor2)
+        cut = top1 + top2 - band if band is not None and top1 + top2 - band >= low1 + low2 else None
+        if floor1 is not None and (cut is None or floor1 + top2 > cut):
+            cut = floor1 + top2
+        if floor2 is not None and (cut is None or floor2 + top1 > cut):
+            cut = floor2 + top1
+    out: dict[tuple[int, int], int] = {}
+    _add_products(items1, items2, cut, out)
+    return _reduced(out, den1 * den2, cut)
+
+
+def _row_pow(row: tuple, n: int, band: int | None) -> tuple:
+    """``row`` ** n by :func:`_row_mul`, from the lowest set bit: the unit is never a factor."""
+    if n < 0:
+        raise AlgebraError("negative powers are not defined; use x_shift for 1/x")
+    result = None
+    while n:
+        if n & 1:
+            result = row if result is None else _row_mul(result, row, band)
+        n >>= 1
+        if n:
+            row = _row_mul(row, row, band)
+    return ({(0, 0): 1}, 1, None) if result is None else result
+
+
+def _row_above(row: tuple, floor: int) -> tuple:
+    """``row`` known only above ``floor`` if that is higher than its own."""
+    floor = _larger(row[2], floor)
+    return _reduced({key: n for key, n in row[0].items() if key[0] > floor}, row[1], floor)
+
+
+def _row_top(row: tuple) -> tuple[int, int] | None:
+    """The highest key of ``row``, None for zero; :class:`PrecisionLost` if none is above its floor."""
+    terms, _, floor = row
+    top = max(terms) if terms else None
+    if floor is not None and (top is None or top[0] <= floor):
+        raise PrecisionLost(floor)
+    return top
+
+
 class _Sparse:
     """Sparse map (int, int) -> nonzero rational with exact ring arithmetic.
 
-    ``_terms`` maps each key to a nonzero int numerator over the one
-    positive denominator ``_den``, in lowest terms.  The second exponent is
-    never negative.  :meth:`_store` is the one place that drops zeros and
-    reduces; the constructor sums its terms through
-    :func:`~semidegree.puiseux._sum_over_lcm` into it, and results are built
-    by :meth:`_like`, which a subclass carrying more state than the map
-    extends; two operands combine only when their :meth:`_ring` agrees.
-    ``floor`` is the precision floor on the first exponent, ``band`` the
-    depth below its top that a product keeps and ``den`` the denominator of
-    x's exponents, all None (exact, integer) unless a subclass tracks them.
+    ``_terms`` maps each key, its second exponent never negative, to a
+    nonzero int numerator over the positive ``_den``, in lowest terms: with
+    ``floor``, the element's :attr:`_row`.  Results are built by :meth:`_of`
+    from a :func:`_reduced` row; two operands combine only when their
+    :meth:`_ring` agrees.  ``floor`` is the precision floor on the first
+    exponent, ``band`` the depth below its top that a product keeps and
+    ``den`` the denominator of x's exponents, all None (exact, integer)
+    unless a subclass tracks them.
     """
 
     __slots__ = ("_terms", "_den")
@@ -374,35 +445,26 @@ class _Sparse:
     def __init__(self, terms: Iterable[tuple[tuple[int, int], Fraction]] = ()):
         ratios = []
         for (a, b), coeff in terms:
-            if a != int(a) or b != int(b):
-                raise AlgebraError("exponents must be integers")
+            a, b = _exponent(a), _exponent(b)
             if b < 0:
                 raise AlgebraError(f"negative exponent {b} of y or xi")
             c = _as_fraction(coeff)
-            ratios.append(((int(a), int(b)), c.numerator, c.denominator))
-        self._store(*_sum_over_lcm(ratios))
-
-    def _store(self, terms: dict[tuple[int, int], int], den: int) -> None:
-        """Keep these numerators over the positive ``den``: zeros dropped,
-        reduced to lowest terms (over 1 they already are)."""
-        g = 1 if den == 1 else math.gcd(den, *terms.values())
-        if g == 1 and 0 not in terms.values():
-            self._terms = terms  # nothing to drop or divide
-        else:
-            self._terms = {key: n // g for key, n in terms.items() if n}
-        self._den = den // g
+            ratios.append(((a, b), c.numerator, c.denominator))
+        self._terms, self._den, _ = _reduced(*_sum_over_lcm(ratios))
 
     def _like(self, terms: dict[tuple[int, int], int], den: int, floor: int | None = None):
-        """An element of the same ring with these numerators over the
-        positive ``den``, all above ``floor``, stored by :meth:`_store`.
+        """:meth:`_of` the :func:`_reduced` row, which may keep ``terms``: the caller hands it over."""
+        return self._of(_reduced(terms, den, floor))
 
-        The caller hands ``terms`` over: when nothing is dropped or divided
-        the new element keeps that very map, so the caller must not change
-        it afterwards (every caller passes a map it built for the call, or
-        rebinds its name at once)."""
+    def _of(self, row: tuple):
+        """An element of the same ring holding the reduced ``row``; a subclass extends it."""
         out = object.__new__(type(self))
-        out._store(terms, den)
+        out._terms, out._den = row[0], row[1]
         return out
+
+    @property
+    def _row(self) -> tuple:
+        return self._terms, self._den, self.floor
 
     def _ring(self) -> tuple:
         return type(self).__name__, self.den, self.band
@@ -444,51 +506,16 @@ class _Sparse:
         return self._like(out, den, floor)
 
     def __neg__(self):
-        return self._like({key: -n for key, n in self._terms.items()}, self._den, self.floor)
+        return self._of(({key: -n for key, n in self._terms.items()}, self._den, self.floor))
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return self._like({}, 1)
-        # equal operands, in any ring, are a square: one list as both rows
-        left = list(self._terms.items())
-        right = left if other is self or other._terms == self._terms else list(other._terms.items())
-        floor = None
-        if self.band is not None or self.floor is not None or other.floor is not None:
-            left.sort(reverse=True)
-            right.sort(reverse=True)  # a square's one list: a linear pass, already sorted
-            top1, low1 = (left[0][0][0], left[-1][0][0]) if left else (self.floor, self.floor)
-            top2, low2 = (right[0][0][0], right[-1][0][0]) if right else (other.floor, other.floor)
-            cuts = []  # a band reaching below every product cuts nothing
-            if self.band is not None and top1 + top2 - self.band >= low1 + low2:
-                cuts.append(top1 + top2 - self.band)
-            if self.floor is not None:
-                cuts.append(self.floor + top2)
-            if other.floor is not None:
-                cuts.append(other.floor + top1)
-            floor = max(cuts, default=None)
-        out: dict[tuple[int, int], int] = {}
-        _add_products(left, right, floor, out)
-        return self._like(out, self._den * other._den, floor)
+        return self._of(_row_mul(self._row, other._row, self.band))
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise AlgebraError("negative powers are not defined; use x_shift for 1/x")
-        if n == 0:
-            return self._like({(0, 0): 1}, 1)
-        # binary powering from the lowest set bit, so the unit is never a factor
-        base = self
-        while not n & 1:
-            base = base * base
-            n >>= 1
-        result = base
-        n >>= 1
-        while n:
-            base = base * base
-            if n & 1:
-                result = result * base
-            n >>= 1
-        return result
+        if isinstance(n, float):
+            raise TypeError(_NO_FLOATS)
+        return self._of(_row_pow(self._row, n, self.band))
 
     def scale(self, coeff):
         c = _as_fraction(coeff)
@@ -497,8 +524,9 @@ class _Sparse:
 
     def x_shift(self, k: int):
         """Multiply by the monomial whose first exponent is k; k may be negative."""
+        k = _exponent(k)
         floor = None if self.floor is None else self.floor + k
-        return self._like({(a + k, b): n for (a, b), n in self._terms.items()}, self._den, floor)
+        return self._of(({(a + k, b): n for (a, b), n in self._terms.items()}, self._den, floor))
 
 
 # ---------------------------------------------------------------------------
@@ -525,36 +553,23 @@ class XiSeries(_Sparse):
         self, terms: Iterable[tuple[tuple[int, int], Fraction]], den: int, band: int | None = None
     ):
         super().__init__(terms)
-        self.den = den
-        self.band = band
-        self.floor = None
+        self.den, self.band, self.floor = den, band, None
 
-    def _like(self, terms, den, floor=None):
-        out = super()._like(terms, den)
-        out.den = self.den
-        out.band = self.band
-        out.floor = floor
+    def _of(self, row):
+        out = super()._of(row)
+        out.den, out.band, out.floor = self.den, self.band, row[2]
         return out
 
     def above(self, floor: int) -> XiSeries:
         """The same expansion, known only above X^floor if that is higher
         than its own floor."""
-        floor = _larger(self.floor, floor)
-        return self._like({key: n for key, n in self._terms.items() if key[0] > floor}, self._den, floor)
-
-    def _top(self) -> tuple[int, int] | None:
-        """The highest key, or None for the zero expansion; raises
-        :class:`PrecisionLost` when no term is known above the floor."""
-        top = max(self._terms) if self._terms else None
-        if self.floor is not None and (top is None or top[0] <= self.floor):
-            raise PrecisionLost(self.floor)
-        return top
+        return self._of(_row_above(self._row, floor))
 
     @property
     def value(self) -> int | None:
         """Top X-exponent, or None for the zero expansion; raises
         :class:`PrecisionLost` when no term is known above the floor."""
-        top = self._top()
+        top = _row_top(self._row)
         return None if top is None else top[0]
 
     @property
@@ -600,13 +615,8 @@ class LaurentPoly(_Sparse):
 
     @classmethod
     def term(cls, x_exp: int, y_exp: int, coeff: int | Fraction = 1) -> LaurentPoly:
-        """coeff * x^x_exp * y^y_exp, straight from the numerator and
-        denominator of the int or Fraction coeff."""
-        if y_exp < 0:
-            raise AlgebraError(f"negative exponent {y_exp} of y or xi")
-        if not isinstance(coeff, (int, Fraction)):
-            coeff = _as_fraction(coeff)
-        return object.__new__(cls)._like({(x_exp, y_exp): coeff.numerator}, coeff.denominator)
+        """coeff * x^x_exp * y^y_exp, with the constructor's checks."""
+        return cls([((x_exp, y_exp), coeff)])
 
     @classmethod
     def _from_ratios(cls, terms: list[tuple[tuple[int, int], int, int]]) -> LaurentPoly:
@@ -637,7 +647,7 @@ class LaurentPoly(_Sparse):
     @property
     def is_polynomial(self) -> bool:
         """True iff no negative x-exponent appears (the zero polynomial counts)."""
-        return all(a >= 0 for a, _ in self._terms)
+        return not self._terms or min(self._terms)[0] >= 0
 
     @property
     def y_degree(self) -> int:
@@ -711,9 +721,8 @@ def series_of(g: GenericDPS, band: int | None = None) -> XiSeries:
     if off:  # r lies below every exponent of phi, so this is the first one read from the top
         raise InternalError(f"exponent {max(off)} is not in (1/{den})Z; this is a bug")
     expansion = object.__new__(XiSeries)  # the numerators are ready: no constructor pass
-    expansion.den, expansion.band, expansion.floor = den, band, None
-    expansion._store(numerators, phi._cden)
-    return expansion
+    expansion.den, expansion.band = den, band
+    return expansion._like(numerators, phi._cden)
 
 
 def _first_band(pairs: FormalPuiseuxPairs) -> int:
@@ -747,7 +756,7 @@ def _substitute(f: LaurentPoly, base: XiSeries, powers: dict[int, tuple]) -> XiS
             below = max(k for k in powers if k < b)
             powers[b] = _power_row(powers[below][0] * base ** (b - below))
     # each part is exact, so its product with a power is cut as in
-    # __mul__ at the power's floor plus the part's top
+    # _row_mul at the power's floor plus the part's top
     floor = _larger(
         *(max(part)[0][0] + powers[b][0].floor for b, part in parts.items() if powers[b][0].floor is not None)
     )

@@ -22,11 +22,11 @@ power alpha_j with the exponents beta_j of its monomial.
 into forms; the witnesses, which have no loop, derive their record from
 their values (:func:`steps_from_values`).  Both read a step's power and
 exponents off one representation table of the essential values so far
-(:func:`_table`), built again only when a form is essential.  The running
-expansion is one private map of integer numerators that each step updates
-in place, so a step costs the terms of its monomial; an expansion becomes
-an :class:`XiSeries` only at an essential step, where it is raised and
-kept for the later monomials.
+(:func:`_table`), built again only when a form is essential.  Both run
+on bare rows (terms, den, floor) of integer numerators, multiplied, raised
+and cut by the row routines of :mod:`~semidegree.algebra`: the running
+expansion is one row that each step updates in place, so a step costs the
+terms of its monomial, and only a returned form becomes an object.
 
 Both halves build the cancelling monomials from one table per run,
 :class:`_Products`.  The monomial of step j is x^beta_0 * prod g_i^beta_i
@@ -57,6 +57,11 @@ from .algebra import (
     PrecisionLost,
     XiSeries,
     _first_band,
+    _reduced,
+    _row_above,
+    _row_mul,
+    _row_pow,
+    _row_top,
     _subtract_row,
     monomial_product,
     semidegrees,
@@ -73,6 +78,7 @@ class KeyFormError(ValueError):
 
 # the step record: (alpha_j, beta_j) for each step j = 1..n
 Steps = list[tuple[int, list[int]]]
+_UNIT = {(0, 0): 1}, 1, None  # the row of a monomial with no essential factor, never changed
 
 
 @dataclass(frozen=True)
@@ -203,41 +209,41 @@ def _multiplier(w: int, d: int) -> int:
 
 
 class _Products:
-    """Products of powers of a run's essential objects, each kept under its
-    factors ((e, b), ...) with the depth below its top to which it is known
-    (None: exact).
+    """Products of powers of a run's essential rows, those of the forms g_e
+    or of their expansions, multiplied under the run's ``band``: each kept
+    under its factors ((e, b), ...) with the depth below its top to which
+    it is known (None: exact).
 
-    The object added under e is the essential form g_e or its expansion.  A
-    product is its longest proper prefix times its last factor's power, and
-    g_e^b is g_e^(b // 2) times g_e^(b - b // 2), so each takes one product
-    and a power recurses once per halving.  The first operand is cut to the
-    depth asked unless it is kept at that depth, which cuts the product to
-    that depth below its top.  A product is built once: the depths a run
-    asks for never grow (within a level the floor stays and the top falls,
-    and a raised expansion is known no deeper below its top than the old
-    floor allowed), and a step's check catches a monomial known too little.
-    The unit is not kept: a monomial with no essential factor is a caller's
-    own unit, built once per run.
+    A product is its longest proper prefix times its last factor's power,
+    and g_e^b is g_e^(b // 2) times g_e^(b - b // 2), so each takes one
+    product and a power recurses once per halving.  The first operand is
+    cut to the depth asked unless it is kept at that depth, which cuts the
+    product to that depth below its top.  A product is built once: the
+    depths a run asks for never grow (within a level the floor stays and
+    the top falls, and a raised expansion is known no deeper below its top
+    than the old floor allowed), and a step's check catches a monomial
+    known too little.  The unit is not kept: a monomial with no essential
+    factor is ``_UNIT``.
     """
 
-    def __init__(self):
-        self._kept: dict[tuple, object] = {}
+    def __init__(self, band: int | None):
+        self._band = band
+        self._kept: dict[tuple, tuple] = {}
         self._depth: dict[tuple, int | None] = {}  # the depth asked when each product was built
 
-    def add(self, e: int, obj) -> None:
-        self._kept[(e, 1),] = obj
+    def add(self, e: int, row: tuple) -> None:
+        self._kept[(e, 1),] = row
 
-    def get(self, factors: tuple[tuple[int, int], ...], depth: int | None):
-        """The product of the nonempty ``factors``, known at least ``depth``
-        below its top."""
+    def get(self, factors: tuple[tuple[int, int], ...], depth: int | None) -> tuple:
+        """The row of the nonempty ``factors``' product, known at least ``depth`` below its top."""
         kept = self._kept.get(factors)
         if kept is None:
             *prefix, (e, b) = factors
             left, right = (tuple(prefix), ((e, b),)) if prefix else (((e, b // 2),), ((e, b - b // 2),))
             first = self.get(left, depth)
             if depth is not None and self._depth.get(left) != depth:
-                first = first.above(first.value - depth)
-            kept = self._kept[factors] = first * self.get(right, depth)
+                first = _row_above(first, _row_top(first)[0] - depth)
+            kept = self._kept[factors] = _row_mul(first, self.get(right, depth), self._band)
             self._depth[factors] = depth
         return kept
 
@@ -290,31 +296,31 @@ def key_forms_with_values(
     top's, minus the scaled P with x^beta_0 * y^beta_1 a shift.
     """
     last = len(values) - 1
-    forms = [LaurentPoly.x(), LaurentPoly.y()]
-    products = _Products()
+    rows = [None, ({(0, 1): 1}, 1, None)]  # the numerators of each form after x
+    products = _Products(None)
     ess = [0]  # the essential indices before j
-    multipliers = []
+    multipliers = [alpha for alpha, _ in steps]
     for j, (alpha, exponents) in enumerate(steps, start=1):
-        multipliers.append(alpha)
         if j == 1:
-            top = LaurentPoly.term(0, alpha)
+            top = {(0, alpha): 1}, 1, None
         elif alpha > 1:
-            products.add(j, forms[j])
+            products.add(j, rows[j])
             top = products.get(((j, alpha),), None)
         else:
-            top = forms[j]
-        beta = dict(zip(ess, exponents))
+            top = rows[j]
+        y_exp = exponents[1] if 1 in ess else 0  # the exponents are against ess
         # the last form first: each product adds the shortest factor to its prefix
-        factors = tuple((e, b) for e, b in reversed(beta.items()) if e >= 2 and b)
-        mono = products.get(factors, None) if factors else LaurentPoly.one()
+        factors = tuple([(e, b) for e, b in zip(ess[::-1], exponents[::-1]) if e >= 2 and b])
+        mono_terms, mono_den, _ = products.get(factors, None) if factors else _UNIT
         num, div = (1, 1) if scalars is None else scalars[j - 1]
-        terms = dict(top._terms)
-        den = _subtract_row(terms, top._den, None, mono._terms, num, div * mono._den, beta[0], beta.get(1, 0))
-        forms.append(top._like(terms, den))
+        terms = dict(top[0])
+        den = _subtract_row(terms, top[1], None, mono_terms, num, div * mono_den, exponents[0], y_exp)
+        rows.append(_reduced(terms, den))
         if alpha > 1:
             ess.append(j)
     multipliers.append(_multiplier(values[last], math.gcd(*(values[e] for e in ess))))
-    return KeyFormSeq(tuple(forms), tuple(values), tuple(multipliers), (*ess, last))
+    forms = (LaurentPoly.x(), LaurentPoly.y(), *map(LaurentPoly.one()._of, rows[2:]))
+    return KeyFormSeq(forms, tuple(values), tuple(multipliers), (*ess, last))
 
 
 def step_bound(g: GenericDPS, pairs: FormalPuiseuxPairs) -> int:
@@ -388,14 +394,12 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[tuple[int,
     step's power and exponents (the step record of
     :func:`steps_from_values`), after at most ``bound`` cancellations.
 
-    The running expansion is one private map from (X-exponent, xi-exponent)
-    to integer numerators over one denominator, known above its floor.  A
-    step reads its top key and constant numerator and subtracts the scaled,
-    shifted monomial in place (:func:`~semidegree.algebra._subtract_row`),
-    so it costs the monomial's terms, not copies of the expansion.  Only an
-    essential step (power > 1) takes an :class:`XiSeries` snapshot, which it
-    raises and keeps for the monomials of later steps, and rebuilds the
-    :func:`_table` that each step's power and exponents are read from.
+    The running expansion is one private row of integer numerators, known
+    above its floor.  A step reads its top key and constant numerator and
+    subtracts the scaled, shifted monomial in place
+    (:func:`~semidegree.algebra._subtract_row`).  Only an essential step
+    (power > 1) keeps a reduced snapshot for later monomials, raises it in
+    place of the row and rebuilds the :func:`_table`.
 
     The monomial of a step is x^beta_0, a shift, times powers of the
     expansions of the essential forms after x.  The difference is known only
@@ -404,15 +408,14 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[tuple[int,
     below its top; the subtraction skips its keys at or below the floor,
     and a monomial not known down to the floor is a bug.
     """
-    delta_x = expansion.den
+    delta_x, band = expansion.den, expansion.band
     terms, den, floor = dict(expansion._terms), expansion._den, expansion.floor
     ess, ess_values = [0], [delta_x]  # the essential indices so far, with their values
     table = _table(ess_values)
-    unit = expansion._like({(0, 0): 1}, 1)  # the monomial of a step with no essential factor
     values = [delta_x]
     scalars: list[tuple[int, int]] = []
     steps: Steps = []
-    products = _Products()
+    products = _Products(band)
     for _ in range(bound + 1):
         if not terms:
             if floor is None:
@@ -427,30 +430,29 @@ def _cancel(expansion: XiSeries, bound: int) -> tuple[list[int], list[tuple[int,
         power = _multiplier(w, table[1])
         beta = _represent(power * w, table)
         steps.append((power, beta))
-        if power > 1:  # an essential form: keep its expansion for later monomials
-            snapshot = expansion._like(terms, den, floor)  # keeps the map: rebound below
+        if power > 1:  # an essential form: keep its row for later monomials
+            snapshot = _reduced(terms, den, floor)  # keeps the map: rebound below
             products.add(len(values) - 1, snapshot)
             ess.append(len(values) - 1)
             ess_values.append(w)
             table = _table(ess_values)
-            raised = snapshot ** power
-            terms, den, floor = raised._terms, raised._den, raised.floor
+            terms, den, floor = _row_pow(snapshot, power, band)
         depth = None if floor is None else power * w - floor
         factors = [(e, b) for e, b in zip(ess[1:], beta[1:]) if b]
         if factors and factors[0][0] == 1:  # y's power last
             factors.append(factors.pop(0))
-        mono = products.get(tuple(factors), depth) if factors else unit
+        mono_terms, mono_den, mono_floor = mono = products.get(tuple(factors), depth) if factors else _UNIT
         shift = beta[0] * delta_x
-        top = mono._top()
+        top = _row_top(mono)
         if top is None or (top[0] + shift, top[1]) != (power * w, 0):
             raise InternalError("cancelling monomial has the wrong shape; this is a bug")
-        if mono.floor is not None and (floor is None or mono.floor + shift > floor):
+        if mono_floor is not None and (floor is None or mono_floor + shift > floor):
             raise InternalError("cancelling monomial is not known down to the step's floor; this is a bug")
 
         # scalar = (lead / lead_den) ** power / (mono's top coefficient)
-        num, div = lead ** power, lead_den ** power * mono._terms[top]
-        scalars.append((num * mono._den, div))
-        den = _subtract_row(terms, den, floor, mono._terms, num, div, shift)
+        num, div = lead ** power, lead_den ** power * mono_terms[top]
+        scalars.append((num * mono_den, div))
+        den = _subtract_row(terms, den, floor, mono_terms, num, div, shift)
     raise InternalError("cancellation did not terminate within the step cap; this is a bug")
 
 

@@ -188,7 +188,7 @@ class FormalPuiseuxPairs:
             out.append(Fraction(q, denom))
         return out
 
-    @property
+    @cached_property
     def delta_x(self) -> int:
         """Product of all p_k; the semidegree of x itself."""
         result = 1

@@ -6,9 +6,10 @@ The inputs are the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON),
 the three-level input x^(1/7) + x^(1/11) + x^(1/13) with r = -1 (483
 values, 93.5 MB) and the wide two-level input x^(1/31) + x^(1/37) with
 r = -1 (1.5 MB, from packed products and squares cut at the band).  Each
-process must exit 0 and print exactly the pinned bytes (size and md5).  Its peak RSS, read with ``os.wait4``, is printed for
-the record; no bound is asserted on it.  Exits 1 with the reasons when a
-run fails.
+process must exit 0 and print exactly the pinned bytes (size and md5).
+Its wall seconds and its peak RSS, read with ``os.wait4``, are printed
+for the record; no bound is asserted on either.  Exits 1 with the reasons
+when a run fails.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -46,18 +48,20 @@ def keyforms_argv(phi: str, r: str) -> list[str]:
 
 
 def pinned_run(name: str, argv: list[str], expected_size: int, expected_md5: str) -> bool:
-    """Run argv, print what it printed (exit, size, md5, peak RSS) and
-    whether that is the pinned output; True when it is."""
+    """Run argv, print what it printed (exit, size, md5), its wall seconds
+    and peak RSS, and whether that is the pinned output; True when it is."""
     digest, size = hashlib.md5(), 0
+    start = time.perf_counter()
     with subprocess.Popen(argv, stdout=subprocess.PIPE, env=child_env()) as child:
         while chunk := child.stdout.read(1 << 20):
             digest.update(chunk)
             size += len(chunk)
         _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
+    wall = time.perf_counter() - start
     # ru_maxrss is in KiB on Linux and in bytes on macOS
     peak = usage.ru_maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
-    print(f"{name}: exit {child.returncode}, {size} bytes, md5 {digest.hexdigest()}, peak RSS {peak:.1f} MB")
+    print(f"{name}: exit {child.returncode}, {size} bytes, md5 {digest.hexdigest()}, {wall:.2f} s, peak RSS {peak:.1f} MB")
     if child.returncode != 0:
         print(f"FAIL: exit {child.returncode}, expected 0")
         return False

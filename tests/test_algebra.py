@@ -16,6 +16,7 @@ from semidegree import (
     LaurentPoly,
     algebraic_witness,
     formal_pairs,
+    laurent_to_str,
     parse_dps,
     parse_laurent,
     semidegree,
@@ -23,9 +24,9 @@ from semidegree import (
 )
 from semidegree import algebra, cli
 from semidegree.algebra import AlgebraError, XiSeries, series_of
-from semidegree.puiseux import InternalError
+from semidegree.puiseux import _NO_FLOATS, InternalError
 
-from helpers import oracle_substitute, random_generic, random_laurent
+from helpers import _fraction_series_mul, oracle_substitute, random_generic, random_laurent
 
 FAST = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -257,6 +258,38 @@ def test_a_term_refuses_floats_and_negative_y_powers():
         LaurentPoly.term(0, 1, 0.5)
     with pytest.raises(AlgebraError):
         LaurentPoly.term(0, -1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LaurentPoly.term(1.5, 0),
+        lambda: LaurentPoly.term(1, F(1, 2)),
+        lambda: LaurentPoly.x().x_shift(1.5),
+        lambda: LaurentPoly.x().x_shift(F(-1, 3)),
+        lambda: algebra.monomial_product([LaurentPoly.x(), LaurentPoly.y()], [-1.5, 1]),
+    ],
+    ids=["term x-exponent", "term y-exponent", "x_shift float", "x_shift fraction", "monomial_product"],
+)
+def test_a_non_integer_exponent_is_refused_at_every_entry_point(build):
+    # stored, x^1.5 and x*y^1/2 would print text that parse_laurent refuses
+    with pytest.raises(AlgebraError, match="^exponents must be integers$"):
+        build()
+
+
+def test_integral_exponents_are_stored_as_int_and_round_trip():
+    x = LaurentPoly.x()
+    for poly in (LaurentPoly.term(2.0, F(4, 2), 3), x.x_shift(F(-3)), x.x_shift(2.0), LaurentPoly([((F(2), 1.0), 1)])):
+        assert all(type(a) is int and type(b) is int for a, b in poly._terms)
+        assert parse_laurent(laurent_to_str(poly)) == poly
+    assert LaurentPoly.term(2.0, F(4, 2), 3) == LaurentPoly.term(2, 2, 3)
+
+
+@pytest.mark.parametrize("power", [2.0, 1.5, -1.0])
+def test_a_float_power_is_refused_with_the_no_floats_text(power):
+    for base in (LaurentPoly.x() + LaurentPoly.y(), series_of(D1), series_of(D1, 2)):
+        with pytest.raises(TypeError, match=f"^{_NO_FLOATS}$"):
+            base ** power
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +643,77 @@ def test_banded_squares_match_the_sorted_term_loop(seed):
         expected = _loop(rows, list(rows), 2 * low - 1 if cut is None else cut)
         for product in (s * s, s * twin, twin * s):
             assert product == s._like(expected, den * den, cut)
+
+
+# ---------------------------------------------------------------------------
+# the row routine against the Fraction oracle
+
+
+def _random_row(rng):
+    """A reduced row (terms, den, floor): a few terms over a drawn
+    denominator, exact or with a floor below its lowest term."""
+    count = rng.randrange(1, 7)
+    terms = {(rng.randrange(-6, 7), rng.randrange(3)): rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(count)}
+    low = min(a for a, _ in terms)
+    return algebra._reduced(terms, rng.choice((1, 2, 6)), rng.choice((None, low - 1, low - 4)))
+
+
+def _fraction_series(row):
+    """A row as {Fraction x-exponent: dense xi-tuple}, the oracle's form."""
+    terms, den, _ = row
+    parts = {}
+    for (a, b), n in terms.items():
+        parts.setdefault(F(a), {})[b] = F(n, den)
+    return {e: tuple(p.get(b, F(0)) for b in range(max(p) + 1)) for e, p in parts.items()}
+
+
+def _expected_floor(left, right, band):
+    """max(top1 + top2 - band, floor1 + top2, floor2 + top1), the band's
+    term only where it reaches a product; an empty row's top and lowest
+    term are its floor."""
+    (terms1, _, floor1), (terms2, _, floor2) = left, right
+    (top1, low1), (top2, low2) = (
+        (max(terms)[0], min(terms)[0]) if terms else (floor, floor) for terms, floor in ((terms1, floor1), (terms2, floor2))
+    )
+    cuts = [floor1 + top2] if floor1 is not None else []
+    cuts += [floor2 + top1] if floor2 is not None else []
+    if band is not None and top1 + top2 - band >= low1 + low2:
+        cuts.append(top1 + top2 - band)
+    return max(cuts, default=None)
+
+
+def _operand(row, band):
+    """An XiSeries holding ``row`` in the ring of band ``band``."""
+    terms, den, floor = row
+    s = XiSeries([(key, F(n, den)) for key, n in terms.items()], 3, band)
+    return s if floor is None else s.above(floor)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_the_row_product_matches_the_fraction_oracle_and_the_operators_return_its_rows(seed):
+    # squares (one map, or an equal one), an empty operand with a floor and
+    # the exact zero beside random operands, each at a drawn band
+    rng = random.Random(seed)
+    for _ in range(20):
+        left = _random_row(rng)
+        right = rng.choice(
+            [left, (dict(left[0]), *left[1:]), _random_row(rng), _random_row(rng), ({}, 1, rng.randrange(-9, 0))]
+        )
+        band = rng.choice([None, None, *range(1, 9)])
+        product = algebra._row_mul(left, right, band)
+        terms, den, floor = product
+        if rng.randrange(4) == 0:  # the exact zero times anything, either side, is the exact zero
+            assert algebra._row_mul(({}, 1, None), right, band) == ({}, 1, None)
+            assert algebra._row_mul(left, ({}, 1, None), band) == ({}, 1, None)
+        assert floor == _expected_floor(left, right, band)
+        expected = _fraction_series_mul(_fraction_series(left), _fraction_series(right))
+        assert _fraction_series(product) == {e: p for e, p in expected.items() if floor is None or e > floor}
+        assert all(n for n in terms.values()) and den > 0 and math.gcd(den, *terms.values()) == 1
+        s, t = _operand(left, band), _operand(right, band)
+        assert (s * (s if right is left else t))._row == product
+        if band is None and left[2] is None and right[2] is None:
+            f, h = (LaurentPoly([(key, F(n, row[1])) for key, n in row[0].items()]) for row in (left, right))
+            assert (f * h)._row == product
 
 
 # ---------------------------------------------------------------------------

@@ -448,7 +448,7 @@ def test_a_monomial_not_known_down_to_the_floor_is_an_internal_error(monkeypatch
 
     def shallow(self, factors, depth):
         mono = get(self, factors, depth)
-        return mono.above(mono.value - 1) if factors else mono
+        return algebra._row_above(mono, algebra._row_top(mono)[0] - 1) if factors else mono
 
     monkeypatch.setattr(keyforms._Products, "get", shallow)
     with pytest.raises(InternalError) as info:
