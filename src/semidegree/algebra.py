@@ -25,12 +25,12 @@ product.  It multiplies small or sparse operands term by term, on rows
 sorted highest first that stop at a cut; a square takes each pair of terms
 once, doubled (Monagan-Pearce 2010).  A large product of operands that are
 dense on their lattice is packed instead (Kronecker substitution: Fateman
-2005, Harvey 2009): each row of an operand, a level of the second exponent
-or of the weighted degree through its extreme terms, becomes one integer
-with a signed slot per lattice point, each pair of rows is one big-int
-product, and each output row is unpacked once.  Both give the same
-numerators.  Every sum and difference is one call of the subtraction
-routine, :func:`_subtract_row`, which the cancellation also runs in place.
+2005, Harvey 2009): each row of an operand, a level of the second exponent,
+becomes one integer with a signed slot per lattice point, each pair of
+rows is one big-int product, and each output row is unpacked once.  Both
+give the same numerators.  Every sum and difference is one call of the
+subtraction routine, :func:`_subtract_row`, which the cancellation also
+runs in place.
 
 Only the top of an expansion is ever read, so an expansion may carry an
 absolute precision floor: an O(X^floor) term.  Every stored term lies
@@ -162,54 +162,31 @@ def _add_term_products(left: list, right: list, cut: int | None, out: dict[tuple
             out[key] = out.get(key, 0) + n1 * n2
 
 
-def _line(terms: list) -> tuple[int, int] | None:
-    """The coprime (u, v), both positive, for which u*a + v*b takes one
-    value on the top term of ``terms`` and on its term highest in the
-    second exponent; None when the two are one term."""
-    a1, b1 = terms[0][0]
-    b2, a2 = max((b, a) for (a, b), _ in terms)
-    g = math.gcd(b2 - b1, a1 - a2)
-    return ((b2 - b1) // g, (a1 - a2) // g) if g else None
-
-
 def _packed_layout(left: list, right: list, cut: int) -> tuple | None:
     """Where :func:`_add_packed` puts the terms of a product in packed rows,
     or None when the rows are too short to pay for a big-int product each
     or the product is not dense on the lattice it would be packed on.
 
-    Rows are the levels L = u*a + v*b of one of two linear forms: the
-    second exponent, or the line through an operand's top term and its
-    term highest in the second exponent, whichever gives fewer pairs of
-    rows.  With u*q - v*p = 1, P = p*a + q*b is the position in a level,
-    and (L, P) -> (a, b) = (q*L - v*P, u*P - p*L) inverts the change of
-    coordinates, so products add both L and P.  Positions are packed on
-    one step s for both operands, the gcd of the position differences in
-    every row and of the lowest positions of the row pairs meeting in
-    one output row; so every contribution to an output row lies in one
-    residue class modulo s.  The product is dense when each operand fills
-    at least half of its slots and the output rows span at most twice the
-    slots of the row pairs that meet in them, so that pairs far apart in
-    one output row cannot make it long.
+    Rows are the levels L = b of the second exponent, and P = -a is the
+    position in a level, so products add both L and P.  Positions are
+    packed on one step s for both operands, the gcd of the position
+    differences in every row and of the lowest positions of the row pairs
+    meeting in one output row; so every contribution to an output row lies
+    in one residue class modulo s.  The product is dense when each operand
+    fills at least half of its slots and the output rows span at most twice
+    the slots of the row pairs that meet in them, so that pairs far apart
+    in one output row cannot make it long.  The same list as both operands
+    is a square, whose pair of distinct rows is taken once, doubled.
 
-    Returns (rows1, rows2, s, pairs, outputs, keys, along): the arguments
-    of :func:`_packed_products`, the key of each output row's slot 0, and
-    what one slot up adds to a key.
+    Returns (rows1, rows2, s, pairs, outputs, low): the arguments of
+    :func:`_packed_products` and the lowest position of each output row.
     """
-    square = left == right  # then a pair of distinct rows is taken once, doubled
-
-    def row_pairs(form: tuple[int, int]) -> int:
-        u, v = form
-        return len({u * a + v * b for (a, b), _ in left}) * len({u * a + v * b for (a, b), _ in right})
-
-    u, v = min({(0, 1), _line(left), _line(right)} - {None}, key=row_pairs)
-    q = pow(u, -1, v)
-    p = (u * q - 1) // v
-    # each term as (P, numerator) in its row; with v > 0, P rises as a falls
-    # within a level, so terms sorted highest first give rows lowest P first
+    # each term as (P, numerator) in its row; terms sorted highest first
+    # give rows lowest P first
     rows1, rows2 = {}, {}
     for terms, rows in ((left, rows1), (right, rows2)):
         for (a, b), n in terms:
-            rows.setdefault(u * a + v * b, []).append((p * a + q * b, n))
+            rows.setdefault(b, []).append((-a, n))
     if len(rows1) * len(rows2) * _PACK_MIN > len(left) * len(right):
         return None
 
@@ -220,14 +197,14 @@ def _packed_layout(left: list, right: list, cut: int) -> tuple | None:
             step = math.gcd(step, *(P - row[0][0] for P, _ in row))
     span1 = {L: (row[0][0], row[-1][0]) for L, row in rows1.items()}
     span2 = {L: (row[0][0], row[-1][0]) for L, row in rows2.items()}
+    square = left is right
     pairs, low, high = [], {}, {}
     for L1, (lo1, hi1) in span1.items():
         for L2, (lo2, hi2) in span2.items():
             if square and L2 < L1:
                 continue
             L, lo, hi = L1 + L2, lo1 + lo2, hi1 + hi2
-            # q*L - v*P is the first exponent at position P of output row L
-            if (q * L - cut - 1) // v < lo:
+            if -lo <= cut:
                 continue  # the whole pair lies at or below the cut
             pairs.append((L1, L2, L, lo, hi))
             if L in low:
@@ -241,11 +218,10 @@ def _packed_layout(left: list, right: list, cut: int) -> tuple | None:
             return None
     if sum((high[L] - low[L]) // step + 1 for L in low) > 2 * sum((hi - lo) // step + 1 for *_, lo, hi in pairs):
         return None
-    # a = q*L - v*P falls as P rises, so the slots above the cut come first
-    outputs = {L: ((high[L] - lo) // step + 1, ((q * L - cut - 1) // v - lo) // step + 1) for L, lo in low.items()}
-    keys = {L: (q * L - v * lo, u * lo - p * L) for L, lo in low.items()}
+    # a = -P falls as P rises, so the slots above the cut, P < -cut, come first
+    outputs = {L: ((high[L] - lo) // step + 1, (-cut - 1 - lo) // step + 1) for L, lo in low.items()}
     pairs = [(L1, L2, L, (lo - low[L]) // step, square and L1 != L2) for L1, L2, L, lo, _ in pairs]
-    return rows1, rows2, step, pairs, outputs, keys, (-v * step, u * step)
+    return rows1, rows2, step, pairs, outputs, low
 
 
 def _packed_products(rows1: dict, rows2: dict, step: int, pairs: list, outputs: dict, width: int) -> Iterator:
@@ -293,24 +269,25 @@ def _add_packed(left: list, right: list, cut: int, out: dict[tuple[int, int], in
     layout is refused."""
     if not left or not right:
         return True
+    square = left is right
     top1, top2 = left[0][0][0], right[0][0][0]
     left = [t for t in left if t[0][0] + top2 > cut]
-    right = [t for t in right if t[0][0] + top1 > cut]
+    right = left if square else [t for t in right if t[0][0] + top1 > cut]
     if not left or not right:
         return True
     layout = _packed_layout(left, right, cut)
     if layout is None:
         return False
-    rows1, rows2, step, pairs, outputs, keys, (da, db) = layout
+    rows1, rows2, step, pairs, outputs, low = layout
     # a key of the product is hit by at most one term pair per term of either
     # operand, so no slot sum passes this bound, and every slot stays exact
     bound = max(abs(n) for _, n in left) * max(abs(n) for _, n in right) * min(len(left), len(right))
     width = (bound.bit_length() + 8) // 8  # bytes per slot, with room for the sign
     for L, numerators in _packed_products(rows1, rows2, step, pairs, outputs, width):
-        a, b = keys[L]
+        top = -low[L]  # the first exponent of slot 0; each slot up is one step lower
         for i, n in enumerate(numerators):
             if n:
-                key = (a + i * da, b + i * db)
+                key = (top - i * step, L)
                 out[key] = out.get(key, 0) + n
     return True
 

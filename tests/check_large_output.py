@@ -4,9 +4,10 @@
 
 The inputs are the dyadic chain of depth 7 (129 key forms, 7.3 MB of JSON),
 the three-level input x^(1/7) + x^(1/11) + x^(1/13) with r = -1 (483
-values, 93.5 MB) and the wide two-level input x^(1/31) + x^(1/37) with
-r = -1 (1.5 MB, from packed products and squares cut at the band).  Each
-process must exit 0 and print exactly the pinned bytes (size and md5).
+values, 93.5 MB), and the wide two-level inputs x^(1/31) + x^(1/37) and
+x^(1/41) + x^(1/43) with r = -1 (1.5 MB and 34.7 MB, from packed products
+and squares cut at the band; most of the second run is packed products).
+Each process must exit 0 and print exactly the pinned bytes (size and md5).
 Its wall seconds and its peak RSS, read with ``os.wait4``, are printed
 for the record; no bound is asserted on either.  Exits 1 with the reasons
 when a run fails.
@@ -28,6 +29,8 @@ THREE_LEVEL_SIZE = 93490176
 THREE_LEVEL_MD5 = "a4ef2d07c402b004ebdb375588eb1d9a"
 WIDE_SIZE = 1547767
 WIDE_MD5 = "32b12cb8b0158306b0872f1ed7cfd17c"
+WIDER_SIZE = 34655675
+WIDER_MD5 = "7210bdc5615ab4111f9e5455ee927d9c"
 
 
 def dyadic_keyforms_argv(depth: int) -> list[str]:
@@ -76,6 +79,7 @@ def main() -> int:
         ("keyforms dyadic depth 7", dyadic_keyforms_argv(7), DEPTH7_SIZE, DEPTH7_MD5),
         ("keyforms three-level", keyforms_argv("x^(1/7)+x^(1/11)+x^(1/13)", "-1"), THREE_LEVEL_SIZE, THREE_LEVEL_MD5),
         ("keyforms wide two-level", keyforms_argv("x^(1/31)+x^(1/37)", "-1"), WIDE_SIZE, WIDE_MD5),
+        ("keyforms wider two-level", keyforms_argv("x^(1/41)+x^(1/43)", "-1"), WIDER_SIZE, WIDER_MD5),
     ]
     passed = [pinned_run(*run) for run in runs]
     return 0 if all(passed) else 1

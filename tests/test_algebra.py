@@ -15,6 +15,7 @@ from semidegree import (
     GenericDPS,
     LaurentPoly,
     algebraic_witness,
+    compute_key_forms,
     formal_pairs,
     laurent_to_str,
     parse_dps,
@@ -339,8 +340,7 @@ def _rows(rng, rows, width, step=1, shift=0, fill=1.0, residues=(0,)):
 
 def _band(rng, u, v, top, width):
     """The terms with a, b >= 0 and top - width < u*a + v*b <= top: the
-    shape of a key form, whose top term and term highest in b lie on the
-    level top when u and v divide it."""
+    shape of a key form, a band below one level of a weighted degree."""
     return {
         (a, b): _coefficient(rng)
         for a in range(top // u + 1)
@@ -400,7 +400,9 @@ def test_packed_products_match_the_term_loop_at_every_cut(case, monkeypatch):
     # rows of any length are packed, so that a cut near the top, which
     # leaves a few terms per row, is packed too
     monkeypatch.setattr(algebra, "_PACK_MIN", 1)
-    left, right = map(_sorted, _operands(case))
+    first, second = _operands(case)
+    left = _sorted(first)
+    right = left if second is first else _sorted(second)  # a square is one list as both rows
     low = left[-1][0][0] + right[-1][0][0]
     high = left[0][0][0] + right[0][0][0]
     for cut in range(low - 2, high + 2):
@@ -410,7 +412,7 @@ def test_packed_products_match_the_term_loop_at_every_cut(case, monkeypatch):
 def test_rows_sparse_on_their_lattice_or_too_short_are_refused():
     rng = random.Random(5)
     sparse, dense = _rows(rng, range(3), 40, fill=0.2), _rows(rng, range(2), 40)
-    # one term per row in every candidate: a big-int product per term pair
+    # one term per level of b: a big-int product per term pair
     diagonal = {(k, k): _coefficient(rng) for k in range(100)}
     sloped = {(2 * k, k): _coefficient(rng) for k in range(100)}
     # two dense rows each, but the pairs meeting in output row y^1 lie a
@@ -740,6 +742,22 @@ def test_the_l8_witness_squares_its_largest_form_packed_and_prints_the_same_json
     assert (1470, 1470, True) in calls
     # the md5 of the JSON line the term loop alone printed
     assert hashlib.md5(capsys.readouterr().out.encode()).hexdigest() == "6d3eebd4cfc05a2e3168c26c1ffa808f"
+
+
+def test_the_wide_two_level_run_packs_every_product_offered(monkeypatch):
+    # x^(1/31) + x^(1/37) with r = -1: the key forms' large products are
+    # all dense on the levels of b, so a layout that stops packing them
+    # fails here rather than only running slower
+    offered = []
+    add_packed = algebra._add_packed
+
+    def counting(left, right, cut, out):
+        offered.append(add_packed(left, right, cut, out))
+        return offered[-1]
+
+    monkeypatch.setattr(algebra, "_add_packed", counting)
+    compute_key_forms(GenericDPS(parse_dps("x^(1/31)+x^(1/37)"), F(-1)))
+    assert (len(offered), sum(offered)) == (34, 34)
 
 
 def test_no_product_of_the_timed_workloads_is_packed(monkeypatch, tmp_path):
